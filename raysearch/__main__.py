@@ -50,11 +50,6 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--validate", action="store_true")
     b.add_argument("--no-resume", action="store_true")
     b.add_argument("--strip-html", action="store_true")
-    b.add_argument(
-        "--pipeline", default="local", choices=["local", "shuffle"],
-        help="local: partition-task build, no posting shuffle (default); "
-        "shuffle: Dataset groupby(term-bucket) architecture",
-    )
 
     s = sub.add_parser("search", help="top-k query (GET /api/search analog)")
     s.add_argument("--index", required=True)
@@ -101,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
             resume=not args.no_resume,
             validate=args.validate,
             strip_html=args.strip_html,
-            pipeline=args.pipeline,
         )
         print(json.dumps(meta, default=str))
         if owns:

@@ -3,37 +3,22 @@
 Replaces the reference's crawl-and-upsert build (ForkJoinPool crawler →
 per-page ``new LemmaSearch()`` → row-at-a-time MySQL writes,
 services/RecursiveSearch.java:46-162 and
-services/IndexingServiceImpl.java:80-135) with a streaming Dataset
-pipeline:
+services/IndexingServiceImpl.java:80-135) with one partition-local
+pipeline.
 
-Two equivalent pipelines (byte-identical merged output, tested):
-
-``pipeline="local"`` (default — the scale path).  The shuffle key of
-the posting build is (input partition, term-bucket), and the partition
-is fully determined by the input file — so posting rows never need to
-cross workers.  One Ray task per partition streams its parquet
-fragments, tokenizes (per-worker cached lemmatizer state — the ST1
-load-once pattern), accumulates exploded postings to a budget and
-flushes sorted compressed sub-segments ("per-partition spill"); doc
-lengths and lineage stats are computed in-task.  The ONLY all-to-all
-left is the merge groupby over compressed segment rows — at 100 TB the
-big data moves zero times instead of once.
-
-``pipeline="shuffle"`` (the textbook architecture, kept selectable):
-
-  read_parquet(transcripts)                       (S1/S2 analog)
-    → map_batches(tokenize, pyarrow, zero-copy)   task-based with
-      per-worker cached state by default (``use_actor_pool=True`` for
-      a classic actor pool); the reference pays dictionary load once
-      per page (RecursiveSearch.java:68), we pay once per worker
-    → exploded (term, doc_id, tf) with per-doc partial aggregation
-      already done in-batch (A1 analog, LemmaSearch.java:50-53)
-    → groupby(partition, term-bucket) shuffle → posting segments with
-      delta-gap+varint blobs (A2 analog: df comes from the shuffle,
-      not a shared counter — contrast RecursiveSearch.java:150-162)
-
-Both then: LSM-style k-way merge of per-partition segments into the
-global index + lexicon + meta (S6/S7 analog).
+One Ray task per input partition (``build_partition_task``) streams
+the partition's parquet fragments, tokenizes them with per-worker
+cached lemmatizer state (the ST1 load-once pattern; the reference pays
+dictionary load once per page, RecursiveSearch.java:68), aggregates tf
+per doc in-batch (A1 analog, LemmaSearch.java:50-53), and flushes
+sorted, delta-gap + varint compressed sub-segments whenever its posting
+buffer reaches ``spill_rows`` ("per-partition spill").  Doc lengths and
+lineage stats are computed in the same task.  A partition is fully
+determined by its input files, so posting rows never cross workers: df
+comes from the merge, not a shared counter (contrast
+RecursiveSearch.java:150-162).  The only all-to-all in the build is the
+merge exchange over compressed segment rows, then an LSM-style k-way
+merge into the global index + lexicon + meta (S6/S7 analog).
 
 Deterministic doc_id: dense rank under stable (conv_id, turn_idx)
 order, realized WITHOUT a global sort — conv offsets are computed from
@@ -42,21 +27,24 @@ a (small) groupby over conv_id and broadcast via ``ray.put``; then
 conversation by input contract; ``validate=True`` asserts it).  This is
 SURVEY §7 hard-part (a)'s range-partition mitigation.
 
-Skew: hot Zipf terms (df≈N) never form one giant shuffle group — the
-group key is (input partition, crc32(term) % buckets), so a hot term's
-per-group payload is bounded by the partition's doc count; the merge
-stage then concatenates the per-partition sub-postings (doc-disjoint by
-construction) and re-chunks rows at ``MAX_CHUNK`` docs so no single
-allocation scales with global df.  This is the explicit salting design
-of SURVEY §4 ("Skew / hot keys").
+Skew: hot Zipf terms (df≈N) never form one giant group — a segment
+row holds one term's postings within one partition (or one spill of
+it), so its size is bounded by the partition's doc count; the merge
+exchange routes rows by crc32(term) % buckets, concatenates the
+per-partition sub-postings (doc-disjoint by construction) and
+re-chunks them at ``MAX_CHUNK`` docs, so no single allocation scales
+with global df (SURVEY §4, "Skew / hot keys").
 
 Checkpoint/resume: work proceeds in WAVES of partitions; each wave
 writes its segments + doc lengths + a manifest (lineage: input files,
-per-partition row counts, wall time) into a temp dir that is atomically
-renamed into ``waves/``.  A present wave dir is complete by invariant;
-resume skips partitions already covered by a committed wave.  The merge
-is idempotent (tmp + rename) — mirrors & replaces the reference's
-destructive re-init (IndexingServiceImpl.java:154-163, S8).
+per-partition row counts, wall time, a unique commit id) into a temp
+dir that is atomically renamed into ``waves/``.  A present wave dir is
+complete by invariant; resume skips partitions already covered by a
+committed wave.  The merge is keyed on the commit ids of the waves it
+read, so it reruns whenever any wave was rewritten — even under the
+same wave name — and is idempotent (tmp + rename); this mirrors &
+replaces the reference's destructive re-init
+(IndexingServiceImpl.java:154-163, S8).
 """
 
 from __future__ import annotations
@@ -66,6 +54,7 @@ import json
 import os
 import shutil
 import time
+import uuid
 import zlib
 
 import numpy as np
@@ -84,7 +73,7 @@ DEFAULT_BUCKETS = 64
 
 
 def term_bucket(term: str, buckets: int) -> int:
-    """Deterministic shuffle bucket for a term (stable across processes,
+    """Deterministic merge bucket for a term (stable across processes,
     unlike builtin hash)."""
     return zlib.crc32(term.encode("utf-8")) % buckets
 
@@ -237,55 +226,19 @@ def _pin_arrow_threads() -> None:
         _ARROW_PINNED = True
 
 
-def tokenize_batch(
-    batch: pa.Table,
-    *,
-    offsets_ref,
-    path2pid: dict[str, int],
-    mode: str,
-    buckets: int,
-    strip_html: bool = False,
-) -> pa.Table:
-    """Task-based tokenize stage: resolves (and caches) the per-worker
-    TokenizerActor state, then delegates to it."""
-    key = (
-        offsets_ref.hex() if hasattr(offsets_ref, "hex") else id(offsets_ref),
-        mode,
-        buckets,
-        strip_html,
-    )
-    tok = _WORKER_TOKENIZERS.get(key)
-    if tok is None:
-        _pin_arrow_threads()
-        _WORKER_TOKENIZERS.clear()  # one live build per worker is typical
-        tok = _WORKER_TOKENIZERS[key] = TokenizerActor(
-            offsets_ref, path2pid, mode, buckets, strip_html
-        )
-    return tok(batch)
-
-
 class TokenizerActor:
-    """Stateful lemmatizer stage (SURVEY §2.3 ST1).
+    """Per-worker lemmatizer state (SURVEY §2.3 ST1).
 
     The reference constructs the morphology dictionary once per page
-    (``new LemmaSearch()``, services/RecursiveSearch.java:68); this pool
-    pays it once per actor in ``__init__`` and reuses it across batches.
-    Per batch (zero-copy Arrow in): vectorized tokenize
+    (``new LemmaSearch()``, services/RecursiveSearch.java:68); a worker
+    builds this once and reuses it for every batch of every partition
+    it processes.  Per batch (zero-copy Arrow in): vectorized tokenize
     (lex.Lexer.token_parent_pairs), per-doc tf aggregation
     (LemmaSearch.java:50-53 semantics), and doc_id assignment from the
-    broadcast conv-offset table.  Emits exploded posting rows
-    (term, doc_id, tf, gkey) plus per-doc sentinel rows (term="",
-    tf=doc_len, gkey=-pid-1) used to build the doc-length table.
+    broadcast conv-offset table.
     """
 
-    def __init__(
-        self,
-        offsets_ref,
-        path2pid: dict[str, int],
-        mode: str,
-        buckets: int,
-        strip_html: bool = False,
-    ):
+    def __init__(self, offsets_ref, mode: str, strip_html: bool = False):
         import ray
 
         _pin_arrow_threads()
@@ -296,9 +249,7 @@ class TokenizerActor:
         )
         self.conv_arr = offsets["conv_id"].combine_chunks()
         self.offset_arr = offsets["offset"].to_numpy()
-        self.path2pid = path2pid
         self.lexer = Lexer(mode)
-        self.buckets = buckets
         self.strip_html = strip_html
         self._bucket_memo: dict[str, int] = {}
 
@@ -320,17 +271,10 @@ class TokenizerActor:
             no_tags = pa.array(vals, pa.string())
         return no_tags
 
-    def _pid_of(self, path: str) -> int:
-        pid = self.path2pid.get(path)
-        if pid is None:
-            pid = self.path2pid.get(os.path.basename(path))
-        if pid is None:
-            raise KeyError(f"unknown input fragment {path!r}")
-        return pid
-
     def explode_arrays(self, batch: pa.Table):
         """Vectorized core: batch → (doc_ids per row, doc_len per row,
-        p_row posting→row index, p_term, p_tf, p_bucket)."""
+        p_row posting→row index, term code per posting, p_tf, the batch
+        vocabulary the codes index)."""
         n_rows = batch.num_rows
         conv_idx = pc.index_in(batch["conv_id"], value_set=self.conv_arr)
         conv_idx_np = conv_idx.to_numpy(zero_copy_only=False)
@@ -348,76 +292,19 @@ class TokenizerActor:
             uniq_keys, tf = np.unique(key, return_counts=True)
             p_row = uniq_keys // n_uniq
             ucodes = uniq_keys % n_uniq
-            bmemo = self._bucket_memo
-            buckets = np.array(
-                [
-                    bmemo.get(t)
-                    if t in bmemo
-                    else bmemo.setdefault(t, term_bucket(t, self.buckets))
-                    for t in uniq
-                ],
-                dtype=np.int64,
-            )
             p_tf = tf.astype(np.int64)
             doc_len = np.bincount(parent, minlength=n_rows).astype(np.int64)
         else:
             p_row = np.empty(0, dtype=np.int64)
             ucodes = np.empty(0, dtype=np.int64)
             p_tf = np.empty(0, dtype=np.int64)
-            buckets = np.empty(0, dtype=np.int64)
             uniq = np.empty(0, dtype=object)
             doc_len = np.zeros(n_rows, dtype=np.int64)
-        return doc_ids, doc_len, p_row, ucodes, p_tf, uniq, buckets
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n_rows = batch.num_rows
-        if n_rows == 0:
-            return _empty_exploded()
-        paths = batch["path"].to_pylist() if "path" in batch.column_names else None
-        if paths is None:
-            pids = np.zeros(n_rows, dtype=np.int64)
-        else:
-            memo: dict[str, int] = {}
-            pids = np.array(
-                [
-                    memo[p] if p in memo else memo.setdefault(p, self._pid_of(p))
-                    for p in paths
-                ],
-                dtype=np.int64,
-            )
-        doc_ids, doc_len, p_row, ucodes, p_tf, uniq, ubuckets = self.explode_arrays(
-            batch
-        )
-        p_term = uniq[ucodes] if len(ucodes) else np.empty(0, dtype=object)
-        p_doc = doc_ids[p_row]
-        p_gkey = pids[p_row] * self.buckets + (
-            ubuckets[ucodes] if len(ucodes) else np.empty(0, dtype=np.int64)
-        )
-
-        term_col = pa.array(
-            np.concatenate([p_term, np.full(n_rows, "", dtype=object)]), pa.string()
-        )
-        doc_col = pa.array(np.concatenate([p_doc, doc_ids]), pa.int64())
-        tf_col = pa.array(np.concatenate([p_tf, doc_len]), pa.int64())
-        gkey_col = pa.array(np.concatenate([p_gkey, -pids - 1]), pa.int64())
-        return pa.table(
-            {"term": term_col, "doc_id": doc_col, "tf": tf_col, "gkey": gkey_col}
-        )
-
-
-def _empty_exploded() -> pa.Table:
-    return pa.table(
-        {
-            "term": pa.array([], pa.string()),
-            "doc_id": pa.array([], pa.int64()),
-            "tf": pa.array([], pa.int64()),
-            "gkey": pa.array([], pa.int64()),
-        }
-    )
+        return doc_ids, doc_len, p_row, ucodes, p_tf, uniq
 
 
 # ---------------------------------------------------------------------------
-# Stage 1b — partition-local segment build (the scale path)
+# Stage 2 — partition-local segment build (A2 analog)
 # ---------------------------------------------------------------------------
 
 #: exploded-posting buffer budget per partition before an early flush
@@ -433,7 +320,11 @@ def _encode_partition_segment(
     """Sort one partition's exploded (term-code, doc, tf) rows and
     encode per-term posting rows (bucket assigned per term by hash).
     Terms arrive as integer codes into ``uniq_terms`` — the Python-level
-    work is bounded by the partition VOCABULARY, not its postings."""
+    work is bounded by the partition VOCABULARY, not its postings.
+
+    One Arrow row per term per partition replaces the reference's one
+    SQL row per (lemma, page) (model/SearchIndex.java:12-27); df is the
+    per-term doc count within the partition."""
     if len(codes) == 0:
         return _empty_segment()
     uniq_order = np.argsort(uniq_terms)
@@ -461,7 +352,6 @@ def _encode_partition_segment(
         "df": enc["df"], "cf": enc["cf"], "max_tf": enc["max_tf"],
         "first_doc": enc["first_doc"], "last_doc": enc["last_doc"],
         "doc_blob": enc["doc_blob"], "tf_blob": enc["tf_blob"],
-        "bm_blob": enc["bm_blob"],
     }
     return _segment_table(out)
 
@@ -493,12 +383,12 @@ def build_partition_task(
     stage concatenates them like any other per-partition rows — spill
     costs no extra merge complexity.
 
-    No shuffle: a partition's postings never leave the worker (gkey is
-    file-determined, SURVEY §4 skew note); the only all-to-all in the
-    build is the merge over compressed segment rows.  Segment and
-    doc-length files are written with deterministic names (idempotent
-    under Ray task retry); returns one stats row per partition
-    (manifest lineage/metrics)."""
+    No shuffle: a partition's postings never leave the worker (the
+    partition is file-determined, SURVEY §4 skew note); the only
+    all-to-all in the build is the merge over compressed segment rows.
+    Segment and doc-length files are written with deterministic names
+    (idempotent under Ray task retry); returns one stats row per
+    partition (manifest lineage/metrics)."""
     key = (
         offsets_ref.hex() if hasattr(offsets_ref, "hex") else id(offsets_ref),
         mode,
@@ -510,7 +400,7 @@ def build_partition_task(
         _pin_arrow_threads()
         _WORKER_TOKENIZERS.clear()
         tok = _WORKER_TOKENIZERS[key] = TokenizerActor(
-            offsets_ref, {}, mode, buckets, strip_html
+            offsets_ref, mode, strip_html
         )
     out_rows = {
         "partition_id": [], "n_docs": [], "n_tokens": [], "n_terms": [],
@@ -565,8 +455,8 @@ def build_partition_task(
                 batch_size=read_batch_rows, columns=["conv_id", "turn_idx", "text"]
             ):
                 tbl = pa.Table.from_batches([rb])
-                doc_ids, doc_len, p_row, ucodes, p_tf, uniq, _ = (
-                    tok.explode_arrays(tbl)
+                doc_ids, doc_len, p_row, ucodes, p_tf, uniq = tok.explode_arrays(
+                    tbl
                 )
                 if len(ucodes):
                     remap = np.empty(len(uniq), dtype=np.int64)
@@ -620,53 +510,6 @@ def build_partition_task(
     )
 
 
-# ---------------------------------------------------------------------------
-# Stage 2 — per-(partition, bucket) posting build (A2 analog)
-# ---------------------------------------------------------------------------
-
-
-def build_bucket_postings(group: pa.Table, buckets: int) -> pa.Table:
-    """Build compressed posting rows for one (partition, term-bucket)
-    group: sort (term, doc_id) → per-term delta-gap+varint blobs.
-
-    One Arrow row per term per partition replaces the reference's one
-    SQL row per (lemma, page) (model/SearchIndex.java:12-27); df is the
-    per-term doc count within the partition."""
-    import pandas as pd
-
-    _pin_arrow_threads()
-    if group.num_rows == 0:
-        return _empty_segment()
-    gkey = int(group["gkey"][0].as_py())
-    pid, bucket = divmod(gkey, buckets)
-    terms = group["term"].to_numpy(zero_copy_only=False)
-    doc_ids = group["doc_id"].to_numpy(zero_copy_only=False)
-    tfs = group["tf"].to_numpy(zero_copy_only=False)
-    codes, uniq = pd.factorize(terms)
-    # order terms lexically so segment rows come out term-sorted
-    uniq_order = np.argsort(uniq)
-    rank_of_code = np.empty(len(uniq), dtype=np.int64)
-    rank_of_code[uniq_order] = np.arange(len(uniq))
-    order = np.lexsort((doc_ids, rank_of_code[codes]))
-    s_codes = rank_of_code[codes][order]
-    s_docs = doc_ids[order]
-    s_tfs = tfs[order]
-    starts = np.flatnonzero(np.concatenate(([True], s_codes[1:] != s_codes[:-1])))
-    sorted_uniq = uniq[uniq_order]
-    enc = encode_posting_segments(s_docs, s_tfs, starts)
-    n_terms = len(starts)
-    out = {
-        "term": sorted_uniq[s_codes[starts]].astype(object),
-        "partition_id": np.full(n_terms, pid, dtype=np.int64),
-        "bucket": np.full(n_terms, bucket, dtype=np.int64),
-        "df": enc["df"], "cf": enc["cf"], "max_tf": enc["max_tf"],
-        "first_doc": enc["first_doc"], "last_doc": enc["last_doc"],
-        "doc_blob": enc["doc_blob"], "tf_blob": enc["tf_blob"],
-        "bm_blob": enc["bm_blob"],
-    }
-    return _segment_table(out)
-
-
 def _segment_schema() -> pa.Schema:
     return pa.schema(
         [
@@ -674,7 +517,7 @@ def _segment_schema() -> pa.Schema:
             ("bucket", pa.int32()), ("df", pa.int64()), ("cf", pa.int64()),
             ("max_tf", pa.int64()), ("first_doc", pa.int64()),
             ("last_doc", pa.int64()), ("doc_blob", pa.binary()),
-            ("tf_blob", pa.binary()), ("bm_blob", pa.binary()),
+            ("tf_blob", pa.binary()),
         ]
     )
 
@@ -804,7 +647,6 @@ def merge_bucket(
         "df": enc["df"], "cf": enc["cf"], "max_tf": enc["max_tf"],
         "first_doc": enc["first_doc"], "last_doc": enc["last_doc"],
         "doc_blob": enc["doc_blob"], "tf_blob": enc["tf_blob"],
-        "bm_blob": enc["bm_blob"],
     }
     return _merged_table(out), conv_counts
 
@@ -816,7 +658,7 @@ def _merged_schema() -> pa.Schema:
             ("chunk_id", pa.int32()), ("df", pa.int64()), ("cf", pa.int64()),
             ("max_tf", pa.int64()), ("first_doc", pa.int64()),
             ("last_doc", pa.int64()), ("doc_blob", pa.binary()),
-            ("tf_blob", pa.binary()), ("bm_blob", pa.binary()),
+            ("tf_blob", pa.binary()),
         ]
     )
 
@@ -1016,9 +858,15 @@ def _atomic_write_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _committed_partitions(out_dir: str) -> tuple[set[int], list[str]]:
+def _committed_partitions(
+    out_dir: str,
+) -> tuple[set[int], dict[str, str | None]]:
+    """(committed partition ids, wave name → commit id).  The commit id
+    is fresh whenever a wave dir is (re)written, so it identifies the
+    wave's content where the name does not: a partition rebuild
+    recreates a wave under its old name."""
     pids: set[int] = set()
-    waves: list[str] = []
+    waves: dict[str, str | None] = {}
     wave_root = os.path.join(out_dir, "waves")
     if not os.path.isdir(wave_root):
         return pids, waves
@@ -1033,7 +881,7 @@ def _committed_partitions(out_dir: str) -> tuple[set[int], list[str]]:
         with open(mpath) as f:
             manifest = json.load(f)
         pids.update(int(p) for p in manifest["partitions"])
-        waves.append(d)
+        waves[d] = manifest.get("commit")
     return pids, waves
 
 
@@ -1104,6 +952,7 @@ def evict_partition(out_dir: str, partition_id: int) -> list[str]:
         manifest["partitions"] = rest
         manifest["per_partition"].pop(str(partition_id), None)
         manifest["rebuilt_from"] = wname
+        manifest["commit"] = uuid.uuid4().hex
         _atomic_write_json(os.path.join(tmp, "manifest.json"), manifest)
         shutil.rmtree(wdir)
         os.replace(tmp, os.path.join(wave_root, new_name))
@@ -1142,12 +991,9 @@ def build_index(
     n_partitions: int | None = None,
     buckets: int = DEFAULT_BUCKETS,
     wave_size: int | None = None,
-    batch_size: int | None = None,
     resume: bool = True,
     validate: bool = False,
     strip_html: bool = False,
-    use_actor_pool: bool = False,
-    pipeline: str = "local",
     spill_rows: int = DEFAULT_SPILL_ROWS,
     max_chunk: int = MAX_CHUNK,
     read_batch_rows: int = 32768,
@@ -1156,7 +1002,10 @@ def build_index(
 
     ``wave_size`` bounds how many partitions commit atomically together
     (None = all remaining in one fully-pipelined wave); smaller waves
-    trade pipeline overlap for finer-grained resume.
+    trade pipeline overlap for finer-grained resume.  ``spill_rows``
+    bounds a partition task's posting buffer, ``read_batch_rows`` its
+    parquet read batches, and ``max_chunk`` the docs per merged
+    posting row.
     """
     import ray
     import ray.data as rd
@@ -1205,13 +1054,8 @@ def build_index(
     part_files = {
         pid: files[bounds[pid] : bounds[pid + 1]] for pid in range(n_partitions)
     }
-    path2pid = {}
-    for pid, fl in part_files.items():
-        for p in fl:
-            path2pid[p] = pid
-            path2pid[os.path.basename(p)] = pid
 
-    committed, _ = _committed_partitions(out_dir) if resume else (set(), [])
+    committed, _ = _committed_partitions(out_dir) if resume else (set(), {})
     remaining = [p for p in range(n_partitions) if p not in committed]
     offsets_ref = ray.put(offsets) if remaining else None
 
@@ -1225,178 +1069,61 @@ def build_index(
     stage_times: dict[str, float] = {"setup": round(time.monotonic() - t_start, 3)}
 
     for wave_pids in wave_batches:
+        # one task per partition streams its fragments, tokenizes, and
+        # writes sorted sub-segments with bounded-memory spill — no
+        # posting-row shuffle (the only all-to-all left is the merge
+        # over compressed segments)
         wave_t0 = time.monotonic()
-        wave_files = [f for p in wave_pids for f in part_files[p]]
         wave_name = f"w-{wave_pids[0]:05d}-{len(wave_pids)}"
         wave_tmp = os.path.join(out_dir, "waves", "_tmp_" + wave_name)
         shutil.rmtree(wave_tmp, ignore_errors=True)
         os.makedirs(os.path.join(wave_tmp, "segments"))
         os.makedirs(os.path.join(wave_tmp, "doclens"))
-
-        if pipeline == "local":
-            # partition-local build: one task per partition streams its
-            # fragments, tokenizes, and writes sorted sub-segments with
-            # bounded-memory spill — NO posting-row shuffle (the only
-            # all-to-all left is the merge over compressed segments)
-            descs = pa.table(
-                {
-                    "pid": pa.array(wave_pids, pa.int64()),
-                    "files": pa.array(
-                        [part_files[p] for p in wave_pids],
-                        pa.list_(pa.string()),
-                    ),
-                }
-            )
-            stats_tbl = (
-                rd.from_arrow(descs)
-                .repartition(len(wave_pids))
-                .map_batches(
-                    build_partition_task,
-                    fn_kwargs={
-                        "offsets_ref": offsets_ref,
-                        "mode": mode,
-                        "buckets": buckets,
-                        "strip_html": strip_html,
-                        "wave_tmp": wave_tmp,
-                        "spill_rows": spill_rows,
-                        "read_batch_rows": read_batch_rows,
-                    },
-                    batch_format="pyarrow",
-                    batch_size=None,
-                    num_cpus=1,
-                )
-                .to_pandas()  # one tiny stats row per partition
-            )
-            stage_times["partition_build"] = stage_times.get(
-                "partition_build", 0.0
-            ) + round(time.monotonic() - wave_t0, 3)
-            by_pid = {int(r.partition_id): r for r in stats_tbl.itertuples()}
-            manifest = {
-                "partitions": wave_pids,
-                "wall_s": round(time.monotonic() - wave_t0, 3),
-                "per_partition": {
-                    str(p): {
-                        "files": part_files[p],
-                        "n_docs": int(by_pid[p].n_docs) if p in by_pid else 0,
-                        "n_tokens": int(by_pid[p].n_tokens) if p in by_pid else 0,
-                        "n_terms": int(by_pid[p].n_terms) if p in by_pid else 0,
-                        "n_postings": int(by_pid[p].n_postings) if p in by_pid else 0,
-                        "n_flushes": int(by_pid[p].n_flushes) if p in by_pid else 0,
-                        "build_s": float(by_pid[p].wall_s) if p in by_pid else 0.0,
-                    }
-                    for p in wave_pids
-                },
+        descs = pa.table(
+            {
+                "pid": pa.array(wave_pids, pa.int64()),
+                "files": pa.array(
+                    [part_files[p] for p in wave_pids], pa.list_(pa.string())
+                ),
             }
-            _atomic_write_json(os.path.join(wave_tmp, "manifest.json"), manifest)
-            final = os.path.join(out_dir, "waves", wave_name)
-            shutil.rmtree(final, ignore_errors=True)
-            os.replace(wave_tmp, final)
-            continue
-
-        ds = rd.read_parquet(
-            wave_files,
-            columns=["conv_id", "turn_idx", "text"],
-            include_paths=True,
         )
-        tok_kwargs = {
-            "offsets_ref": offsets_ref,
-            "path2pid": path2pid,
-            "mode": mode,
-            "buckets": buckets,
-            "strip_html": strip_html,
-        }
-        if use_actor_pool:
-            exploded = ds.map_batches(
-                TokenizerActor,
-                fn_constructor_kwargs=tok_kwargs,
+        stats_tbl = (
+            rd.from_arrow(descs)
+            .repartition(len(wave_pids))
+            .map_batches(
+                build_partition_task,
+                fn_kwargs={
+                    "offsets_ref": offsets_ref,
+                    "mode": mode,
+                    "buckets": buckets,
+                    "strip_html": strip_html,
+                    "wave_tmp": wave_tmp,
+                    "spill_rows": spill_rows,
+                    "read_batch_rows": read_batch_rows,
+                },
                 batch_format="pyarrow",
-                zero_copy_batch=True,
-                batch_size=batch_size,
-                # start near-full: an autoscaling ramp from 1 actor wastes
-                # most of the wave on a cold pool at high CPU counts
-                concurrency=(max(2, ncpu - 2), max(2, ncpu)),
+                batch_size=None,
                 num_cpus=1,
-            ).materialize()
-        else:
-            # default: task-based with per-worker cached state (same
-            # load-once-per-worker semantics, no pool-startup tail)
-            exploded = ds.map_batches(
-                tokenize_batch,
-                fn_kwargs=tok_kwargs,
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                batch_size=batch_size,
-                num_cpus=1,
-            ).materialize()
-        t_tok = time.monotonic()
-        stage_times["tokenize"] = stage_times.get("tokenize", 0.0) + round(
-            t_tok - wave_t0, 3
+            )
+            .to_pandas()  # one tiny stats row per partition
         )
-
-        doclens = exploded.map_batches(
-            lambda t, b=buckets: (
-                t.filter(pc.less(t["gkey"], 0))
-                .select(["doc_id", "tf", "gkey"])
-                .rename_columns(["doc_id", "doc_len", "neg_pid"])
-            ),
-            batch_format="pyarrow",
-        ).map_batches(
-            lambda t: t.set_column(
-                2,
-                "partition_id",
-                pc.cast(pc.subtract(-1, t["neg_pid"]), pa.int32()),
-            ),
-            batch_format="pyarrow",
-        )
-        doclens.write_parquet(os.path.join(wave_tmp, "doclens"))
-        t_dl = time.monotonic()
-        stage_times["doclens_write"] = stage_times.get("doclens_write", 0.0) + round(
-            t_dl - t_tok, 3
-        )
-
-        postings = exploded.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["gkey"], 0)),
-            batch_format="pyarrow",
-        )
-        segments = postings.groupby("gkey").map_groups(
-            lambda g, b=buckets: build_bucket_postings(g, b),
-            batch_format="pyarrow",
-        )
-        segments.write_parquet(os.path.join(wave_tmp, "segments"))
-        t_seg = time.monotonic()
-        stage_times["postings_build"] = stage_times.get("postings_build", 0.0) + round(
-            t_seg - t_dl, 3
-        )
-
-        # per-partition lineage/metrics from the written outputs (small
-        # metadata columns only)
-        import duckdb
-
-        con = duckdb.connect()
-        doc_stats = con.sql(
-            f"SELECT partition_id, count(*) AS n_docs, sum(doc_len) AS n_tokens "
-            f"FROM read_parquet('{wave_tmp}/doclens/*.parquet') GROUP BY 1"
-        ).fetchall()
-        seg_stats = con.sql(
-            f"SELECT partition_id, count(*) AS n_terms, sum(df) AS n_postings "
-            f"FROM read_parquet('{wave_tmp}/segments/*.parquet') GROUP BY 1"
-        ).fetchall()
-        con.close()
-        doc_stats = {int(r[0]): r for r in doc_stats}
-        seg_stats = {int(r[0]): r for r in seg_stats}
-        stage_times["wave_stats"] = stage_times.get("wave_stats", 0.0) + round(
-            time.monotonic() - t_seg, 3
-        )
+        stage_times["partition_build"] = stage_times.get(
+            "partition_build", 0.0
+        ) + round(time.monotonic() - wave_t0, 3)
+        by_pid = {int(r.partition_id): r for r in stats_tbl.itertuples()}
         manifest = {
             "partitions": wave_pids,
+            "commit": uuid.uuid4().hex,
             "wall_s": round(time.monotonic() - wave_t0, 3),
             "per_partition": {
                 str(p): {
                     "files": part_files[p],
-                    "n_docs": int(doc_stats[p][1]) if p in doc_stats else 0,
-                    "n_tokens": int(doc_stats[p][2]) if p in doc_stats else 0,
-                    "n_terms": int(seg_stats[p][1]) if p in seg_stats else 0,
-                    "n_postings": int(seg_stats[p][2]) if p in seg_stats else 0,
+                    "n_docs": int(by_pid[p].n_docs) if p in by_pid else 0,
+                    "n_tokens": int(by_pid[p].n_tokens) if p in by_pid else 0,
+                    "n_terms": int(by_pid[p].n_terms) if p in by_pid else 0,
+                    "n_postings": int(by_pid[p].n_postings) if p in by_pid else 0,
+                    "n_flushes": int(by_pid[p].n_flushes) if p in by_pid else 0,
+                    "build_s": float(by_pid[p].wall_s) if p in by_pid else 0.0,
                 }
                 for p in wave_pids
             },
@@ -1406,7 +1133,7 @@ def build_index(
         shutil.rmtree(final, ignore_errors=True)
         os.replace(wave_tmp, final)
 
-    # ---- merge (idempotent; skipped when up to date) ----
+    # ---- merge (idempotent; skipped when no wave changed) ----
     committed, waves = _committed_partitions(out_dir)
     if len(committed) != n_partitions:
         raise RuntimeError(
@@ -1421,7 +1148,7 @@ def build_index(
             return meta
     # merge checkpoint: keep a partially-completed _tmp_merged (its
     # bucket files are atomic) when it was built from the SAME wave
-    # set; run_merge then skips finished buckets
+    # commits; run_merge then skips finished buckets
     merged_tmp = os.path.join(out_dir, "_tmp_merged")
     merge_ckpt = os.path.join(merged_tmp, "merge_inputs.json")
     keep = False

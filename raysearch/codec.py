@@ -8,9 +8,10 @@ compressed blobs instead.  Format per posting list (doc-ascending):
   doc_ids[0]`` and ``gaps[i] = doc_ids[i] - doc_ids[i-1]`` (strictly
   positive for i>0 because doc_ids are unique and sorted).
 * ``tf_blob``   — LEB128 varints of the term frequencies, same order.
-* ``bm_blob``   — LEB128 varints of per-block max tf (one value per
-  ``BLOCK`` docs) — the block-max metadata used for WAND-style pruning
-  at query time (SURVEY §2.4 J2 mapping).
+
+No block-max metadata is stored: the searcher derives per-block tf
+maxima from the decoded tfs when it fetches a term, so the bounds
+follow the decoded list whatever the chunking.
 
 Both encode and decode are vectorized: encode writes each varint byte
 position for all values at once; decode locates value boundaries from
@@ -20,9 +21,6 @@ the continuation bits and reduces with ``np.add.reduceat``.
 from __future__ import annotations
 
 import numpy as np
-
-BLOCK = 128  # docs per block-max entry
-
 
 def varint_encode_with_sizes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LEB128-encode a non-negative int64/uint64 array (vectorized).
@@ -73,22 +71,18 @@ def varint_decode(buf: bytes | memoryview | np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib, starts)
 
 
-def encode_postings(
-    doc_ids: np.ndarray, tfs: np.ndarray
-) -> tuple[bytes, bytes, bytes]:
-    """(doc_blob, tf_blob, bm_blob) for a doc-ascending posting list."""
+def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray) -> tuple[bytes, bytes]:
+    """(doc_blob, tf_blob) for a doc-ascending posting list."""
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
     if doc_ids.size == 0:
-        return b"", b"", b""
+        return b"", b""
     gaps = np.empty_like(doc_ids)
     gaps[0] = doc_ids[0]
     np.subtract(doc_ids[1:], doc_ids[:-1], out=gaps[1:])
     if doc_ids.size > 1 and gaps[1:].min() <= 0:
         raise ValueError("doc_ids must be strictly increasing")
-    n_blocks = (doc_ids.size + BLOCK - 1) // BLOCK
-    bm = np.maximum.reduceat(tfs, np.arange(0, doc_ids.size, BLOCK)) if n_blocks else tfs[:0]
-    return varint_encode(gaps), varint_encode(tfs), varint_encode(bm)
+    return varint_encode(gaps), varint_encode(tfs)
 
 
 def _slice_blobs(
@@ -115,7 +109,7 @@ def encode_posting_segments(
     encode loop that dominated build CPU at scale.
 
     Returns columns: df, cf, max_tf, first_doc, last_doc (numpy) and
-    doc_blob, tf_blob, bm_blob (lists of bytes)."""
+    doc_blob, tf_blob (lists of bytes)."""
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
     tfs = np.ascontiguousarray(tfs, dtype=np.int64)
     starts = np.asarray(seg_starts, dtype=np.int64)
@@ -126,7 +120,7 @@ def encode_posting_segments(
             "max_tf": np.empty(0, np.int64),
             "first_doc": np.empty(0, np.int64),
             "last_doc": np.empty(0, np.int64),
-            "doc_blob": [], "tf_blob": [], "bm_blob": [],
+            "doc_blob": [], "tf_blob": [],
         }
     ends = np.concatenate((starts[1:], [n]))
     df = ends - starts
@@ -144,21 +138,11 @@ def encode_posting_segments(
         raise ValueError("doc_ids must be strictly increasing within a segment")
     doc_buf, doc_nb = varint_encode_with_sizes(gaps)
     tf_buf, tf_nb = varint_encode_with_sizes(tfs)
-    # block-max entries: one per BLOCK docs per segment
-    block_starts = np.concatenate(
-        [np.arange(s, e, BLOCK, dtype=np.int64) for s, e in zip(starts, ends)]
-    )
-    bm = np.maximum.reduceat(tfs, block_starts)
-    bm_buf, bm_nb = varint_encode_with_sizes(bm)
-    n_blocks = (df + BLOCK - 1) // BLOCK
-    bm_ends = np.cumsum(n_blocks)
-    bm_starts = bm_ends - n_blocks
     return {
         "df": df, "cf": cf, "max_tf": max_tf,
         "first_doc": first_doc, "last_doc": last_doc,
         "doc_blob": _slice_blobs(doc_buf, doc_nb, starts, ends),
         "tf_blob": _slice_blobs(tf_buf, tf_nb, starts, ends),
-        "bm_blob": _slice_blobs(bm_buf, bm_nb, bm_starts, bm_ends),
     }
 
 
@@ -195,8 +179,7 @@ def decode_posting_segments(
 def decode_postings(
     doc_blob: bytes, tf_blob: bytes
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_postings` (block-max blob decoded
-    separately via :func:`varint_decode` when pruning needs it)."""
+    """Inverse of :func:`encode_postings`."""
     gaps = varint_decode(doc_blob).astype(np.int64)
     doc_ids = np.cumsum(gaps)
     tfs = varint_decode(tf_blob).astype(np.int64)

@@ -14,27 +14,31 @@ verbatim with the oracle; doc text fetch for snippets is a point read
 into the original transcript parquet with predicate pushdown instead of
 the reference's live HTTP re-fetch (SearchServiceImpl.java:82-94, M9).
 
-Block-max pruning: each posting chunk row carries per-128-doc block
-maxima of tf (codec.BLOCK).  For conjunctive top-k the searcher scores
-the exact candidate set (reference semantics demand it — the candidate
-count is part of the response, SearchServiceImpl.java:66); the block
-maxima give ``max_score`` upper bounds used by the disjunctive
-(OR-mode) WAND path ``search_or`` to skip blocks that cannot reach the
-current heap threshold.
+Posting cache: one byte-bounded LRU keyed by term holds each decoded
+posting list together with its per-``BLOCK``-doc tf maxima, computed
+once at fetch from the decoded tfs (``np.maximum.reduceat``), so the
+bounds are exact for any chunking of the stored rows.  For conjunctive
+top-k the searcher scores the exact candidate set (reference semantics
+demand it — the candidate count is part of the response,
+SearchServiceImpl.java:66); the block maxima give ``max_score`` upper
+bounds used by the disjunctive (OR-mode) WAND path ``search_or`` to
+skip blocks that cannot reach the current heap threshold.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from raysearch.codec import BLOCK, decode_postings, varint_decode
+from raysearch.codec import decode_postings
 from raysearch.lex import Lexer, validate_query
 from raysearch.scoring import (
     BM25_B,
@@ -46,6 +50,22 @@ from raysearch.scoring import (
     search_postings,
 )
 from raysearch.snippet import build_snippet
+
+BLOCK = 128  # docs per block-max entry
+TERM_CACHE_BYTES = 1 << 30  # decoded postings + block maxima per searcher
+LAZY_BUCKETS = 64  # per-bucket lexicon/locator slices a lazy searcher keeps
+
+
+@dataclass
+class CachedPostings(TermPostings):
+    """A term-cache entry: the decoded posting list plus the tf maximum
+    of each ``BLOCK``-doc block of it."""
+
+    block_max: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.doc_ids.nbytes + self.tfs.nbytes + self.block_max.nbytes
 
 
 class IndexSearcher:
@@ -76,17 +96,19 @@ class IndexSearcher:
         self.lexer = Lexer(self.mode)
         self.n_docs = self.meta["n_docs"]
         self.avg_doc_len = self.meta["avg_doc_len"]
-        self.buckets = int(self.meta.get("buckets", 1))
         self.doc_lo, self.doc_hi = doc_range if doc_range else (0, self.n_docs)
 
         self._post_dir = post_dir = os.path.join(merged, "postings")
         loc_dir = os.path.join(merged, "termlocs")
         lexparts_dir = os.path.join(merged, "lexparts")
-        import glob as _glob
+        if not os.path.isdir(loc_dir) or "buckets" not in self.meta:
+            raise ValueError(
+                f"{index_dir} has no term locator (merged/termlocs/) or no "
+                f"bucket count in merged/meta.json; rebuild the index"
+            )
+        self.buckets = int(self.meta["buckets"])
 
-        loc_files = sorted(_glob.glob(os.path.join(loc_dir, "termloc-*.parquet")))
-
-        # Lexicon + posting locator, three regimes:
+        # Lexicon + posting locator, two regimes:
         #
         # * lazy (shard actors): NOTHING vocab-scale is loaded — a
         #   term's df and its (file, row_group) locations are point-read
@@ -95,19 +117,10 @@ class IndexSearcher:
         #   without any lookup); slices are LRU-cached per bucket, so
         #   per-actor memory is O(cached_buckets × vocab/buckets), flat
         #   in global vocabulary as bucket count scales with it.
-        # * full + sidecar: load the merge-written term→row-group
+        # * full: load the lexicon and the merge-written term→row-group
         #   locator (one small parquet per bucket) — startup does ZERO
-        #   posting-file reads (round 1 scanned the term column of
-        #   every posting row group here).
-        # * full, no sidecar (old index layout): fall back to the scan.
-        # lazy routing hashes term → bucket, so it is only sound when
-        # meta.json records the merge's bucket count; an index with
-        # termloc files but no "buckets" field (foreign/old layout)
-        # would silently route every term to bucket 0 — fall back to
-        # eager in that case rather than trust the default of 1.
-        self._lazy = bool(
-            lazy_lexicon and loc_files and "buckets" in self.meta
-        )
+        #   posting-file reads.
+        self._lazy = lazy_lexicon
         self._term_locs: dict[str, list[tuple[str, int]]] = {}
         self._lex_index: dict[str, int] = {}
         self._lex_terms: list[str] = []
@@ -118,52 +131,30 @@ class IndexSearcher:
             self._bucket_cache: OrderedDict[
                 int, tuple[dict, dict]
             ] = OrderedDict()
-            self._bucket_cache_max = int(
-                os.environ.get("RAYSEARCH_LAZY_BUCKETS", "64")
-            )
         else:
             lex_table = pq.read_table(os.path.join(merged, "lexicon.parquet"))
             self._lex_terms = lex_table["term"].to_pylist()
             self._lex_df = lex_table["df"].to_numpy()
             self._lex_index = {t: i for i, t in enumerate(self._lex_terms)}
-            if loc_files:
-                for lf in loc_files:
-                    b = os.path.basename(lf)[len("termloc-") : -len(".parquet")]
-                    path = os.path.join(post_dir, f"bucket-{b}.parquet")
-                    lt = pq.read_table(lf)
-                    for term, rg in zip(
-                        lt["term"].to_pylist(), lt["row_group"].to_pylist()
-                    ):
-                        self._term_locs.setdefault(term, []).append((path, int(rg)))
-            else:
-                for fname in sorted(os.listdir(post_dir)):
-                    if not fname.endswith(".parquet"):
-                        continue
-                    path = os.path.join(post_dir, fname)
-                    pf = pq.ParquetFile(path)
-                    for rg in range(pf.metadata.num_row_groups):
-                        tcol = pf.read_row_group(rg, columns=["term"])
-                        for term in pc.unique(tcol["term"]).to_pylist():
-                            self._term_locs.setdefault(term, []).append((path, rg))
+            for lf in sorted(glob.glob(os.path.join(loc_dir, "termloc-*.parquet"))):
+                b = os.path.basename(lf)[len("termloc-") : -len(".parquet")]
+                path = os.path.join(post_dir, f"bucket-{b}.parquet")
+                lt = pq.read_table(lf)
+                for term, rg in zip(
+                    lt["term"].to_pylist(), lt["row_group"].to_pylist()
+                ):
+                    self._term_locs.setdefault(term, []).append((path, int(rg)))
         self._pf_cache: dict[str, pq.ParquetFile] = {}
-        # LRU caches: repeated queries share terms (Zipf), so decoded
-        # postings and raw row groups are kept hot.  Byte-bounded so a
-        # searcher over a huge index stays within its actor heap.
-        self._rg_cache: OrderedDict[tuple[str, int], pa.Table] = OrderedDict()
-        self._rg_cache_max = int(os.environ.get("RAYSEARCH_RG_CACHE", "32"))
-        self._term_cache: OrderedDict[str, TermPostings] = OrderedDict()
+        # term LRU: repeated queries share terms (Zipf), so decoded
+        # postings are kept hot.  Byte-bounded so a searcher over a huge
+        # index stays within its actor heap.
+        self._term_cache: OrderedDict[str, CachedPostings] = OrderedDict()
         self._term_cache_bytes = 0
-        self._term_cache_budget = int(
-            os.environ.get("RAYSEARCH_TERM_CACHE_BYTES", str(1 << 30))
-        )
-        self._bm_cache: OrderedDict[str, np.ndarray] = OrderedDict()
 
         # doc lengths (BM25 length normalization); int32 array indexed by doc_id
         # doc lengths for the owned range only (shards never hold the
         # global array — at 10^12 docs that is the point of sharding)
         self.doc_lens = np.zeros(self.doc_hi - self.doc_lo, dtype=np.int64)
-        import glob as _glob
-
         filters = None
         if doc_range:
             filters = [
@@ -171,7 +162,7 @@ class IndexSearcher:
                 ("doc_id", "<", self.doc_hi),
             ]
         for p in sorted(
-            _glob.glob(os.path.join(index_dir, "waves", "*", "doclens", "*.parquet"))
+            glob.glob(os.path.join(index_dir, "waves", "*", "doclens", "*.parquet"))
         ):
             t = pq.read_table(p, columns=["doc_id", "doc_len"], filters=filters)
             self.doc_lens[t["doc_id"].to_numpy() - self.doc_lo] = t[
@@ -219,7 +210,7 @@ class IndexSearcher:
                 locs.setdefault(term, []).append((post_path, int(rg)))
         out = (dfs, locs)
         self._bucket_cache[b] = out
-        while len(self._bucket_cache) > self._bucket_cache_max:
+        while len(self._bucket_cache) > LAZY_BUCKETS:
             self._bucket_cache.popitem(last=False)
         return out
 
@@ -242,19 +233,10 @@ class IndexSearcher:
     # -- posting fetch (J1 analog) ----------------------------------------
 
     def _read_row_group(self, path: str, rg: int) -> pa.Table:
-        key = (path, rg)
-        t = self._rg_cache.get(key)
-        if t is not None:
-            self._rg_cache.move_to_end(key)
-            return t
         pf = self._pf_cache.get(path)
         if pf is None:
             pf = self._pf_cache[path] = pq.ParquetFile(path)
-        t = pf.read_row_group(rg)
-        self._rg_cache[key] = t
-        while len(self._rg_cache) > self._rg_cache_max:
-            self._rg_cache.popitem(last=False)
-        return t
+        return pf.read_row_group(rg)
 
     def _term_rows(self, term: str) -> pa.Table | None:
         """All posting-chunk rows for a term (exact-located row groups);
@@ -283,7 +265,9 @@ class IndexSearcher:
             return None
         return pa.concat_tables(found)
 
-    def fetch_postings(self, term: str) -> TermPostings | None:
+    def fetch_postings(self, term: str) -> CachedPostings | None:
+        """The term's decoded posting list (in this searcher's doc
+        range) with its block maxima, through the term LRU."""
         df = self._df_of(term)
         if df is None:
             return None
@@ -305,12 +289,13 @@ class IndexSearcher:
         parts = [decode_postings(db, tb) for _, _, db, tb in chunks]
         doc_ids = np.concatenate([p[0] for p in parts])
         tfs = np.concatenate([p[1] for p in parts])
-        out = TermPostings(term, df, doc_ids, tfs)
+        block_max = np.maximum.reduceat(tfs, np.arange(0, len(tfs), BLOCK))
+        out = CachedPostings(term, df, doc_ids, tfs, block_max.astype(np.float64))
         self._term_cache[term] = out
-        self._term_cache_bytes += doc_ids.nbytes + tfs.nbytes
-        while self._term_cache_bytes > self._term_cache_budget and self._term_cache:
+        self._term_cache_bytes += out.nbytes
+        while self._term_cache_bytes > TERM_CACHE_BYTES and self._term_cache:
             _, old = self._term_cache.popitem(last=False)
-            self._term_cache_bytes -= old.doc_ids.nbytes + old.tfs.nbytes
+            self._term_cache_bytes -= old.nbytes
         return out
 
     # -- query plan (J5 + K1/K2 analog) -----------------------------------
@@ -382,7 +367,7 @@ class IndexSearcher:
         searchsorted into each decoded posting list."""
         scores = np.zeros(len(docs), dtype=np.float64)
         norm = self.doc_norms[docs - self.doc_lo]
-        for p, _bm, idf in infos:
+        for p, idf in infos:
             pos = np.minimum(np.searchsorted(p.doc_ids, docs), len(p.doc_ids) - 1)
             hit = p.doc_ids[pos] == docs
             tf = np.where(hit, p.tfs[pos], 0).astype(np.float64)
@@ -394,7 +379,7 @@ class IndexSearcher:
     def search_or(self, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
         """OR-semantics BM25 top-k with vectorized block-max pruning.
 
-        Per-term, per-128-doc block maxima (bm_blob) bound each block's
+        Per-term, per-``BLOCK``-doc tf maxima bound each block's
         best possible contribution (dl→0 normalization).  A threshold θ
         is seeded by exactly scoring each term's single best block;
         then a block b of term t is pruned when
@@ -413,9 +398,7 @@ class IndexSearcher:
             p = self.fetch_postings(t)
             if p is None:
                 continue
-            bm = self._block_maxes(t)
-            idf = bm25_idf(p.df, self.n_docs)
-            infos.append((p, bm, idf))
+            infos.append((p, bm25_idf(p.df, self.n_docs)))
         if not infos:
             return empty
         sharded = (self.doc_lo, self.doc_hi) != (0, self.n_docs)
@@ -427,14 +410,15 @@ class IndexSearcher:
 
         # per-term block upper bounds
         ubs = [
-            idf * (BM25_K1 + 1.0) * bm / (bm + BM25_K1 * (1.0 - BM25_B))
-            for _p, bm, idf in infos
+            idf * (BM25_K1 + 1.0) * p.block_max
+            / (p.block_max + BM25_K1 * (1.0 - BM25_B))
+            for p, idf in infos
         ]
         max_ub = np.array([u.max() if len(u) else 0.0 for u in ubs])
 
         # θ seed: exact scores of each term's best block's docs
         seed = []
-        for (p, _bm, _idf), u in zip(infos, ubs):
+        for (p, _idf), u in zip(infos, ubs):
             if not len(u):
                 continue
             b = int(np.argmax(u))
@@ -452,7 +436,7 @@ class IndexSearcher:
 
         # prune: block b of term t survives iff ub + Σ other maxima ≥ θ
         surv = []
-        for ti, ((p, _bm, _idf), u) in enumerate(zip(infos, ubs)):
+        for ti, ((p, _idf), u) in enumerate(zip(infos, ubs)):
             rest = float(max_ub.sum() - max_ub[ti])
             keep = np.flatnonzero(u >= theta - rest)
             if len(keep) == len(u):
@@ -465,31 +449,6 @@ class IndexSearcher:
             return empty
         scores = self._score_union(docs, infos)
         return rank_results(docs, scores, k)
-
-    def _block_maxes(self, term: str) -> np.ndarray:
-        hit = self._bm_cache.get(term)
-        if hit is not None:
-            self._bm_cache.move_to_end(term)
-            return hit
-        rows = self._term_rows(term)
-        bms = []
-        if rows is not None:
-            bms = sorted(
-                (
-                    (fd, varint_decode(bb).astype(np.float64))
-                    for fd, bb in zip(
-                        rows["first_doc"].to_pylist(), rows["bm_blob"].to_pylist()
-                    )
-                ),
-                key=lambda x: x[0],
-            )
-        out = (
-            np.concatenate([b for _, b in bms]) if bms else np.empty(0, np.float64)
-        )
-        self._bm_cache[term] = out
-        while len(self._bm_cache) > 4096:
-            self._bm_cache.popitem(last=False)
-        return out
 
     # -- doc fetch (M9 analog: no network, predicate-pushdown point read) --
 
@@ -592,11 +551,20 @@ class IndexSearcher:
         if err:
             return {"result": False, "error": err}
         if mode == "or":
-            # disjunctive block-max WAND path; scope/scorer are the
-            # conjunctive path's options (OR is BM25-only by design).
+            # disjunctive block-max WAND path: BM25 only, whole index.
             # ``count`` is the number of RETURNED rows: WAND prunes
             # without materializing the full candidate union, so an
             # exact total would defeat the pruning (documented).
+            if scope:
+                return {
+                    "result": False,
+                    "error": "mode=or searches the whole index; drop the scope (site=)",
+                }
+            if scorer != "bm25":
+                return {
+                    "result": False,
+                    "error": f"mode=or supports only the bm25 scorer, not {scorer!r}",
+                }
             ids, scores = self.search_or(query, k=offset + k)
             total = int(len(ids))
         else:

@@ -160,30 +160,33 @@ def test_search_response_and_snippet(searcher, oracle):
     assert searcher.search_response("леопард")["result"] is False  # latin index
 
 
-def test_search_or_superset_of_and(searcher, oracle):
-    """OR-mode block-max WAND: top-1 of OR must score >= top-1 of AND
-    and exact per-doc scores must match a naive full OR scorer."""
-    q = f"{LEMMAS[10]} {LEMMAS[100]}"
-    ids, scores = searcher.search_or(q, k=10)
-    # naive full OR scoring via oracle postings
-    terms = oracle.query_terms(q)
+def _assert_or_matches_brute_force(searcher, oracle, q, k=10):
+    """search_or's top-k must equal a naive full OR BM25 scorer over the
+    oracle's postings (doc ids exactly, scores to 1e-12)."""
     import collections
 
     from raysearch.scoring import bm25_idf
 
+    ids, scores = searcher.search_or(q, k=k)
     acc = collections.defaultdict(float)
-    for t in terms:
+    for t in oracle.query_terms(q):
         p = oracle.postings[t]
         idf = bm25_idf(p.df, oracle.n_docs)
         for d, tf in zip(p.doc_ids.tolist(), p.tfs.tolist()):
             dl = oracle.doc_lens[d]
             norm = 1.2 * (1.0 - 0.75 + 0.75 * (dl / oracle.avg_doc_len))
             acc[d] += idf * (tf * 2.2) / (tf + norm)
-    want = sorted(acc.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    want = sorted(acc.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
     got = sorted(zip(ids.tolist(), scores.tolist()), key=lambda kv: (-kv[1], kv[0]))
-    assert [d for d, _ in got] == [d for d, _ in want]
+    assert [d for d, _ in got] == [d for d, _ in want], q
     for (dg, sg), (dw, sw) in zip(got, want):
-        assert sg == pytest.approx(sw, rel=1e-12)
+        assert sg == pytest.approx(sw, rel=1e-12), q
+
+
+def test_search_or_superset_of_and(searcher, oracle):
+    """OR-mode block-max WAND: exact per-doc scores must match a naive
+    full OR scorer."""
+    _assert_or_matches_brute_force(searcher, oracle, f"{LEMMAS[10]} {LEMMAS[100]}")
 
 
 def test_batch_query_actor(ray_session, built, searcher, oracle):
@@ -220,8 +223,13 @@ def test_batch_query_actor(ray_session, built, searcher, oracle):
 def test_hot_term_multi_chunk(ray_session, tiny_corpus, tmp_path, oracle):
     """Hot-term skew path: with a small max_chunk the Zipf-hot terms
     must split into multiple posting chunk rows, and the query path
-    (chunk concat + range pruning) must stay rank-identical."""
+    (chunk concat + range pruning) must stay rank-identical.  The
+    searcher's block maxima are exact per-``BLOCK``-doc tf maxima of
+    the concatenated list even though 32-doc chunks do not align with
+    128-doc blocks, and OR search over them matches brute force."""
     import duckdb
+
+    from raysearch.search import BLOCK
 
     from raysearch.build import build_index
     from raysearch.search import IndexSearcher, ShardedSearcher
@@ -243,6 +251,16 @@ def test_hot_term_multi_chunk(ray_session, tiny_corpus, tmp_path, oracle):
         assert ids_e.tolist() == ids_o.tolist(), q
         assert sc_e.tolist() == sc_o.tolist(), q
         assert tot_e == tot_o
+    for term in s._lex_terms:
+        p = s.fetch_postings(term)
+        want = np.maximum.reduceat(p.tfs, np.arange(0, len(p.tfs), BLOCK))
+        assert p.block_max.tolist() == want.tolist(), term
+    for q in (
+        str(top[0]),
+        f"{LEMMAS[1]} {LEMMAS[10]}",
+        f"{LEMMAS[2]} {LEMMAS[30]} {LEMMAS[60]}",
+    ):
+        _assert_or_matches_brute_force(s, tiny_oracle, q)
     # sharded searcher across chunk boundaries
     sh = ShardedSearcher(out, n_shards=2)
     ids_s, sc_s, tot_s = sh.search(str(top[0]), k=10)
@@ -336,6 +354,16 @@ def test_suggest_eager_and_lazy_identical(built, searcher):
         missp, max_d=2, limit=5
     )
     assert eager == lazy
+
+
+def test_or_mode_rejects_scope_and_scorer(searcher):
+    """mode='or' is BM25 over the whole index: a scope or another scorer
+    gets a structured error instead of being silently ignored."""
+    q = f"{LEMMAS[10]} {LEMMAS[100]}"
+    assert searcher.search_response(q, mode="or")["result"] is True
+    for kw in ({"scope": conv_name(3)}, {"scorer": "reference"}):
+        resp = searcher.search_response(q, mode="or", **kw)
+        assert resp["result"] is False and resp["error"], kw
 
 
 def test_search_response_or_mode(searcher, oracle):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raysearch.codec import (
-    BLOCK,
     decode_postings,
     encode_postings,
     varint_decode,
@@ -40,15 +39,10 @@ def test_postings_roundtrip(doc_set, tf_seed):
     doc_ids = np.array(sorted(doc_set), dtype=np.int64)
     rng = np.random.default_rng(tf_seed)
     tfs = rng.integers(1, 1000, size=doc_ids.size).astype(np.int64)
-    doc_blob, tf_blob, bm_blob = encode_postings(doc_ids, tfs)
+    doc_blob, tf_blob = encode_postings(doc_ids, tfs)
     got_ids, got_tfs = decode_postings(doc_blob, tf_blob)
     assert got_ids.tolist() == doc_ids.tolist()
     assert got_tfs.tolist() == tfs.tolist()
-    # block-max property: every block's encoded max equals the true max
-    bm = varint_decode(bm_blob)
-    for bi in range(bm.size):
-        blk = tfs[bi * BLOCK : (bi + 1) * BLOCK]
-        assert bm[bi] == blk.max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,10 +74,9 @@ def test_segmented_encode_matches_per_segment(doc_sets, tf_seed):
     starts = np.cumsum([0] + [len(i) for i, _ in segs[:-1]])
     enc = encode_posting_segments(flat_ids, flat_tfs, np.asarray(starts, np.int64))
     for k, (ids, tfs) in enumerate(segs):
-        db, tb, bb = encode_postings(ids, tfs)
+        db, tb = encode_postings(ids, tfs)
         assert enc["doc_blob"][k] == db
         assert enc["tf_blob"][k] == tb
-        assert enc["bm_blob"][k] == bb
         assert enc["df"][k] == len(ids)
         assert enc["cf"][k] == tfs.sum()
         assert enc["first_doc"][k] == ids[0] and enc["last_doc"][k] == ids[-1]

@@ -171,28 +171,73 @@ def test_merge_resumes_from_partial_tmp(two_indexes):
 
 
 def test_pipelines_produce_identical_index(two_indexes):
-    """local (partition-task, default), shuffle (groupby), and
-    forced-spill local builds must emit byte-identical merged postings."""
+    """A forced-spill build (many doc-disjoint sub-segments per
+    partition, one wave) must emit byte-identical merged postings to
+    the default build (one flush per partition, one wave each)."""
     from raysearch.build import build_index
 
-    corpus, full, tmp = two_indexes  # `full` was built with the default
-    for name, kw in (
-        ("shuffle", {"pipeline": "shuffle"}),
-        # small read batches + tiny spill budget force MULTIPLE flushes
-        # per partition (mid-stream sub-segments + final flush)
-        ("spill", {"pipeline": "local", "spill_rows": 200, "read_batch_rows": 8}),
-    ):
-        out = str(tmp / f"pipe_{name}")
-        build_index(corpus, out, mode="latin", n_partitions=4, **kw)
-        assert _postings_rows(out) == _postings_rows(full), name
-        assert _lexicon_rows(out) == _lexicon_rows(full), name
-        if name == "spill":
-            for mpath in glob.glob(os.path.join(out, "waves", "*", "manifest.json")):
-                with open(mpath) as f:
-                    m = json.load(f)
-                assert all(
-                    p["n_flushes"] > 1 for p in m["per_partition"].values()
-                ), "spill did not produce multiple sub-segments"
+    corpus, full, tmp = two_indexes
+    out = str(tmp / "pipe_spill")
+    # small read batches + tiny spill budget force MULTIPLE flushes per
+    # partition (mid-stream sub-segments + final flush)
+    build_index(
+        corpus, out, mode="latin", n_partitions=4, spill_rows=200, read_batch_rows=8
+    )
+    assert _postings_rows(out) == _postings_rows(full)
+    assert _lexicon_rows(out) == _lexicon_rows(full)
+    for mpath in glob.glob(os.path.join(out, "waves", "*", "manifest.json")):
+        with open(mpath) as f:
+            m = json.load(f)
+        assert all(
+            p["n_flushes"] > 1 for p in m["per_partition"].values()
+        ), "spill did not produce multiple sub-segments"
+
+
+def _append_to_first_turn(corpus, conv_id, word):
+    """Edit the input in place: append ``word`` to turn 0 of ``conv_id``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    for path in sorted(glob.glob(os.path.join(corpus, "*.parquet"))):
+        t = pq.read_table(path)
+        hit = pc.and_(pc.equal(t["conv_id"], conv_id), pc.equal(t["turn_idx"], 0))
+        if not pc.any(hit).as_py():
+            continue
+        edited = pc.binary_join_element_wise(t["text"], pa.scalar(word), " ")
+        i = t.schema.get_field_index("text")
+        t = t.set_column(i, t.schema.field(i), pc.if_else(hit, edited, t["text"]))
+        pq.write_table(t, path)
+        return
+    raise KeyError(conv_id)
+
+
+@pytest.mark.parametrize("wave_size", [1, None], ids=["wave_per_partition", "one_wave"])
+def test_refresh_after_input_edit_matches_fresh_build(
+    ray_session, tiny_corpus, tmp_path, wave_size
+):
+    """Refreshing an edited conversation's partition must leave the same
+    merged index as a fresh build of the edited input, also when the
+    refresh recreates a wave under its old name: every refresh
+    with one partition per wave, the second refresh of the same
+    partition with one wave.  The merge is keyed on wave commit ids,
+    not wave names."""
+    from raysearch.build import build_index, rebuild_partition
+    from raysearch.gen import conv_name
+
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(tiny_corpus, corpus)
+    index = str(tmp_path / "index")
+    build_index(corpus, index, mode="latin", n_partitions=4, wave_size=wave_size)
+    conv = conv_name(7)
+    for word in ("quokka", "wombat"):
+        _append_to_first_turn(corpus, conv, word)
+        rebuild_partition(corpus, index, conv_id=conv)
+        assert word in {r[0] for r in _lexicon_rows(index)}, word
+    fresh = str(tmp_path / "fresh")
+    build_index(corpus, fresh, mode="latin", n_partitions=4, wave_size=wave_size)
+    assert _lexicon_rows(index) == _lexicon_rows(fresh)
+    assert _postings_rows(index) == _postings_rows(fresh)
 
 
 def test_merge_skipped_when_up_to_date(two_indexes):

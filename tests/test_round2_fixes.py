@@ -161,33 +161,33 @@ def test_partitions_of_straddling_conv(tmp_path):
 
 
 def test_termloc_sidecar_matches_scan(built):
-    """The merge-written term→row-group locator must equal the startup
-    scan's locator exactly (same files, same row groups), and startup
-    must not read any posting file when the sidecar exists."""
+    """The merge-written term→row-group locator the searcher loads must
+    equal a scan of the posting files' term column (same files, same
+    row groups, same order)."""
     import glob
-    import shutil
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
     from raysearch.search import IndexSearcher
 
     _, index = built
     merged = os.path.join(index, "merged")
     assert glob.glob(os.path.join(merged, "termlocs", "termloc-*.parquet"))
-    s_sidecar = IndexSearcher(index)
-
-    # force the scan fallback by hiding the sidecar
-    hid = os.path.join(merged, "_hidden_termlocs")
-    shutil.move(os.path.join(merged, "termlocs"), hid)
-    try:
-        s_scan = IndexSearcher(index)
-    finally:
-        shutil.move(hid, os.path.join(merged, "termlocs"))
-    assert s_sidecar._term_locs == s_scan._term_locs
+    scan: dict[str, list[tuple[str, int]]] = {}
+    for path in sorted(glob.glob(os.path.join(merged, "postings", "*.parquet"))):
+        pf = pq.ParquetFile(path)
+        for rg in range(pf.metadata.num_row_groups):
+            terms = pf.read_row_group(rg, columns=["term"])["term"]
+            for term in pc.unique(terms).to_pylist():
+                scan.setdefault(term, []).append((path, rg))
+    assert IndexSearcher(index)._term_locs == scan
 
 
 def test_lazy_lexicon_shard_state_and_identity(built):
     """lazy_lexicon searchers hold no vocab-scale dicts and return
     bit-identical results to the full searcher."""
-    from raysearch.search import IndexSearcher
+    from raysearch.search import LAZY_BUCKETS, IndexSearcher
 
     _, index = built
     full = IndexSearcher(index)
@@ -203,4 +203,4 @@ def test_lazy_lexicon_shard_state_and_identity(built):
         o2 = lazy.search_or(q, k=10)
         assert o1[0].tolist() == o2[0].tolist()
     # bucket cache is bounded
-    assert len(lazy._bucket_cache) <= lazy._bucket_cache_max
+    assert len(lazy._bucket_cache) <= LAZY_BUCKETS

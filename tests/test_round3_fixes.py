@@ -2,7 +2,7 @@
 
 * transcripts_snippets golden hash (the one fixture search row without
   a SQL twin — VERDICT r2 next-round #5);
-* lazy-lexicon hard fallback when meta.json lacks "buckets" (ADVICE);
+* an index whose meta.json lacks "buckets" is refused (ADVICE);
 * minhash LSH verification domain == jaccard_pairs_exact domain
   (short <k-token docs excluded on BOTH sides — ADVICE);
 * HTTP handlers return structured JSON on malformed params (ADVICE)
@@ -58,12 +58,12 @@ print(h.hexdigest()[:16])"
 
 
 def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
-    """An index with termloc sidecars but NO "buckets" field in
-    meta.json (foreign/old layout) must fall back to EAGER lexicon
-    loading instead of silently hashing every term to bucket 0."""
+    """An index with no "buckets" field in meta.json, or with no termloc
+    sidecar (foreign/old layout), is refused with an error that says to
+    rebuild — lazy routing would otherwise hash every term to a wrong
+    bucket, and there is no locator to find posting rows with."""
     from raysearch.build import build_index
     from raysearch.search import IndexSearcher
-    from raysearch.vocab import LEMMAS
 
     index = str(tmp_path / "idx")
     build_index(tiny_corpus, index, mode="latin", n_partitions=2)
@@ -80,12 +80,15 @@ def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
     meta.pop("buckets")
     with open(meta_path, "w") as f:
         json.dump(meta, f)
+    # drop the locator sidecar
+    no_loc = str(tmp_path / "idx_notermlocs")
+    shutil.copytree(index, no_loc)
+    shutil.rmtree(os.path.join(no_loc, "merged", "termlocs"))
 
-    s = IndexSearcher(stripped, lazy_lexicon=True)
-    assert not s._lazy  # fell back to eager
-    ids, scores, total = s.search(LEMMAS[3], k=5)
-    ref_ids, ref_scores, ref_total = IndexSearcher(index).search(LEMMAS[3], k=5)
-    assert total == ref_total and (ids == ref_ids).all()
+    for bad in (stripped, no_loc):
+        for lazy_lexicon in (False, True):
+            with pytest.raises(ValueError, match="rebuild the index"):
+                IndexSearcher(bad, lazy_lexicon=lazy_lexicon)
 
 
 def test_minhash_short_doc_domain_matches_exact(ray_session):

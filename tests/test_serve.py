@@ -173,6 +173,18 @@ def test_dashboard_page_served(server):
         assert marker in html
 
 
+def test_or_mode_with_site_rejected(server):
+    """mode=or searches the whole index, so a site= scope gets a
+    structured error rather than being dropped."""
+    from raysearch.gen import conv_name
+
+    _, port, _ = server
+    q = urllib.parse.quote(f"{LEMMAS[10]} {LEMMAS[100]}")
+    got = _get(port, f"/api/search?query={q}&limit=5&mode=or&site={conv_name(3)}")
+    assert got["result"] is False and "site" in got["error"]
+    assert _get(port, f"/api/search?query={q}&limit=5&mode=or")["result"] is True
+
+
 def test_or_mode_and_suggest_routes(server):
     """mode=or returns the WAND disjunctive ranking (superset-or-equal
     of the AND results for a multi-term query, equal for one term);
