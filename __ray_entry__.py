@@ -75,9 +75,23 @@ def _corpus_and_index(sf_dir: str) -> tuple[str, str]:
     base = f"/tmp/raysearch_entry/{name}"
     corpus, index = f"{base}/corpus", f"{base}/index"
     write_corpus(corpus, n_convs=n_convs, avg_turns=avg_turns, avg_tokens=30, seed=42)
-    if not os.path.exists(os.path.join(index, "merged", "meta.json")):
+    if not _index_current(index):
         build_index(corpus, index, mode="latin", n_partitions=4)
     return corpus, index
+
+
+def _index_current(index: str) -> bool:
+    """A cached index is reusable only in the layout this engine reads;
+    an older one is re-merged by build_index's resume."""
+    import json
+
+    from raysearch.build import INDEX_FORMAT
+
+    meta_path = os.path.join(index, "merged", "meta.json")
+    if not os.path.exists(meta_path):
+        return False
+    with open(meta_path) as f:
+        return json.load(f).get("format") == INDEX_FORMAT
 
 
 def _transcript_queries() -> list[str]:
@@ -618,7 +632,7 @@ def _simple_index(sf_dir: str) -> tuple[str, str]:
     corpus, _ = _corpus_and_index(sf_dir)
     name = os.path.basename(os.path.normpath(sf_dir)) or "sf0.01"
     index = f"/tmp/raysearch_entry/{name}/index_simple"
-    if not os.path.exists(os.path.join(index, "merged", "meta.json")):
+    if not _index_current(index):
         build_index(corpus, index, mode="simple", n_partitions=4)
     return corpus, index
 
@@ -2649,7 +2663,8 @@ def _media_demux_sql() -> str:
         f"t AS (SELECT media_id, unnest(generate_series(0, duration_ms - 1, 1000)) "
         f"AS frame_ms FROM read_parquet('{_MEDIA_PARQUET}') WHERE modality = 'video') "
         f"SELECT t.media_id AS media_id, t.frame_ms, z.j AS sample_idx, "
-        f"{base0} + 4 * z.n + coalesce(z.before, 0) AS byte_off, z.size AS byte_len "
+        f"CAST({base0} + 4 * z.n + coalesce(z.before, 0) AS BIGINT) AS byte_off, "
+        f"z.size AS byte_len "
         f"FROM t JOIN sz z ON z.media_id = t.media_id "
         f"AND z.j = CAST(t.frame_ms / 40 AS BIGINT) "
         f"ORDER BY t.media_id, t.frame_ms"

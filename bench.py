@@ -211,9 +211,9 @@ def run_default() -> None:
     t_build = time.monotonic() - t0
     timings["index_build"] = t_build
 
-    # searcher startup (VERDICT #7: merge-written term-locator sidecar
-    # replaces the posting-file term scan; lazy = shard-actor mode that
-    # loads nothing vocab-scale)
+    # searcher startup (three table reads: the lexicon, whose rows
+    # locate each term's posting row groups, doc lengths and conv
+    # offsets; lazy = shard-actor mode that loads nothing vocab-scale)
     from raysearch.search import IndexSearcher
 
     t0 = time.monotonic()

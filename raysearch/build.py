@@ -18,7 +18,12 @@ determined by its input files, so posting rows never cross workers: df
 comes from the merge, not a shared counter (contrast
 RecursiveSearch.java:150-162).  The only all-to-all in the build is the
 merge exchange over compressed segment rows, then an LSM-style k-way
-merge into the global index + lexicon + meta (S6/S7 analog).
+merge into the global index + lexicon + meta (S6/S7 analog).  The
+merge writes everything a searcher opens: ``lexicon.parquet`` (df, cf
+and each term's posting bucket and row-group range) and one
+doc_id-ordered ``doclens.parquet``, besides the build's
+``conv_offsets.parquet``; ``meta.json`` names the layout
+(``INDEX_FORMAT``).
 
 Deterministic doc_id: dense rank under stable (conv_id, turn_idx)
 order, realized WITHOUT a global sort — conv offsets are computed from
@@ -70,6 +75,8 @@ from raysearch.lex import Lexer
 
 MAX_CHUNK = 1 << 20  # max docs per merged posting row (bounds allocations)
 DEFAULT_BUCKETS = 64
+#: merged-layout version in ``merged/meta.json``; searchers refuse others
+INDEX_FORMAT = 2
 
 
 def term_bucket(term: str, buckets: int) -> int:
@@ -356,11 +363,9 @@ def _encode_partition_segment(
     return _segment_table(out)
 
 
-def _atomic_write_table(
-    table: pa.Table, path: str, row_group_size: int | None = None
-) -> None:
+def _atomic_write_table(table: pa.Table, path: str, **write_options) -> None:
     tmp = path + ".tmp"
-    pq.write_table(table, tmp, row_group_size=row_group_size)
+    pq.write_table(table, tmp, **write_options)
     os.replace(tmp, path)
 
 
@@ -674,9 +679,10 @@ def _empty_merged() -> pa.Table:
     return _merged_table({f.name: [] for f in _merged_schema()})
 
 
-def _split_by_bucket(path: str, buckets: int) -> list[pa.Table]:
+def _split_by_bucket(path: str, buckets: int) -> list[pa.Table] | pa.Table:
     """Map side of the merge exchange: one segment file → per-bucket
-    sub-tables (rows already carry their bucket)."""
+    sub-tables (rows already carry their bucket); one bucket's table
+    bare, as Ray hands a ``num_returns=1`` result over whole."""
     _pin_arrow_threads()
     t = pq.read_table(path)
     b = t["bucket"].to_numpy(zero_copy_only=False)
@@ -689,7 +695,7 @@ def _split_by_bucket(path: str, buckets: int) -> list[pa.Table]:
     for n in counts:
         out.append(sorted_t.slice(pos, int(n)))
         pos += int(n)
-    return out
+    return out if buckets > 1 else out[0]
 
 
 #: posting rows per parquet row group in the merged index — small
@@ -698,10 +704,18 @@ def _split_by_bucket(path: str, buckets: int) -> list[pa.Table]:
 POSTING_RG_ROWS = 2048
 
 
+#: a term's merged lexicon row; rg_first..rg_last are the row groups of
+#: its bucket file that hold its posting chunks
+_LEXICON_SCHEMA = pa.schema(
+    [("term", pa.string())]
+    + [(c, pa.int64()) for c in ("df", "cf", "n_chunks", "bucket")]
+    + [(c, pa.int64()) for c in ("rg_first", "rg_last")]
+)
+
+
 def _merge_bucket_task(
     out_path: str,
     lex_path: str,
-    loc_path: str,
     convlex_path: str | None,
     max_chunk: int,
     conv_starts: np.ndarray | None,
@@ -709,14 +723,13 @@ def _merge_bucket_task(
 ) -> int:
     """Reduce side: merge one bucket's rows from every segment file,
     write the merged posting rows (fixed ``POSTING_RG_ROWS`` row
-    groups), the bucket's lexicon slice, AND the term→row-group locator
-    sidecar — the merge task knows exactly which row group every term's
-    chunks land in, so searchers load the locator instead of scanning
-    the ``term`` column of every posting row group at startup
-    (round-1 cost; VERDICT #6/#7).  Buckets partition the term space,
-    so the global lexicon/locator is just the concatenation — no
-    driver-side scan over the merged index.  Atomic renames;
-    idempotent."""
+    groups) and the bucket's lexicon slice.  The merged rows are
+    term-sorted, so a term's chunks are one contiguous run and its row
+    groups one range; the slice records that range
+    (``rg_first``/``rg_last``), so a searcher locates a term's postings
+    from its lexicon row alone.  Buckets partition the term space, so
+    the global lexicon is just the concatenation — no driver-side scan
+    over the merged index.  Atomic renames; idempotent."""
     _pin_arrow_threads()
     live = [t for t in tables if t.num_rows]
     if not live:
@@ -738,43 +751,24 @@ def _merge_bucket_task(
         )
     if merged.num_rows:
         _atomic_write_table(merged, out_path, row_group_size=POSTING_RG_ROWS)
-        import pandas as pd
-
         terms = merged["term"].to_numpy(zero_copy_only=False)
-        codes, uniq = pd.factorize(terms)  # rows are term-sorted already
-        df = np.zeros(len(uniq), dtype=np.int64)
-        cf = np.zeros(len(uniq), dtype=np.int64)
-        nch = np.bincount(codes, minlength=len(uniq))
-        np.add.at(df, codes, merged["df"].to_numpy())
-        np.add.at(cf, codes, merged["cf"].to_numpy())
+        starts = np.flatnonzero(np.concatenate(([True], terms[1:] != terms[:-1])))
+        ends = np.append(starts[1:], merged.num_rows)
+        cols = (
+            terms[starts],
+            np.add.reduceat(merged["df"].to_numpy(), starts),
+            np.add.reduceat(merged["cf"].to_numpy(), starts),
+            ends - starts,
+            np.full(len(starts), int(merged["bucket"][0].as_py())),
+            starts // POSTING_RG_ROWS,
+            (ends - 1) // POSTING_RG_ROWS,
+        )
         _atomic_write_table(
-            pa.table(
-                {
-                    "term": pa.array(uniq, pa.string()),
-                    "df": pa.array(df, pa.int64()),
-                    "cf": pa.array(cf, pa.int64()),
-                    "n_chunks": pa.array(nch.astype(np.int64), pa.int64()),
-                    "bucket": pa.array(
-                        np.full(len(uniq), int(merged["bucket"][0].as_py())),
-                        pa.int64(),
-                    ),
-                }
+            pa.Table.from_arrays(
+                [pa.array(c, f.type) for c, f in zip(cols, _LEXICON_SCHEMA)],
+                schema=_LEXICON_SCHEMA,
             ),
             lex_path,
-        )
-        # locator sidecar: distinct (term, row_group) — row group index
-        # is row_index // POSTING_RG_ROWS by construction of the write
-        rgs = np.arange(merged.num_rows, dtype=np.int64) // POSTING_RG_ROWS
-        pair = codes.astype(np.int64) * (rgs.max() + 1) + rgs
-        keep = np.concatenate(([True], pair[1:] != pair[:-1]))
-        _atomic_write_table(
-            pa.table(
-                {
-                    "term": pa.array(terms[keep], pa.string()),
-                    "row_group": pa.array(rgs[keep], pa.int64()),
-                }
-            ),
-            loc_path,
         )
     return merged.num_rows
 
@@ -785,7 +779,6 @@ def run_merge(
     buckets: int,
     lex_dir: str | None = None,
     max_chunk: int = MAX_CHUNK,
-    loc_dir: str | None = None,
     convlex_dir: str | None = None,
     conv_starts: np.ndarray | None = None,
 ) -> None:
@@ -804,7 +797,6 @@ def run_merge(
     import ray
 
     lex_dir = lex_dir or out_dir
-    loc_dir = loc_dir or lex_dir
     use_conv = convlex_dir is not None and conv_starts is not None
     todo = [
         b
@@ -812,7 +804,6 @@ def run_merge(
         if not (
             os.path.exists(os.path.join(out_dir, f"bucket-{b:04d}.parquet"))
             and os.path.exists(os.path.join(lex_dir, f"lexicon-{b:04d}.parquet"))
-            and os.path.exists(os.path.join(loc_dir, f"termloc-{b:04d}.parquet"))
             and (
                 not use_conv
                 or os.path.exists(
@@ -833,7 +824,6 @@ def run_merge(
         merge_remote.remote(
             os.path.join(out_dir, f"bucket-{b:04d}.parquet"),
             os.path.join(lex_dir, f"lexicon-{b:04d}.parquet"),
-            os.path.join(loc_dir, f"termloc-{b:04d}.parquet"),
             os.path.join(convlex_dir, f"convlex-{b:04d}.parquet")
             if use_conv
             else None,
@@ -1144,27 +1134,23 @@ def build_index(
     if os.path.exists(meta_path):
         with open(meta_path) as f:
             meta = json.load(f)
-        if meta.get("waves") == waves:
+        if meta.get("waves") == waves and meta.get("format") == INDEX_FORMAT:
             return meta
     # merge checkpoint: keep a partially-completed _tmp_merged (its
     # bucket files are atomic) when it was built from the SAME wave
-    # commits; run_merge then skips finished buckets
+    # commits in the same layout; run_merge then skips finished buckets
     merged_tmp = os.path.join(out_dir, "_tmp_merged")
     merge_ckpt = os.path.join(merged_tmp, "merge_inputs.json")
+    merge_inputs = {"waves": waves, "format": INDEX_FORMAT}
     keep = False
     if os.path.exists(merge_ckpt):
         with open(merge_ckpt) as f:
-            keep = json.load(f).get("waves") == waves
+            keep = json.load(f) == merge_inputs
     if not keep:
         shutil.rmtree(merged_tmp, ignore_errors=True)
-        os.makedirs(os.path.join(merged_tmp, "postings"))
-        os.makedirs(os.path.join(merged_tmp, "lexparts"))
-        os.makedirs(os.path.join(merged_tmp, "termlocs"))
-        os.makedirs(os.path.join(merged_tmp, "convlex"))
-        _atomic_write_json(merge_ckpt, {"waves": waves})
-    else:
-        os.makedirs(os.path.join(merged_tmp, "termlocs"), exist_ok=True)
-        os.makedirs(os.path.join(merged_tmp, "convlex"), exist_ok=True)
+        for sub in ("postings", "lexparts", "convlex"):
+            os.makedirs(os.path.join(merged_tmp, sub))
+        _atomic_write_json(merge_ckpt, merge_inputs)
 
     seg_files = sorted(
         glob.glob(os.path.join(out_dir, "waves", "*", "segments", "*.parquet"))
@@ -1176,7 +1162,6 @@ def build_index(
         buckets,
         lex_dir=os.path.join(merged_tmp, "lexparts"),
         max_chunk=max_chunk,
-        loc_dir=os.path.join(merged_tmp, "termlocs"),
         convlex_dir=os.path.join(merged_tmp, "convlex"),
         conv_starts=offsets["offset"].to_numpy(),
     )
@@ -1186,25 +1171,34 @@ def build_index(
     # tasks already aggregated (buckets partition the term space; no
     # scan over the merged postings is needed)
     lex_parts = sorted(glob.glob(os.path.join(merged_tmp, "lexparts", "*.parquet")))
-    if lex_parts:
-        lex = pa.concat_tables(pq.read_table(p) for p in lex_parts).sort_by("term")
-    else:
-        lex = pa.table(
-            {
-                "term": pa.array([], pa.string()),
-                "df": pa.array([], pa.int64()),
-                "cf": pa.array([], pa.int64()),
-                "n_chunks": pa.array([], pa.int64()),
-                "bucket": pa.array([], pa.int64()),
-            }
-        )
+    lex = pa.concat_tables(
+        [pq.read_table(p) for p in lex_parts] or [_LEXICON_SCHEMA.empty_table()]
+    ).sort_by("term")
     _atomic_write_table(lex, os.path.join(merged_tmp, "lexicon.parquet"))
     totals = (
         int(pc.sum(lex["cf"]).as_py() or 0),
         lex.num_rows,
     )
+    # doc lengths: the waves' per-partition files, once, in doc_id order
+    doclens = pa.concat_tables(
+        pq.read_table(p, columns=["doc_id", "doc_len"])
+        for p in sorted(
+            glob.glob(os.path.join(out_dir, "waves", "*", "doclens", "*.parquet"))
+        )
+    ).sort_by("doc_id")
+    if not np.array_equal(doclens["doc_id"].to_numpy(), np.arange(n_docs)):
+        raise RuntimeError(
+            f"wave doc lengths do not cover doc_ids 0..{n_docs - 1} exactly once"
+        )
+    _atomic_write_table(  # doc_id is 0..n-1: delta-encoded it costs ~nothing
+        doclens,
+        os.path.join(merged_tmp, "doclens.parquet"),
+        use_dictionary=["doc_len"],
+        column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
+    )
     stage_times["lexicon"] = round(time.monotonic() - t_m0 - stage_times["merge"], 3)
     meta = {
+        "format": INDEX_FORMAT,
         "n_docs": n_docs,
         "total_tokens": int(totals[0]),
         "n_terms": int(totals[1]),

@@ -1161,6 +1161,9 @@ def tool_ngrams_sql(table: str) -> str:
     )
 
 
+_DAY_US = 86_400_000_000
+
+
 def trending_terms(ds, k: int = 10):
     """Top-``k`` tokens per DAY of the transcript stream ``(day,
     term, n, rk)`` — the trending-terms dashboard window (what is
@@ -1196,13 +1199,15 @@ def trending_terms(ds, k: int = 10):
                     "n": pa.array([], pa.int64()),
                 }
             )
-        tok_day = day[parent].astype("datetime64[us]").astype(np.int64)
+        # pack (day ordinal, term code): epoch µs × vocabulary would
+        # overflow int64 past ~5k distinct terms per batch
+        tok_day = day[parent].astype("datetime64[us]").astype(np.int64) // _DAY_US
         key = tok_day * np.int64(len(uniq)) + codes
         ukey, cnt = np.unique(key, return_counts=True)
         return pa.table(
             {
                 "day": pa.array(
-                    (ukey // len(uniq)).astype("datetime64[us]"),
+                    ((ukey // len(uniq)) * _DAY_US).astype("datetime64[us]"),
                     pa.timestamp("us"),
                 ),
                 "term": pa.array(

@@ -7,7 +7,10 @@ scoring A4) with an ``IndexSearcher`` that holds the lexicon and
 segment handles once (actor-pool-friendly: construct per actor, reuse
 across query batches) and fetches posting rows with parquet row-group
 pruning (the merged postings are term-clustered, so a term's chunks
-live in O(1) row groups).
+live in O(1) row groups).  Opening one reads three tables the merge
+wrote — ``lexicon.parquet`` (each row also names the term's bucket and
+posting row-group range), ``doclens.parquet`` (doc_id order) and
+``conv_offsets.parquet`` — and no posting file.
 
 The candidate semantics + scorers live in scoring.py and are shared
 verbatim with the oracle; doc text fetch for snippets is a point read
@@ -27,7 +30,6 @@ skip blocks that cannot reach the current heap threshold.
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 from collections import OrderedDict
@@ -38,6 +40,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from raysearch.build import INDEX_FORMAT, term_bucket
 from raysearch.codec import decode_postings
 from raysearch.lex import Lexer, validate_query
 from raysearch.scoring import (
@@ -46,6 +49,7 @@ from raysearch.scoring import (
     TermPostings,
     bm25_idf,
     order_query_terms,
+    precompute_norms,
     rank_results,
     search_postings,
 )
@@ -53,7 +57,22 @@ from raysearch.snippet import build_snippet
 
 BLOCK = 128  # docs per block-max entry
 TERM_CACHE_BYTES = 1 << 30  # decoded postings + block maxima per searcher
-LAZY_BUCKETS = 64  # per-bucket lexicon/locator slices a lazy searcher keeps
+LAZY_BUCKETS = 64  # per-bucket lexicon slices a lazy searcher keeps
+
+
+#: lexicon columns a searcher reads; the last four are a term's row
+_LEX_COLUMNS = ["term", "df", "bucket", "rg_first", "rg_last"]
+
+
+def _pylist(col: pa.ChunkedArray) -> list:
+    """Column → Python values; via numpy, ~20x faster than ``to_pylist``
+    for the int and string columns an open reads."""
+    return col.to_numpy(zero_copy_only=False).tolist()
+
+
+def _lex_rows(lex: pa.Table) -> list[tuple[int, int, int, int]]:
+    """(df, bucket, rg_first, rg_last) per lexicon row."""
+    return list(zip(*(_pylist(lex[c]) for c in _LEX_COLUMNS[1:])))
 
 
 @dataclass
@@ -69,8 +88,8 @@ class CachedPostings(TermPostings):
 
 
 class IndexSearcher:
-    """Holds lexicon + doc-length table + posting locators; stateless
-    across queries, safe to use as a ``map_batches`` actor class.
+    """Holds lexicon (with posting locations) + doc-length table;
+    stateless across queries, safe to use as a ``map_batches`` actor class.
 
     ``doc_range=(lo, hi)`` builds a SHARD searcher that owns only that
     doc_id range: doc-length/norm arrays are sized to the range
@@ -92,84 +111,61 @@ class IndexSearcher:
         merged = os.path.join(index_dir, "merged")
         with open(os.path.join(merged, "meta.json")) as f:
             self.meta = json.load(f)
+        if self.meta.get("format") != INDEX_FORMAT:
+            raise ValueError(
+                f"{index_dir} has index format {self.meta.get('format')!r}, "
+                f"not {INDEX_FORMAT}; rebuild the index"
+            )
         self.mode = self.meta["mode"]
         self.lexer = Lexer(self.mode)
         self.n_docs = self.meta["n_docs"]
         self.avg_doc_len = self.meta["avg_doc_len"]
         self.doc_lo, self.doc_hi = doc_range if doc_range else (0, self.n_docs)
-
-        self._post_dir = post_dir = os.path.join(merged, "postings")
-        loc_dir = os.path.join(merged, "termlocs")
-        lexparts_dir = os.path.join(merged, "lexparts")
-        if not os.path.isdir(loc_dir) or "buckets" not in self.meta:
-            raise ValueError(
-                f"{index_dir} has no term locator (merged/termlocs/) or no "
-                f"bucket count in merged/meta.json; rebuild the index"
-            )
         self.buckets = int(self.meta["buckets"])
+        self._post_dir = os.path.join(merged, "postings")
 
-        # Lexicon + posting locator, two regimes:
+        # Lexicon: a term's row is also its posting locator (bucket +
+        # row-group range).  Two regimes:
         #
         # * lazy (shard actors): NOTHING vocab-scale is loaded — a
-        #   term's df and its (file, row_group) locations are point-read
-        #   from the per-bucket lexicon/locator slices the merge wrote
-        #   (term → bucket is a hash, so the owning slice is known
-        #   without any lookup); slices are LRU-cached per bucket, so
-        #   per-actor memory is O(cached_buckets × vocab/buckets), flat
-        #   in global vocabulary as bucket count scales with it.
-        # * full: load the lexicon and the merge-written term→row-group
-        #   locator (one small parquet per bucket) — startup does ZERO
-        #   posting-file reads.
+        #   term's row is point-read from the per-bucket lexicon slice
+        #   the merge wrote (term → bucket is a hash); slices are
+        #   LRU-cached, so per-actor memory is O(cached_buckets ×
+        #   vocab/buckets), flat in global vocabulary.
+        # * full: load ``lexicon.parquet`` once; no posting-file reads.
         self._lazy = lazy_lexicon
-        self._term_locs: dict[str, list[tuple[str, int]]] = {}
         self._lex_index: dict[str, int] = {}
         self._lex_terms: list[str] = []
         self._lex_df = np.empty(0, dtype=np.int64)
+        self._by_len: tuple[np.ndarray, np.ndarray] | None = None
         if self._lazy:
-            self._lexparts_dir = lexparts_dir
-            self._loc_dir = loc_dir
-            self._bucket_cache: OrderedDict[
-                int, tuple[dict, dict]
-            ] = OrderedDict()
+            self._lexparts_dir = os.path.join(merged, "lexparts")
+            self._bucket_cache: OrderedDict[int, dict[str, tuple]] = OrderedDict()
         else:
-            lex_table = pq.read_table(os.path.join(merged, "lexicon.parquet"))
-            self._lex_terms = lex_table["term"].to_pylist()
-            self._lex_df = lex_table["df"].to_numpy()
+            lex = pq.read_table(
+                os.path.join(merged, "lexicon.parquet"), columns=_LEX_COLUMNS
+            )
+            self._lex_terms = _pylist(lex["term"])
+            self._lex_df = lex["df"].to_numpy()
+            self._lex_rows = _lex_rows(lex)
             self._lex_index = {t: i for i, t in enumerate(self._lex_terms)}
-            for lf in sorted(glob.glob(os.path.join(loc_dir, "termloc-*.parquet"))):
-                b = os.path.basename(lf)[len("termloc-") : -len(".parquet")]
-                path = os.path.join(post_dir, f"bucket-{b}.parquet")
-                lt = pq.read_table(lf)
-                for term, rg in zip(
-                    lt["term"].to_pylist(), lt["row_group"].to_pylist()
-                ):
-                    self._term_locs.setdefault(term, []).append((path, int(rg)))
-        self._pf_cache: dict[str, pq.ParquetFile] = {}
+        self._pf_cache: dict[int, pq.ParquetFile] = {}  # by bucket
         # term LRU: repeated queries share terms (Zipf), so decoded
         # postings are kept hot.  Byte-bounded so a searcher over a huge
         # index stays within its actor heap.
         self._term_cache: OrderedDict[str, CachedPostings] = OrderedDict()
         self._term_cache_bytes = 0
 
-        # doc lengths (BM25 length normalization); int32 array indexed by doc_id
-        # doc lengths for the owned range only (shards never hold the
-        # global array — at 10^12 docs that is the point of sharding)
-        self.doc_lens = np.zeros(self.doc_hi - self.doc_lo, dtype=np.int64)
+        # doc lengths (BM25 length normalization) for the owned range
+        # only (shards never hold the global array — at 10^12 docs that
+        # is the point of sharding); the merge wrote them in doc_id order
         filters = None
         if doc_range:
-            filters = [
-                ("doc_id", ">=", self.doc_lo),
-                ("doc_id", "<", self.doc_hi),
-            ]
-        for p in sorted(
-            glob.glob(os.path.join(index_dir, "waves", "*", "doclens", "*.parquet"))
-        ):
-            t = pq.read_table(p, columns=["doc_id", "doc_len"], filters=filters)
-            self.doc_lens[t["doc_id"].to_numpy() - self.doc_lo] = t[
-                "doc_len"
-            ].to_numpy()
-        from raysearch.scoring import precompute_norms
-
+            filters = [("doc_id", ">=", self.doc_lo), ("doc_id", "<", self.doc_hi)]
+        doclens = os.path.join(merged, "doclens.parquet")
+        self.doc_lens = pq.read_table(doclens, columns=["doc_len"], filters=filters)[
+            "doc_len"
+        ].to_numpy()
         self.doc_norms = precompute_norms(self.doc_lens, self.avg_doc_len)
 
         # serving warm-up: decode the N highest-df posting lists once at
@@ -181,74 +177,57 @@ class IndexSearcher:
 
         # conv scope ranges (J4 analog) + doc→(conv, turn) inverse
         offsets = pq.read_table(os.path.join(index_dir, "conv_offsets.parquet"))
-        self._conv_ids = offsets["conv_id"].to_pylist()
+        self._conv_ids = _pylist(offsets["conv_id"])
         self._conv_offsets = offsets["offset"].to_numpy()
         self._conv_turns = offsets["n_turns"].to_numpy()
         self._conv_index = {c: i for i, c in enumerate(self._conv_ids)}
         with open(os.path.join(index_dir, "input_meta.json")) as f:
             self._input_meta = json.load(f)
 
-    # -- lexicon access (lazy per-bucket slices vs full dicts) -------------
+    # -- lexicon access (lazy per-bucket slices vs full arrays) ------------
 
-    def _bucket_maps(self, b: int) -> tuple[dict, dict]:
-        """(term→df, term→[(file, rg)]) for one bucket, LRU-cached."""
+    def _bucket_map(self, b: int) -> dict[str, tuple]:
+        """term → lexicon row (see ``_lex_rows``) for one bucket,
+        LRU-cached."""
         hit = self._bucket_cache.get(b)
         if hit is not None:
             self._bucket_cache.move_to_end(b)
             return hit
-        dfs: dict[str, int] = {}
-        locs: dict[str, list[tuple[str, int]]] = {}
+        out: dict[str, tuple] = {}
         lex_path = os.path.join(self._lexparts_dir, f"lexicon-{b:04d}.parquet")
         if os.path.exists(lex_path):
-            lt = pq.read_table(lex_path, columns=["term", "df"])
-            dfs = dict(zip(lt["term"].to_pylist(), lt["df"].to_pylist()))
-            post_path = os.path.join(self._post_dir, f"bucket-{b:04d}.parquet")
-            ll = pq.read_table(
-                os.path.join(self._loc_dir, f"termloc-{b:04d}.parquet")
-            )
-            for term, rg in zip(ll["term"].to_pylist(), ll["row_group"].to_pylist()):
-                locs.setdefault(term, []).append((post_path, int(rg)))
-        out = (dfs, locs)
+            lt = pq.read_table(lex_path, columns=_LEX_COLUMNS)
+            out = dict(zip(_pylist(lt["term"]), _lex_rows(lt)))
         self._bucket_cache[b] = out
         while len(self._bucket_cache) > LAZY_BUCKETS:
             self._bucket_cache.popitem(last=False)
         return out
 
-    def _df_of(self, term: str) -> int | None:
+    def _lookup(self, term: str) -> tuple[int, int, int, int] | None:
+        """(df, bucket, rg_first, rg_last) of a term, None if absent."""
         if self._lazy:
-            from raysearch.build import term_bucket
-
-            df = self._bucket_maps(term_bucket(term, self.buckets))[0].get(term)
-            return None if df is None else int(df)
-        idx = self._lex_index.get(term)
-        return None if idx is None else int(self._lex_df[idx])
-
-    def _locs_of(self, term: str) -> list[tuple[str, int]] | None:
-        if self._lazy:
-            from raysearch.build import term_bucket
-
-            return self._bucket_maps(term_bucket(term, self.buckets))[1].get(term)
-        return self._term_locs.get(term)
+            return self._bucket_map(term_bucket(term, self.buckets)).get(term)
+        i = self._lex_index.get(term)
+        return None if i is None else self._lex_rows[i]
 
     # -- posting fetch (J1 analog) ----------------------------------------
 
-    def _read_row_group(self, path: str, rg: int) -> pa.Table:
-        pf = self._pf_cache.get(path)
+    def _read_row_group(self, b: int, rg: int) -> pa.Table:
+        pf = self._pf_cache.get(b)
         if pf is None:
-            pf = self._pf_cache[path] = pq.ParquetFile(path)
+            path = os.path.join(self._post_dir, f"bucket-{b:04d}.parquet")
+            pf = self._pf_cache[b] = pq.ParquetFile(path)
         return pf.read_row_group(rg)
 
-    def _term_rows(self, term: str) -> pa.Table | None:
-        """All posting-chunk rows for a term (exact-located row groups);
-        a shard searcher additionally prunes chunks wholly outside its
-        doc range via the first_doc/last_doc chunk metadata."""
-        locs = self._locs_of(term)
-        if not locs:
-            return None
+    def _term_rows(self, term: str, b: int, rgs: range) -> pa.Table | None:
+        """All posting-chunk rows for a term (its lexicon row names the
+        bucket and row groups); a shard searcher additionally prunes
+        chunks wholly outside its doc range via the first_doc/last_doc
+        chunk metadata."""
         sharded = (self.doc_lo, self.doc_hi) != (0, self.n_docs)
         found = []
-        for path, rg in locs:
-            t = self._read_row_group(path, rg)
+        for rg in rgs:
+            t = self._read_row_group(b, rg)
             mask = pc.equal(t["term"], term)
             if sharded:
                 mask = pc.and_(
@@ -268,14 +247,15 @@ class IndexSearcher:
     def fetch_postings(self, term: str) -> CachedPostings | None:
         """The term's decoded posting list (in this searcher's doc
         range) with its block maxima, through the term LRU."""
-        df = self._df_of(term)
-        if df is None:
+        entry = self._lookup(term)
+        if entry is None:
             return None
         hit = self._term_cache.get(term)
         if hit is not None:
             self._term_cache.move_to_end(term)
             return hit
-        rows = self._term_rows(term)
+        df, b, rg_first, rg_last = entry
+        rows = self._term_rows(term, b, range(rg_first, rg_last + 1))
         if rows is None:
             return None
         chunks = sorted(
@@ -304,9 +284,9 @@ class IndexSearcher:
         lemmas = self.lexer.split_to_lemmas(query)
         found = []
         for t in lemmas:
-            df = self._df_of(t)
-            if df is not None:
-                found.append((t, df))
+            entry = self._lookup(t)
+            if entry is not None:
+                found.append((t, entry[0]))
         return order_query_terms(found, self.n_docs)
 
     def conv_range(self, conv_id: str) -> tuple[int, int] | None:
@@ -503,9 +483,9 @@ class IndexSearcher:
                 zip(out["conv_id"].to_pylist(), out["turn_idx"].to_pylist())
             )
         }
-        order = [idx[(c, tu)] for _, c, tu in wanted if (c, tu) in idx]
-        out = out.take(order)
-        return out.append_column("doc_id", pa.array([d for d, _, _ in wanted], pa.int64()))
+        found = [(d, c, tu) for d, c, tu in wanted if (c, tu) in idx]
+        out = out.take([idx[(c, tu)] for _, c, tu in found])
+        return out.append_column("doc_id", pa.array([d for d, _, _ in found], pa.int64()))
 
     # -- full response (SearchData analog, dto/search/SearchData.java:6-13) --
 
@@ -513,26 +493,34 @@ class IndexSearcher:
         """Did-you-mean candidates over the INDEX lexicon — the
         serving-side sibling of ``pipelines.textstats.fuzzy_terms``
         (same ranking: Levenshtein distance asc, df desc, term asc;
-        same admissible length prune; the banded capped DP from
-        ``dedup._lev_capped``).  In lazy-lexicon mode the full
-        lexicon parquet is read ONCE on first use and cached —
-        suggestion is a miss-path feature, not per-query work."""
+        the banded capped DP from ``dedup._lev_capped``).  Only terms
+        whose length is within ``max_d`` of the query's can qualify,
+        so the lexicon is grouped by term length once, on first use,
+        and each request runs the DP over that length window alone.
+        In lazy-lexicon mode the full lexicon parquet is read then too
+        — suggestion is a miss-path feature, not per-query work."""
         from raysearch.pipelines.dedup import _lev_capped
 
         q = term.lower()
-        if not self._lex_terms:
-            lex_table = pq.read_table(
-                os.path.join(self.index_dir, "merged", "lexicon.parquet")
-            )
-            self._lex_terms = lex_table["term"].to_pylist()
-            self._lex_df = lex_table["df"].to_numpy()
+        if self._by_len is None:
+            if not self._lex_terms:
+                lex = pq.read_table(
+                    os.path.join(self.index_dir, "merged", "lexicon.parquet"),
+                    columns=["term", "df"],
+                )
+                self._lex_terms = _pylist(lex["term"])
+                self._lex_df = lex["df"].to_numpy()
+            lens = np.array([len(t) for t in self._lex_terms], dtype=np.int64)
+            order = np.argsort(lens, kind="stable")
+            self._by_len = (lens[order], order)
+        lens, order = self._by_len
+        lo, hi = np.searchsorted(lens, [len(q) - max_d, len(q) + max_d + 1])
         out = []
-        for t, df in zip(self._lex_terms, self._lex_df):
-            if abs(len(t) - len(q)) > max_d:
-                continue
+        for i in order[lo:hi].tolist():
+            t = self._lex_terms[i]
             d = _lev_capped(q, t, max_d)
             if d <= max_d:
-                out.append((d, -int(df), t))
+                out.append((d, -int(self._lex_df[i]), t))
         out.sort()
         return [
             {"term": t, "d": d, "df": -ndf} for d, ndf, t in out[:limit]
@@ -573,19 +561,27 @@ class IndexSearcher:
             )
         ids, scores = ids[offset : offset + k], scores[offset : offset + k]
         docs = self.fetch_docs(ids.tolist()) if len(ids) else pa.table({})
+        # a turn missing from the input renders empty; rows are matched
+        # by doc_id, so it cannot shift the other results
+        row_of = (
+            {d: i for i, d in enumerate(docs["doc_id"].to_pylist())}
+            if docs.num_rows
+            else {}
+        )
         query_lemmas = self.query_terms(query)
         data = []
-        for i in range(len(ids)):
-            text = docs["text"][i].as_py() if docs.num_rows > i else ""
-            conv, turn = self.doc_locate(int(ids[i]))
+        for doc_id, score in zip(ids.tolist(), scores.tolist()):
+            r = row_of.get(doc_id)
+            text = "" if r is None else docs["text"][r].as_py()
+            conv, turn = self.doc_locate(doc_id)
             data.append(
                 {
                     "conv_id": conv,
                     "turn_idx": turn,
-                    "doc_id": int(ids[i]),
-                    "role": docs["role"][i].as_py() if docs.num_rows > i else "",
+                    "doc_id": doc_id,
+                    "role": "" if r is None else docs["role"][r].as_py(),
                     "snippet": build_snippet(text, list(query_lemmas), self.lexer),
-                    "relevance": float(scores[i]),
+                    "relevance": score,
                 }
             )
         return {"result": True, "count": total, "data": data}

@@ -53,6 +53,19 @@ def value_hash(df: pd.DataFrame) -> str:
     return h.hexdigest()[:16]
 
 
+def dtype_mismatches(mine: pd.DataFrame, orc: pd.DataFrame) -> list[str]:
+    """Columns whose dtype kind (int, float, datetime, ...) differs
+    between engine and oracle output.  The value hash stringifies, so
+    an int64 column against a float64 twin matches on small values and
+    fails once ``%.6g`` rounds; widths (int32 vs int64, datetime64[s]
+    vs [us]) stringify alike and are not reported."""
+    return [
+        f"{c}: {mine[c].dtype} vs {orc[c].dtype}"
+        for c in sorted(map(str, mine.columns))
+        if c in orc.columns and mine[c].dtype.kind != orc[c].dtype.kind
+    ]
+
+
 def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
@@ -90,15 +103,18 @@ def main():
         rc = len(mine) == len(orc)
         sc = sorted(map(str, mine.columns)) == sorted(map(str, orc.columns))
         vh = value_hash(mine) == value_hash(orc) if rc and sc else False
-        status = "OK" if (rc and sc and vh) else "MISMATCH"
+        dt = dtype_mismatches(mine, orc)
+        status = "OK" if (rc and sc and vh and not dt) else "MISMATCH"
         results[name] = {
             "status": status,
             "rows": (len(mine), len(orc)),
             "cols_match": sc,
             "hash_match": vh,
+            "dtype_mismatches": dt,
         }
         print(
-            f"{name:24s} {status} rows={len(mine)}/{len(orc)} cols={sc} hash={vh}",
+            f"{name:24s} {status} rows={len(mine)}/{len(orc)} cols={sc} hash={vh}"
+            + (f" dtypes={dt}" if dt else ""),
             flush=True,
         )
         if status == "MISMATCH" and sc and rc:

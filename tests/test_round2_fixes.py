@@ -160,28 +160,47 @@ def test_partitions_of_straddling_conv(tmp_path):
         partitions_of(str(out), "conv-999")
 
 
-def test_termloc_sidecar_matches_scan(built):
-    """The merge-written term→row-group locator the searcher loads must
-    equal a scan of the posting files' term column (same files, same
-    row groups, same order)."""
+def _scan_row_groups(postings_dir: str) -> dict[str, tuple[str, list[int]]]:
+    """term → (bucket file, row groups holding its rows), from a scan
+    of every posting file's term column."""
     import glob
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from raysearch.search import IndexSearcher
-
-    _, index = built
-    merged = os.path.join(index, "merged")
-    assert glob.glob(os.path.join(merged, "termlocs", "termloc-*.parquet"))
-    scan: dict[str, list[tuple[str, int]]] = {}
-    for path in sorted(glob.glob(os.path.join(merged, "postings", "*.parquet"))):
+    scan: dict[str, tuple[str, list[int]]] = {}
+    for path in sorted(glob.glob(os.path.join(postings_dir, "*.parquet"))):
         pf = pq.ParquetFile(path)
         for rg in range(pf.metadata.num_row_groups):
             terms = pf.read_row_group(rg, columns=["term"])["term"]
             for term in pc.unique(terms).to_pylist():
-                scan.setdefault(term, []).append((path, rg))
-    assert IndexSearcher(index)._term_locs == scan
+                scan.setdefault(term, (os.path.basename(path), []))[1].append(rg)
+    return scan
+
+
+def test_lexicon_row_group_ranges_match_scan(built, tmp_path):
+    """Each lexicon row's ``rg_first..rg_last`` equals the row groups a
+    scan of its bucket file's term column finds the term in — on the
+    default build, and on a one-bucket ``max_chunk=32`` build whose hot
+    terms span several posting row groups."""
+    import pyarrow.parquet as pq
+
+    from raysearch.build import build_index
+
+    corpus, index = built
+    dense = str(tmp_path / "idx_chunk32")
+    build_index(corpus, dense, mode="latin", n_partitions=2, buckets=1, max_chunk=32)
+    spans = 0
+    for idx in (index, dense):
+        merged = os.path.join(idx, "merged")
+        lex = pq.read_table(os.path.join(merged, "lexicon.parquet")).to_pylist()
+        scan = _scan_row_groups(os.path.join(merged, "postings"))
+        assert len(lex) == len(scan)
+        for row in lex:
+            rgs = list(range(row["rg_first"], row["rg_last"] + 1))
+            assert scan[row["term"]] == (f"bucket-{row['bucket']:04d}.parquet", rgs)
+            spans += len(rgs) > 1
+    assert spans  # the dense build exercises multi-row-group ranges
 
 
 def test_lazy_lexicon_shard_state_and_identity(built):
@@ -193,7 +212,7 @@ def test_lazy_lexicon_shard_state_and_identity(built):
     full = IndexSearcher(index)
     lazy = IndexSearcher(index, lazy_lexicon=True)
     assert lazy._lazy
-    assert not lazy._lex_index and not lazy._term_locs  # nothing global
+    assert not lazy._lex_index and not lazy._lex_terms  # nothing global
     for q in (LEMMAS[10], f"{LEMMAS[10]} {LEMMAS[100]}", LEMMAS[1], "unknownzz"):
         i1, s1, t1 = full.search(q, k=10)
         i2, s2, t2 = lazy.search(q, k=10)

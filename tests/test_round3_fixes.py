@@ -2,7 +2,7 @@
 
 * transcripts_snippets golden hash (the one fixture search row without
   a SQL twin — VERDICT r2 next-round #5);
-* an index whose meta.json lacks "buckets" is refused (ADVICE);
+* an index whose meta.json lacks the current "format" is refused;
 * minhash LSH verification domain == jaccard_pairs_exact domain
   (short <k-token docs excluded on BOTH sides — ADVICE);
 * HTTP handlers return structured JSON on malformed params (ADVICE)
@@ -58,10 +58,11 @@ print(h.hexdigest()[:16])"
 
 
 def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
-    """An index with no "buckets" field in meta.json, or with no termloc
-    sidecar (foreign/old layout), is refused with an error that says to
-    rebuild — lazy routing would otherwise hash every term to a wrong
-    bucket, and there is no locator to find posting rows with."""
+    """An index whose meta.json has no "format" field, or an older one
+    (the layout with a separate term-locator sidecar and per-wave doc
+    lengths), is refused with an error that says to rebuild — eager
+    and lazy alike: neither can locate posting rows or doc lengths in
+    it."""
     from raysearch.build import build_index
     from raysearch.search import IndexSearcher
 
@@ -71,21 +72,21 @@ def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
     lazy = IndexSearcher(index, lazy_lexicon=True)
     assert lazy._lazy  # normal layout: lazy engages
 
-    # strip the buckets field
-    stripped = str(tmp_path / "idx_nobuckets")
-    shutil.copytree(index, stripped)
-    meta_path = os.path.join(stripped, "merged", "meta.json")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    meta.pop("buckets")
-    with open(meta_path, "w") as f:
-        json.dump(meta, f)
-    # drop the locator sidecar
-    no_loc = str(tmp_path / "idx_notermlocs")
-    shutil.copytree(index, no_loc)
-    shutil.rmtree(os.path.join(no_loc, "merged", "termlocs"))
+    bad_indexes = []
+    for name, fmt in (("idx_noformat", None), ("idx_format1", 1)):
+        bad = str(tmp_path / name)
+        shutil.copytree(index, bad)
+        meta_path = os.path.join(bad, "merged", "meta.json")
+        with open(meta_path) as f:
+            meta = json.load(f)
+        meta.pop("format")
+        if fmt is not None:
+            meta["format"] = fmt
+        with open(meta_path, "w") as f:
+            json.dump(meta, f)
+        bad_indexes.append(bad)
 
-    for bad in (stripped, no_loc):
+    for bad in bad_indexes:
         for lazy_lexicon in (False, True):
             with pytest.raises(ValueError, match="rebuild the index"):
                 IndexSearcher(bad, lazy_lexicon=lazy_lexicon)
