@@ -650,39 +650,37 @@ def _q_transcripts_lexicon_sql(sf_dir: str):
 
 
 def _decoded_postings(index: str):
-    """Merged posting blobs decoded back to exploded (term, doc_id, tf)."""
+    """Merged posting rows flattened back to exploded (term, doc_id, tf)."""
     import glob
 
     import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from raysearch.codec import decode_postings
+    from raysearch.build import decode_postings
 
-    terms, doc_ids, tfs = [], [], []
+    parts = []
     for f in sorted(
         glob.glob(os.path.join(index, "merged", "postings", "*.parquet"))
     ):
-        t = pq.read_table(f, columns=["term", "doc_blob", "tf_blob"])
-        for term, db, tb in zip(
-            t["term"].to_pylist(), t["doc_blob"].to_pylist(), t["tf_blob"].to_pylist()
-        ):
-            d, tf = decode_postings(db, tb)
-            terms.extend([term] * len(d))
-            doc_ids.extend(d.tolist())
-            tfs.extend(tf.tolist())
-    return pa.table(
-        {
-            "term": pa.array(terms, pa.string()),
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "tf": pa.array(tfs, pa.int64()),
-        }
-    )
+        t = pq.read_table(f, columns=["term", "doc_ids", "tfs"])
+        doc_ids, tfs = decode_postings(t)
+        parts.append(
+            pa.table(
+                {
+                    "term": t["term"].take(pc.list_parent_indices(t["doc_ids"])),
+                    "doc_id": doc_ids,
+                    "tf": tfs,
+                }
+            )
+        )
+    return pa.concat_tables(parts)
 
 
 def _q_transcripts_postings_sql(sf_dir: str):
-    """Engine postings DECODED back to exploded (term, doc_id, tf) rows
-    — i.e. the delta-gap varint codec + groupby + merge round-trips to
-    exactly what SQL computes from the raw corpus."""
+    """Engine postings flattened back to exploded (term, doc_id, tf)
+    rows — i.e. the Parquet list layout + groupby + merge round-trips
+    to exactly what SQL computes from the raw corpus."""
     _, index = _simple_index(sf_dir)
     return _decoded_postings(index)
 

@@ -11,15 +11,21 @@ the partition's parquet fragments, tokenizes them with per-worker
 cached lemmatizer state (the ST1 load-once pattern; the reference pays
 dictionary load once per page, RecursiveSearch.java:68), aggregates tf
 per doc in-batch (A1 analog, LemmaSearch.java:50-53), and flushes
-sorted, delta-gap + varint compressed sub-segments whenever its posting
-buffer reaches ``spill_rows`` ("per-partition spill").  Doc lengths and
-lineage stats are computed in the same task.  A partition is fully
-determined by its input files, so posting rows never cross workers: df
-comes from the merge, not a shared counter (contrast
-RecursiveSearch.java:150-162).  The only all-to-all in the build is the
-merge exchange over compressed segment rows, then an LSM-style k-way
-merge into the global index + lexicon + meta (S6/S7 analog).  The
-merge writes everything a searcher opens: ``lexicon.parquet`` (df, cf
+sorted sub-segments whenever its posting buffer reaches ``spill_rows``
+("per-partition spill").  A posting row is (term, first_doc, last_doc,
+``doc_ids``, ``tfs``) with the two lists stored as Parquet list
+columns — doc ids ``DELTA_BINARY_PACKED``, tfs dictionary-encoded — so
+Parquet does the compression and ``_write_postings`` is the one place
+that sets it.  Doc lengths and lineage stats are computed in the same
+task.  A partition is fully determined by its input files, so posting
+rows never cross workers: df comes from the merge, not a shared
+counter (contrast RecursiveSearch.java:150-162).  The only all-to-all
+in the build is the merge: a task per run of term buckets reads each
+bucket's row groups of every segment (segments are written
+bucket-sorted) and LSM-merges them into the global index + lexicon +
+meta (S6/S7 analog), moving list values without decoding or
+re-encoding them.
+The merge writes everything a searcher opens: ``lexicon.parquet`` (df, cf
 and each term's posting bucket and row-group range) and one
 doc_id-ordered ``doclens.parquet``, besides the build's
 ``conv_offsets.parquet``; ``meta.json`` names the layout
@@ -35,7 +41,7 @@ SURVEY §7 hard-part (a)'s range-partition mitigation.
 Skew: hot Zipf terms (df≈N) never form one giant group — a segment
 row holds one term's postings within one partition (or one spill of
 it), so its size is bounded by the partition's doc count; the merge
-exchange routes rows by crc32(term) % buckets, concatenates the
+groups rows by crc32(term) % buckets, concatenates the
 per-partition sub-postings (doc-disjoint by construction) and
 re-chunks them at ``MAX_CHUNK`` docs, so no single allocation scales
 with global df (SURVEY §4, "Skew / hot keys").
@@ -67,16 +73,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from raysearch.codec import (
-    decode_posting_segments,
-    encode_posting_segments,
-)
 from raysearch.lex import Lexer
 
 MAX_CHUNK = 1 << 20  # max docs per merged posting row (bounds allocations)
 DEFAULT_BUCKETS = 64
-#: merged-layout version in ``merged/meta.json``; searchers refuse others
-INDEX_FORMAT = 2
+#: posting layout version in ``merged/meta.json`` and every wave
+#: manifest; searchers refuse other indexes, the build recomputes other waves
+INDEX_FORMAT = 3
 
 
 def term_bucket(term: str, buckets: int) -> int:
@@ -324,49 +327,87 @@ def _encode_partition_segment(
     codes: np.ndarray, uniq_terms: np.ndarray, docs: np.ndarray,
     tfs: np.ndarray, pid: int, buckets: int, bucket_memo: dict,
 ) -> pa.Table:
-    """Sort one partition's exploded (term-code, doc, tf) rows and
-    encode per-term posting rows (bucket assigned per term by hash).
+    """Sort one partition's exploded (term-code, doc, tf) rows into
+    per-term posting rows, bucket-major (bucket assigned per term by
+    hash), so that each merge task reads its own bucket's row groups.
     Terms arrive as integer codes into ``uniq_terms`` — the Python-level
     work is bounded by the partition VOCABULARY, not its postings.
 
     One Arrow row per term per partition replaces the reference's one
-    SQL row per (lemma, page) (model/SearchIndex.java:12-27); df is the
-    per-term doc count within the partition."""
+    SQL row per (lemma, page) (model/SearchIndex.java:12-27); its
+    ``doc_ids``/``tfs`` lists are slices of the sorted flat arrays."""
     if len(codes) == 0:
         return _empty_segment()
-    uniq_order = np.argsort(uniq_terms)
-    rank_of_code = np.empty(len(uniq_terms), dtype=np.int64)
-    rank_of_code[uniq_order] = np.arange(len(uniq_terms))
-    order = np.lexsort((docs, rank_of_code[codes]))
-    s_codes = rank_of_code[codes][order]
-    starts = np.flatnonzero(np.concatenate(([True], s_codes[1:] != s_codes[:-1])))
-    sorted_uniq = uniq_terms[uniq_order]
-    enc = encode_posting_segments(docs[order], tfs[order], starts)
-    seg_terms = sorted_uniq[s_codes[starts]]
-    b = np.array(
+    bucket_of = np.array(
         [
-            bucket_memo.get(t)
+            bucket_memo[t]
             if t in bucket_memo
             else bucket_memo.setdefault(t, term_bucket(t, buckets))
-            for t in seg_terms
+            for t in uniq_terms
         ],
         dtype=np.int64,
     )
+    order = np.lexsort((docs, codes, bucket_of[codes]))
+    s_codes = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], s_codes[1:] != s_codes[:-1])))
+    s_docs = docs[order]
+    offsets = np.append(starts, len(s_docs))
+    row_codes = s_codes[starts]
     out = {
-        "term": seg_terms.astype(object),
+        "term": uniq_terms[row_codes].astype(object),
         "partition_id": np.full(len(starts), pid, dtype=np.int64),
-        "bucket": b,
-        "df": enc["df"], "cf": enc["cf"], "max_tf": enc["max_tf"],
-        "first_doc": enc["first_doc"], "last_doc": enc["last_doc"],
-        "doc_blob": enc["doc_blob"], "tf_blob": enc["tf_blob"],
+        "bucket": bucket_of[row_codes],
+        "first_doc": s_docs[starts], "last_doc": s_docs[offsets[1:] - 1],
+        "doc_ids": _lists(offsets, s_docs), "tfs": _lists(offsets, tfs[order]),
     }
     return _segment_table(out)
+
+
+def _lists(offsets: np.ndarray, values: np.ndarray) -> pa.ListArray:
+    """``list<int64>`` rows: row i holds ``values[offsets[i]:offsets[i+1]]``."""
+    return pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()), pa.array(values, pa.int64())
+    )
 
 
 def _atomic_write_table(table: pa.Table, path: str, **write_options) -> None:
     tmp = path + ".tmp"
     pq.write_table(table, tmp, **write_options)
     os.replace(tmp, path)
+
+
+def _write_postings(
+    table: pa.Table, path: str, row_group_size: int | None = None
+) -> None:
+    """Write bucket-sorted posting rows (a wave segment, its eviction
+    rewrite or a merged bucket): doc ids — ascending within a row —
+    delta-packed, tfs dictionary-encoded.  Parquet names a list
+    column's values ``<col>.list.element``; it ignores an encoding set
+    under any other name and writes that column PLAIN.  No row group
+    spans two buckets and only ``bucket`` carries statistics, so a
+    reader finds one bucket's row groups from the footer alone."""
+    b = table["bucket"].to_numpy()
+    cuts = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)]))
+    tmp = path + ".tmp"
+    with pq.ParquetWriter(
+        tmp,
+        table.schema,
+        use_dictionary=["tfs.list.element"],
+        column_encoding={"doc_ids.list.element": "DELTA_BINARY_PACKED"},
+        write_statistics=["bucket"],
+    ) as writer:
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            writer.write_table(table.slice(lo, hi - lo), row_group_size)
+    os.replace(tmp, path)
+
+
+def decode_postings(rows: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, tfs) of posting rows, concatenated in row order, as
+    int64 arrays (a list flatten)."""
+    return (
+        pc.list_flatten(rows["doc_ids"]).to_numpy(),
+        pc.list_flatten(rows["tfs"]).to_numpy(),
+    )
 
 
 def build_partition_task(
@@ -383,14 +424,14 @@ def build_partition_task(
     """One task per input partition: stream its parquet fragments
     (record-batch granularity), tokenize with the shared per-worker
     state, accumulate exploded postings up to ``spill_rows``, and flush
-    sorted, compressed sub-segments.  Because input is consumed in doc
-    order, flushed sub-segments are doc-DISJOINT per term, so the merge
+    sorted sub-segments.  Because input is consumed in doc order,
+    flushed sub-segments are doc-DISJOINT per term, so the merge
     stage concatenates them like any other per-partition rows — spill
     costs no extra merge complexity.
 
     No shuffle: a partition's postings never leave the worker (the
     partition is file-determined, SURVEY §4 skew note); the only
-    all-to-all in the build is the merge over compressed segment rows.
+    all-to-all in the build is the merge over segment rows.
     Segment and doc-length files are written with deterministic names
     (idempotent under Ray task retry); returns one stats row per
     partition (manifest lineage/metrics)."""
@@ -442,7 +483,7 @@ def build_partition_task(
                 buckets,
                 tok._bucket_memo,
             )
-            _atomic_write_table(
+            _write_postings(
                 seg,
                 os.path.join(
                     wave_tmp, "segments", f"pid-{pid:05d}-f{flush_i:03d}.parquet"
@@ -519,10 +560,9 @@ def _segment_schema() -> pa.Schema:
     return pa.schema(
         [
             ("term", pa.string()), ("partition_id", pa.int32()),
-            ("bucket", pa.int32()), ("df", pa.int64()), ("cf", pa.int64()),
-            ("max_tf", pa.int64()), ("first_doc", pa.int64()),
-            ("last_doc", pa.int64()), ("doc_blob", pa.binary()),
-            ("tf_blob", pa.binary()),
+            ("bucket", pa.int32()), ("first_doc", pa.int64()),
+            ("last_doc", pa.int64()), ("doc_ids", pa.list_(pa.int64())),
+            ("tfs", pa.list_(pa.int64())),
         ]
     )
 
@@ -550,10 +590,13 @@ def merge_bucket(
 ) -> tuple[pa.Table, np.ndarray | None]:
     """Merge one bucket's per-partition sub-postings into global posting
     rows, re-chunked at MAX_CHUNK docs.  Sub-postings are doc-disjoint
-    (a doc lives in exactly one partition) and arrive in (term,
-    first_doc) order, so the merge is one vectorized decode of every
-    blob, a segmented-order audit, and one vectorized re-encode; hot
-    terms (df≈N) emit multiple chunk rows instead of one giant blob.
+    (a doc lives in exactly one partition), so once the rows are in
+    (term, first_doc) order — one ``take`` — each term's doc ids are
+    the flattened ``doc_ids`` lists as they stand: no decode and no
+    re-encode, only a value-level order audit (which sorts a term whose
+    partitions' doc ranges interleave and rejects a repeated doc id)
+    and new list offsets; hot terms (df≈N) emit multiple chunk rows
+    instead of one giant list.
 
     When ``conv_starts`` (the conv→first-doc offset array) is given,
     also returns this bucket's distinct-lemma count per conversation
@@ -564,42 +607,23 @@ def merge_bucket(
     Because posting doc_ids are ascending within each term segment,
     conv indices are non-decreasing there too — distinct pairs are just
     segment starts plus conv-change boundaries: one ``searchsorted``
-    plus O(n) compares over values this task already decoded, no extra
-    decode and no shuffle."""
-    import pandas as pd
-
+    plus O(n) compares over the flattened values, no shuffle."""
     _pin_arrow_threads()
     if group.num_rows == 0:
         return _empty_merged(), None
-    terms = group["term"].to_numpy(zero_copy_only=False)
-    first = group["first_doc"].to_numpy(zero_copy_only=False)
-    codes, uniq = pd.factorize(terms)
-    uniq_order = np.argsort(uniq)
-    rank_of_code = np.empty(len(uniq), dtype=np.int64)
-    rank_of_code[uniq_order] = np.arange(len(uniq))
-    ranks = rank_of_code[codes]
-    order = np.lexsort((first, ranks))
-    bucket = int(group["bucket"][0].as_py())
-    doc_blobs = group["doc_blob"].to_pylist()
-    tf_blobs = group["tf_blob"].to_pylist()
-    row_df = group["df"].to_numpy(zero_copy_only=False)
-
-    # one vectorized decode across ALL rows (in merged row order)
-    d, t, row_starts = decode_posting_segments(
-        [doc_blobs[r] for r in order],
-        [tf_blobs[r] for r in order],
-        row_df[order],
-    )
-    # term segment boundaries in value space
-    sorted_ranks = ranks[order]
+    rows = group.sort_by([("term", "ascending"), ("first_doc", "ascending")])
+    bucket = int(rows["bucket"][0].as_py())
+    terms = rows["term"].to_numpy(zero_copy_only=False)
     term_row_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_ranks[1:] != sorted_ranks[:-1]))
+        np.concatenate(([True], terms[1:] != terms[:-1]))
     )
-    term_val_starts = row_starts[term_row_starts]
+    row_len = pc.list_value_length(rows["doc_ids"]).to_numpy()
+    d, t = decode_postings(rows)
     n_vals = len(d)
-    if n_vals == 0:
-        return _empty_merged(), None
+    # term segment boundaries in value space
+    term_val_starts = (np.cumsum(row_len) - row_len)[term_row_starts]
     term_val_ends = np.concatenate((term_val_starts[1:], [n_vals]))
+    sorted_terms = terms[term_row_starts]
 
     # order audit: doc-disjoint partitions concatenated by first_doc are
     # already ascending; sort (and dup-check) only the terms that aren't
@@ -607,6 +631,7 @@ def merge_bucket(
     interior[term_val_starts] = False
     bad = np.flatnonzero(interior & (np.diff(np.concatenate(([d[0] - 1], d))) <= 0))
     if len(bad):
+        d, t = d.copy(), t.copy()  # the flattened lists are read-only
         term_of_val = np.repeat(
             np.arange(len(term_val_starts)),
             term_val_ends - term_val_starts,
@@ -617,8 +642,7 @@ def merge_bucket(
             d[s:e], t[s:e] = d[s:e][o], t[s:e][o]
             if np.any(np.diff(d[s:e]) == 0):
                 raise ValueError(
-                    f"duplicate doc_id in postings of "
-                    f"{uniq[uniq_order][ti]!r}"
+                    f"duplicate doc_id in postings of {sorted_terms[ti]!r}"
                 )
 
     # per-conv distinct-lemma partials (see docstring) — after the
@@ -636,22 +660,22 @@ def merge_bucket(
             conv_of_val[keep], minlength=len(conv_starts)
         ).astype(np.int64)
 
-    # re-chunk each term at MAX_CHUNK and encode everything in one pass
-    sorted_terms = uniq[uniq_order]
-    chunk_starts, chunk_term, chunk_ids = [], [], []
-    for ti, (s, e) in enumerate(zip(term_val_starts, term_val_ends)):
-        for ci, cs in enumerate(range(int(s), int(e), max_chunk)):
-            chunk_starts.append(cs)
-            chunk_term.append(ti)
-            chunk_ids.append(ci)
-    enc = encode_posting_segments(d, t, np.array(chunk_starts, dtype=np.int64))
+    # re-chunk each term at max_chunk: chunk c of a term starts
+    # c * max_chunk values after the term's first
+    n_chunks = -(-(term_val_ends - term_val_starts) // max_chunk)
+    chunk_term = np.repeat(np.arange(len(n_chunks)), n_chunks)
+    chunk_id = np.arange(len(chunk_term)) - np.repeat(
+        np.cumsum(n_chunks) - n_chunks, n_chunks
+    )
+    starts = term_val_starts[chunk_term] + chunk_id * max_chunk
+    offsets = np.append(starts, n_vals)
     out = {
-        "term": sorted_terms[np.array(chunk_term, dtype=np.int64)].astype(object),
-        "bucket": np.full(len(chunk_starts), bucket, dtype=np.int64),
-        "chunk_id": np.array(chunk_ids, dtype=np.int64),
-        "df": enc["df"], "cf": enc["cf"], "max_tf": enc["max_tf"],
-        "first_doc": enc["first_doc"], "last_doc": enc["last_doc"],
-        "doc_blob": enc["doc_blob"], "tf_blob": enc["tf_blob"],
+        "term": sorted_terms[chunk_term],
+        "bucket": np.full(len(starts), bucket, dtype=np.int64),
+        "chunk_id": chunk_id,
+        "df": np.diff(offsets), "cf": np.add.reduceat(t, starts),
+        "first_doc": d[starts], "last_doc": d[offsets[1:] - 1],
+        "doc_ids": _lists(offsets, d), "tfs": _lists(offsets, t),
     }
     return _merged_table(out), conv_counts
 
@@ -661,9 +685,8 @@ def _merged_schema() -> pa.Schema:
         [
             ("term", pa.string()), ("bucket", pa.int32()),
             ("chunk_id", pa.int32()), ("df", pa.int64()), ("cf", pa.int64()),
-            ("max_tf", pa.int64()), ("first_doc", pa.int64()),
-            ("last_doc", pa.int64()), ("doc_blob", pa.binary()),
-            ("tf_blob", pa.binary()),
+            ("first_doc", pa.int64()), ("last_doc", pa.int64()),
+            ("doc_ids", pa.list_(pa.int64())), ("tfs", pa.list_(pa.int64())),
         ]
     )
 
@@ -677,25 +700,6 @@ def _merged_table(out: dict) -> pa.Table:
 
 def _empty_merged() -> pa.Table:
     return _merged_table({f.name: [] for f in _merged_schema()})
-
-
-def _split_by_bucket(path: str, buckets: int) -> list[pa.Table] | pa.Table:
-    """Map side of the merge exchange: one segment file → per-bucket
-    sub-tables (rows already carry their bucket); one bucket's table
-    bare, as Ray hands a ``num_returns=1`` result over whole."""
-    _pin_arrow_threads()
-    t = pq.read_table(path)
-    b = t["bucket"].to_numpy(zero_copy_only=False)
-    order = np.argsort(b, kind="stable")
-    sorted_t = t.take(pa.array(order))
-    sb = b[order]
-    out = []
-    counts = np.bincount(sb, minlength=buckets)
-    pos = 0
-    for n in counts:
-        out.append(sorted_t.slice(pos, int(n)))
-        pos += int(n)
-    return out if buckets > 1 else out[0]
 
 
 #: posting rows per parquet row group in the merged index — small
@@ -714,28 +718,66 @@ _LEXICON_SCHEMA = pa.schema(
 
 
 def _merge_bucket_task(
+    buckets: list[int],
+    seg_files: list[str],
+    out_dir: str,
+    lex_dir: str,
+    convlex_dir: str | None,
+    max_chunk: int,
+    conv_starts: np.ndarray | None,
+) -> int:
+    """Merge a run of buckets, one at a time, from every segment file.
+    Each file is opened once; a bucket's rows in it are one row group,
+    found by the ``bucket`` statistics.  Returns the rows written."""
+    _pin_arrow_threads()
+    segs = []
+    for path in seg_files:
+        pf = pq.ParquetFile(path)
+        md = pf.metadata
+        col = md.schema.names.index("bucket")
+        rg_of = {}
+        for i in range(md.num_row_groups):
+            st = md.row_group(i).column(col).statistics
+            if st.min != st.max:  # its other buckets' rows would be lost
+                raise ValueError(f"{path}: row group {i} spans several buckets")
+            rg_of[st.min] = i
+        segs.append((pf, rg_of))
+    n = 0
+    for b in buckets:
+        parts = [pf.read_row_group(rg_of[b]) for pf, rg_of in segs if b in rg_of]
+        if parts:
+            n += _merge_one_bucket(
+                pa.concat_tables(parts),
+                os.path.join(out_dir, f"bucket-{b:04d}.parquet"),
+                os.path.join(lex_dir, f"lexicon-{b:04d}.parquet"),
+                None
+                if convlex_dir is None
+                else os.path.join(convlex_dir, f"convlex-{b:04d}.parquet"),
+                max_chunk,
+                conv_starts,
+            )
+    return n
+
+
+def _merge_one_bucket(
+    group: pa.Table,
     out_path: str,
     lex_path: str,
     convlex_path: str | None,
     max_chunk: int,
     conv_starts: np.ndarray | None,
-    *tables: pa.Table,
 ) -> int:
-    """Reduce side: merge one bucket's rows from every segment file,
-    write the merged posting rows (fixed ``POSTING_RG_ROWS`` row
-    groups) and the bucket's lexicon slice.  The merged rows are
+    """Merge one bucket's segment rows and write the merged posting
+    rows (fixed ``POSTING_RG_ROWS`` row groups) and the bucket's
+    lexicon slice.  The merged rows are
     term-sorted, so a term's chunks are one contiguous run and its row
     groups one range; the slice records that range
     (``rg_first``/``rg_last``), so a searcher locates a term's postings
     from its lexicon row alone.  Buckets partition the term space, so
     the global lexicon is just the concatenation — no driver-side scan
     over the merged index.  Atomic renames; idempotent."""
-    _pin_arrow_threads()
-    live = [t for t in tables if t.num_rows]
-    if not live:
-        return 0
     merged, conv_counts = merge_bucket(
-        pa.concat_tables(live), max_chunk=max_chunk, conv_starts=conv_starts
+        group, max_chunk=max_chunk, conv_starts=conv_starts
     )
     if convlex_path is not None and conv_counts is not None:
         # sparse sidecar: only convs this bucket's terms touch
@@ -750,7 +792,7 @@ def _merge_bucket_task(
             convlex_path,
         )
     if merged.num_rows:
-        _atomic_write_table(merged, out_path, row_group_size=POSTING_RG_ROWS)
+        _write_postings(merged, out_path, row_group_size=POSTING_RG_ROWS)
         terms = merged["term"].to_numpy(zero_copy_only=False)
         starts = np.flatnonzero(np.concatenate(([True], terms[1:] != terms[:-1])))
         ends = np.append(starts[1:], merged.num_rows)
@@ -782,18 +824,21 @@ def run_merge(
     convlex_dir: str | None = None,
     conv_starts: np.ndarray | None = None,
 ) -> None:
-    """LSM merge as an explicit two-phase Ray-task exchange.
+    """LSM merge: Ray tasks, each over a run of buckets, read each
+    bucket's rows from every segment file and merge them.
 
     Ray Data's ``groupby("bucket").map_groups`` key-SORTS the blocks;
-    sorting rows whose payload is KB-sized binary blobs measured 24s for
-    150 MB of segments at 32 CPUs (hash shuffle: 83-120s).  The
-    semantics only need partitioning, not order, so this does it
-    directly: one map task per segment file splits rows by bucket
-    (num_returns=buckets), one reduce task per bucket concatenates its
-    sub-tables, merges, and writes — same data movement a multi-node
-    shuffle needs, none of the sort.  This is the one deliberate raw
-    ``@ray.remote`` stage in the engine (SURVEY §2 guidance: drop below
-    the Dataset API only where it can't express the semantics)."""
+    sorting rows whose payload is KB-sized posting lists measured 24s
+    for 150 MB of segments at 32 CPUs (hash shuffle: 83-120s).  The
+    semantics only need partitioning, not order, and the partition
+    tasks already wrote their segments bucket-sorted with no row group
+    spanning two buckets, so the exchange is a read: a merge task takes
+    each of its buckets' row groups by their statistics.  No rows travel
+    through the object store: Ray keeps task results under 100 KB in
+    the memory of their owner, so per-bucket tables handed from task
+    to task would all sit in the driver.  This is the one deliberate
+    raw ``@ray.remote`` stage in the engine (SURVEY §2 guidance: drop
+    below the Dataset API only where it can't express the semantics)."""
     import ray
 
     lex_dir = lex_dir or out_dir
@@ -812,26 +857,24 @@ def run_merge(
             )
         )
     ]
-    if not todo:
+    if not (todo and seg_files):
         return
-    split_remote = ray.remote(num_cpus=1, num_returns=buckets)(_split_by_bucket)
     merge_remote = ray.remote(num_cpus=1)(_merge_bucket_task)
     conv_ref = ray.put(conv_starts) if use_conv else None
-    parts = [split_remote.remote(f, buckets) for f in seg_files]
-    if buckets == 1:
-        parts = [[p] for p in parts]
+    # one task per CPU, each over a run of buckets: a task opens every
+    # segment file once, so fewer tasks parse fewer footers
+    n_tasks = min(len(todo), int(ray.cluster_resources().get("CPU", 1)))
     futs = [
         merge_remote.remote(
-            os.path.join(out_dir, f"bucket-{b:04d}.parquet"),
-            os.path.join(lex_dir, f"lexicon-{b:04d}.parquet"),
-            os.path.join(convlex_dir, f"convlex-{b:04d}.parquet")
-            if use_conv
-            else None,
+            [int(b) for b in run],
+            seg_files,
+            out_dir,
+            lex_dir,
+            convlex_dir if use_conv else None,
             max_chunk,
             conv_ref,
-            *[p[b] for p in parts],
         )
-        for b in todo
+        for run in np.array_split(todo, n_tasks)
     ]
     ray.get(futs)
 
@@ -854,7 +897,9 @@ def _committed_partitions(
     """(committed partition ids, wave name → commit id).  The commit id
     is fresh whenever a wave dir is (re)written, so it identifies the
     wave's content where the name does not: a partition rebuild
-    recreates a wave under its old name."""
+    recreates a wave under its old name.  A wave of another
+    ``INDEX_FORMAT`` is deleted like a crashed one, so its partitions
+    are rebuilt rather than merged."""
     pids: set[int] = set()
     waves: dict[str, str | None] = {}
     wave_root = os.path.join(out_dir, "waves")
@@ -870,6 +915,10 @@ def _committed_partitions(
             continue
         with open(mpath) as f:
             manifest = json.load(f)
+        if manifest.get("format") != INDEX_FORMAT:
+            # segments of another posting layout: recompute the wave
+            shutil.rmtree(wdir)
+            continue
         pids.update(int(p) for p in manifest["partitions"])
         waves[d] = manifest.get("commit")
     return pids, waves
@@ -931,14 +980,15 @@ def evict_partition(out_dir: str, partition_id: int) -> list[str]:
         new_name = f"{wname}-x{partition_id}"
         tmp = os.path.join(wave_root, "_tmp_" + new_name)
         shutil.rmtree(tmp, ignore_errors=True)
-        for sub in ("segments", "doclens"):
+        for sub, write in (
+            ("segments", _write_postings), ("doclens", _atomic_write_table)
+        ):
             os.makedirs(os.path.join(tmp, sub))
-            col = "partition_id"
             for fp in sorted(glob.glob(os.path.join(wdir, sub, "*.parquet"))):
                 t = pq.read_table(fp)
-                t = t.filter(pc.not_equal(t[col], partition_id))
+                t = t.filter(pc.not_equal(t["partition_id"], partition_id))
                 if t.num_rows:
-                    pq.write_table(t, os.path.join(tmp, sub, os.path.basename(fp)))
+                    write(t, os.path.join(tmp, sub, os.path.basename(fp)))
         manifest["partitions"] = rest
         manifest["per_partition"].pop(str(partition_id), None)
         manifest["rebuilt_from"] = wname
@@ -1062,7 +1112,7 @@ def build_index(
         # one task per partition streams its fragments, tokenizes, and
         # writes sorted sub-segments with bounded-memory spill — no
         # posting-row shuffle (the only all-to-all left is the merge
-        # over compressed segments)
+        # over segment rows)
         wave_t0 = time.monotonic()
         wave_name = f"w-{wave_pids[0]:05d}-{len(wave_pids)}"
         wave_tmp = os.path.join(out_dir, "waves", "_tmp_" + wave_name)
@@ -1102,6 +1152,7 @@ def build_index(
         ) + round(time.monotonic() - wave_t0, 3)
         by_pid = {int(r.partition_id): r for r in stats_tbl.itertuples()}
         manifest = {
+            "format": INDEX_FORMAT,
             "partitions": wave_pids,
             "commit": uuid.uuid4().hex,
             "wall_s": round(time.monotonic() - wave_t0, 3),

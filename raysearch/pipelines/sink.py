@@ -130,9 +130,12 @@ def write_resumable(ds, out_dir: str, key_col: str, n_buckets: int = 64):
 def resumable_sink_sql(n_buckets: int = 64, table: str = "documents",
                        key: str = "doc_id") -> str:
     """DuckDB twin of the (bucket, n_rows) stats
-    :func:`write_resumable` returns."""
+    :func:`write_resumable` returns.  DuckDB's ``%`` keeps the sign of
+    the key, numpy's that of the divisor, so the twin folds negatives
+    the way numpy does."""
     return (
-        f"SELECT CAST({key} % {n_buckets} AS BIGINT) AS bucket, "
+        f"SELECT CAST((({key} % {n_buckets}) + {n_buckets}) % {n_buckets} "
+        "AS BIGINT) AS bucket, "
         f"CAST(count(*) AS BIGINT) AS n_rows FROM {table} "
         "GROUP BY 1 ORDER BY 1"
     )

@@ -322,6 +322,50 @@ def test_wav_codec_roundtrip():
     assert np.allclose(out * 32768.0, sig, atol=1.0)
 
 
+def test_jpeg_roundtrip_gray_and_rgb():
+    """Baseline JPEG (round 3): encoder/decoder round-trip within
+    lossy tolerance on smooth images, exact dims, both color modes."""
+    import numpy as np
+
+    from raysearch.pipelines.jpeg_codec import decode_jpeg, encode_jpeg
+
+    g = (np.linspace(0, 255, 48)[None, :] * np.ones((40, 1))).astype(np.uint8)
+    d = decode_jpeg(encode_jpeg(g, quality=90))
+    assert d.shape == g.shape
+    assert np.abs(d.astype(int) - g.astype(int)).mean() < 2.0
+
+    x, y = np.meshgrid(np.linspace(0, 255, 50), np.linspace(0, 255, 38))
+    img = np.stack([x, y, (x + y) / 2], axis=-1).astype(np.uint8)
+    d = decode_jpeg(encode_jpeg(img, quality=85))
+    assert d.shape == img.shape
+    assert np.abs(d.astype(int) - img.astype(int)).mean() < 3.0
+
+    # odd (non-multiple-of-8) dimensions survive the block padding
+    rng = np.random.Generator(np.random.PCG64(5))
+    t = rng.integers(0, 256, (5, 9)).astype(np.uint8)
+    assert decode_jpeg(encode_jpeg(t, quality=90)).shape == (5, 9)
+
+    # quality knob is monotone-ish on a smooth image
+    errs = [
+        np.abs(decode_jpeg(encode_jpeg(img, quality=q)).astype(int)
+               - img.astype(int)).mean()
+        for q in (95, 60, 30)
+    ]
+    assert errs[0] <= errs[1] <= errs[2]
+
+
+def test_jpeg_rejects_unsupported_shapes():
+    import numpy as np
+    import pytest
+
+    from raysearch.pipelines.jpeg_codec import decode_jpeg, encode_jpeg
+
+    with pytest.raises(ValueError):
+        encode_jpeg(np.zeros((4, 4, 2), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        decode_jpeg(b"not a jpeg")
+
+
 def test_media_decode_real(ray_session):
     import ray.data as rd
 

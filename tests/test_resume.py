@@ -31,7 +31,7 @@ def _postings_rows(index_dir):
     import duckdb
 
     return duckdb.sql(
-        f"SELECT term, chunk_id, df, first_doc, last_doc, doc_blob, tf_blob "
+        f"SELECT term, chunk_id, df, first_doc, last_doc, doc_ids, tfs "
         f"FROM read_parquet('{index_dir}/merged/postings/*.parquet') ORDER BY term, chunk_id"
     ).fetchall()
 

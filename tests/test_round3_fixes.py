@@ -59,10 +59,10 @@ print(h.hexdigest()[:16])"
 
 def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
     """An index whose meta.json has no "format" field, or an older one
-    (the layout with a separate term-locator sidecar and per-wave doc
-    lengths), is refused with an error that says to rebuild — eager
-    and lazy alike: neither can locate posting rows or doc lengths in
-    it."""
+    (1: a separate term-locator sidecar and per-wave doc lengths; 2:
+    byte-string posting rows), is refused with an error that says to
+    rebuild — eager and lazy alike: neither can locate or read posting
+    rows in it."""
     from raysearch.build import build_index
     from raysearch.search import IndexSearcher
 
@@ -73,7 +73,9 @@ def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
     assert lazy._lazy  # normal layout: lazy engages
 
     bad_indexes = []
-    for name, fmt in (("idx_noformat", None), ("idx_format1", 1)):
+    for name, fmt in (
+        ("idx_noformat", None), ("idx_format1", 1), ("idx_format2", 2)
+    ):
         bad = str(tmp_path / name)
         shutil.copytree(index, bad)
         meta_path = os.path.join(bad, "merged", "meta.json")

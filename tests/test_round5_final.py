@@ -1179,6 +1179,27 @@ def test_resumable_sink_write_resume_and_content(ray_session, tmp_path):
     assert back2.equals(src)
 
 
+def test_resumable_sink_negative_keys_match_sql(ray_session, tmp_path):
+    """Negative keys land in the bucket numpy's ``%`` gives them
+    (``-1 % 16 == 15``), and the DuckDB twin, whose ``%`` keeps the
+    key's sign, agrees."""
+    import duckdb
+    import ray.data as rd
+
+    from raysearch.pipelines.sink import resumable_sink_sql, write_resumable
+
+    documents = pa.table({"doc_id": pa.array(range(-37, 20), pa.int64())})
+    stats = write_resumable(
+        rd.from_arrow(documents), str(tmp_path / "sink"), key_col="doc_id", n_buckets=16
+    )
+    con = duckdb.connect()
+    con.register("documents", documents)
+    orc = con.execute(resumable_sink_sql(16)).fetchdf()
+    assert stats[orc.columns].reset_index(drop=True).equals(orc)
+    assert stats["n_rows"].sum() == documents.num_rows
+    assert stats["bucket"].between(0, 15).all()
+
+
 def test_tool_latency_quantiles_matches_duckdb(ray_session):
     """Grouped exact percentiles equal the quantile_disc twin; the
     p50 of each tool sits between its min and max timed duration and
