@@ -122,14 +122,26 @@ def test_merge_rejects_duplicate_doc_id():
     b = _segment([("x", 3, 1), ("x", 4, 5)], 1)
     with pytest.raises(ValueError, match="duplicate doc_id in postings of 'x'"):
         merge_bucket(pa.concat_tables([a, b]))
-    # a doc twice inside one row: an input turn that appears twice
-    with pytest.raises(ValueError, match="duplicate doc_id in postings of 'x'"):
-        merge_bucket(_segment([("x", 1, 1), ("x", 4, 2), ("x", 4, 1)], 0))
     # the same rows without the repeat merge (interleaved ranges sort)
     c = _segment([("x", 3, 1)], 1)
     merged, _ = merge_bucket(pa.concat_tables([a, c]))
     assert decode_postings(merged)[0].tolist() == [1, 3, 4, 2]
 
+
+def test_merge_sorts_row_and_rejects_repeated_doc_id():
+    """Doc ids out of order inside one row are sorted (their tfs move
+    with them); a doc twice inside one row — an input turn that appears
+    twice — is rejected."""
+    with pytest.raises(ValueError, match="duplicate doc_id in postings of 'x'"):
+        merge_bucket(_segment([("x", 1, 1), ("x", 4, 2), ("x", 4, 1)], 0))
+    seg = _segment([("x", 2, 5), ("x", 3, 7)], 0)
+    i = seg.schema.get_field_index("doc_ids")
+    seg = seg.set_column(i, "doc_ids", pa.array([[3, 2]], seg.schema.field(i).type))
+    i = seg.schema.get_field_index("tfs")
+    seg = seg.set_column(i, "tfs", pa.array([[7, 5]], seg.schema.field(i).type))
+    merged, _ = merge_bucket(seg)
+    doc_ids, tfs = decode_postings(merged)
+    assert (doc_ids.tolist(), tfs.tolist()) == ([2, 3], [5, 7])
 
 def test_merge_reads_buckets_by_row_group(tmp_path):
     """A segment holds one row group per bucket and the merge task finds
