@@ -81,8 +81,9 @@ def _corpus_and_index(sf_dir: str) -> tuple[str, str]:
 
 
 def _index_current(index: str) -> bool:
-    """A cached index is reusable only in the layout this engine reads;
-    an older one is re-merged by build_index's resume."""
+    """A cached index is reusable only in the layout this engine reads,
+    with one committed wave per partition; build_index's resume
+    re-merges an older one and rebuilds its multi-partition waves."""
     import json
 
     from raysearch.build import INDEX_FORMAT
@@ -91,7 +92,11 @@ def _index_current(index: str) -> bool:
     if not os.path.exists(meta_path):
         return False
     with open(meta_path) as f:
-        return json.load(f).get("format") == INDEX_FORMAT
+        meta = json.load(f)
+    return (
+        meta.get("format") == INDEX_FORMAT
+        and len(meta["waves"]) == meta["n_partitions"]
+    )
 
 
 def _transcript_queries() -> list[str]:

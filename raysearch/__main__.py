@@ -2,7 +2,7 @@
 surface (controllers/ApiController.java:28-52) for `ray job submit`:
 
     python -m raysearch build   --input DIR --out DIR [--mode latin]
-                                [--partitions N] [--wave-size N]
+                                [--partitions N]
                                 [--validate]          # startIndexing analog
     python -m raysearch search  --index DIR QUERY [--k 10] [--offset 0]
                                 [--scope CONV] [--scorer bm25]   # /api/search
@@ -46,7 +46,6 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--out", required=True)
     b.add_argument("--mode", default="latin", choices=["latin", "reference", "simple"])
     b.add_argument("--partitions", type=int, default=None)
-    b.add_argument("--wave-size", type=int, default=None)
     b.add_argument("--validate", action="store_true")
     b.add_argument("--no-resume", action="store_true")
     b.add_argument("--strip-html", action="store_true")
@@ -92,7 +91,6 @@ def main(argv: list[str] | None = None) -> int:
             args.out,
             mode=args.mode,
             n_partitions=args.partitions,
-            wave_size=args.wave_size,
             resume=not args.no_resume,
             validate=args.validate,
             strip_html=args.strip_html,

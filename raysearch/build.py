@@ -46,15 +46,17 @@ per-partition sub-postings (doc-disjoint by construction) and
 re-chunks them at ``MAX_CHUNK`` docs, so no single allocation scales
 with global df (SURVEY §4, "Skew / hot keys").
 
-Checkpoint/resume: work proceeds in WAVES of partitions; each wave
-writes its segments + doc lengths + a manifest (lineage: input files,
-per-partition row counts, wall time, a unique commit id) into a temp
-dir that is atomically renamed into ``waves/``.  A present wave dir is
-complete by invariant; resume skips partitions already covered by a
-committed wave.  The merge is keyed on the commit ids of the waves it
-read, so it reruns whenever any wave was rewritten — even under the
-same wave name — and is idempotent (tmp + rename); this mirrors &
-replaces the reference's destructive re-init
+Checkpoint/resume: the unit of commit is the partition.  Each
+partition task writes its segments, doc lengths and a manifest
+(lineage: input files, row counts, wall time, a unique commit id) into
+``waves/_tmp_p-NNNNN`` and, as its last act, atomically renames it to
+``waves/p-NNNNN``.  A wave dir without the ``_tmp_`` prefix is complete
+by invariant; resume skips partitions that have one, so a stopped
+build keeps every partition it finished, and evicting a partition is a
+rename plus a directory delete.  The merge is keyed on the commit ids
+of the waves it read, so it reruns whenever any wave was rewritten —
+even under the same wave name — and is idempotent (tmp + rename); this
+mirrors & replaces the reference's destructive re-init
 (IndexingServiceImpl.java:154-163, S8).
 """
 
@@ -379,8 +381,8 @@ def _atomic_write_table(table: pa.Table, path: str, **write_options) -> None:
 def _write_postings(
     table: pa.Table, path: str, row_group_size: int | None = None
 ) -> None:
-    """Write bucket-sorted posting rows (a wave segment, its eviction
-    rewrite or a merged bucket): doc ids — ascending within a row —
+    """Write bucket-sorted posting rows (a wave segment or a merged
+    bucket): doc ids — ascending within a row —
     delta-packed, tfs dictionary-encoded.  Parquet names a list
     column's values ``<col>.list.element``; it ignores an encoding set
     under any other name and writes that column PLAIN.  No row group
@@ -417,7 +419,7 @@ def build_partition_task(
     mode: str,
     buckets: int,
     strip_html: bool,
-    wave_tmp: str,
+    out_dir: str,
     spill_rows: int = DEFAULT_SPILL_ROWS,
     read_batch_rows: int = 32768,
 ) -> pa.Table:
@@ -432,9 +434,11 @@ def build_partition_task(
     No shuffle: a partition's postings never leave the worker (the
     partition is file-determined, SURVEY §4 skew note); the only
     all-to-all in the build is the merge over segment rows.
-    Segment and doc-length files are written with deterministic names
-    (idempotent under Ray task retry); returns one stats row per
-    partition (manifest lineage/metrics)."""
+    Each partition commits itself: segments, doc lengths and its
+    manifest (lineage and metrics) go into ``waves/_tmp_p-NNNNN``, which
+    is renamed to ``waves/p-NNNNN`` as the task's last act.  A Ray retry
+    starts by deleting the tmp dir, so it is idempotent.  Returns the
+    committed partition ids."""
     key = (
         offsets_ref.hex() if hasattr(offsets_ref, "hex") else id(offsets_ref),
         mode,
@@ -448,14 +452,16 @@ def build_partition_task(
         tok = _WORKER_TOKENIZERS[key] = TokenizerActor(
             offsets_ref, mode, strip_html
         )
-    out_rows = {
-        "partition_id": [], "n_docs": [], "n_tokens": [], "n_terms": [],
-        "n_postings": [], "n_flushes": [], "wall_s": [],
-    }
+    done = []
     for row in range(batch.num_rows):
         pid = int(batch["pid"][row].as_py())
         files = batch["files"][row].as_py()
         t0 = time.monotonic()
+        wave = os.path.join(out_dir, "waves", f"p-{pid:05d}")
+        tmp = os.path.join(out_dir, "waves", f"_tmp_p-{pid:05d}")
+        shutil.rmtree(tmp, ignore_errors=True)
+        os.makedirs(os.path.join(tmp, "segments"))
+        os.makedirs(os.path.join(tmp, "doclens"))
         # partition-level vocabulary: batch-local codes are remapped to
         # stable partition codes (Python work ∝ per-batch vocab, not
         # postings); posting buffers are pure int64 arrays
@@ -486,7 +492,7 @@ def build_partition_task(
             _write_postings(
                 seg,
                 os.path.join(
-                    wave_tmp, "segments", f"pid-{pid:05d}-f{flush_i:03d}.parquet"
+                    tmp, "segments", f"pid-{pid:05d}-f{flush_i:03d}.parquet"
                 ),
             )
             code_buf.clear()
@@ -534,26 +540,32 @@ def build_partition_task(
                     ),
                 }
             ),
-            os.path.join(wave_tmp, "doclens", f"pid-{pid:05d}.parquet"),
+            os.path.join(tmp, "doclens", f"pid-{pid:05d}.parquet"),
         )
-        out_rows["partition_id"].append(pid)
-        out_rows["n_docs"].append(int(len(docs)))
-        out_rows["n_tokens"].append(int(lens.sum()))
-        out_rows["n_terms"].append(len(part_terms))
-        out_rows["n_postings"].append(int(n_postings))
-        out_rows["n_flushes"].append(flush_i)
-        out_rows["wall_s"].append(round(time.monotonic() - t0, 3))
-    return pa.table(
-        {
-            "partition_id": pa.array(out_rows["partition_id"], pa.int64()),
-            "n_docs": pa.array(out_rows["n_docs"], pa.int64()),
-            "n_tokens": pa.array(out_rows["n_tokens"], pa.int64()),
-            "n_terms": pa.array(out_rows["n_terms"], pa.int64()),
-            "n_postings": pa.array(out_rows["n_postings"], pa.int64()),
-            "n_flushes": pa.array(out_rows["n_flushes"], pa.int64()),
-            "wall_s": pa.array(out_rows["wall_s"], pa.float64()),
+        wall_s = round(time.monotonic() - t0, 3)
+        stats = {
+            "files": files,
+            "n_docs": int(len(docs)),
+            "n_tokens": int(lens.sum()),
+            "n_terms": len(part_terms),
+            "n_postings": int(n_postings),
+            "n_flushes": flush_i,
+            "build_s": wall_s,
         }
-    )
+        _atomic_write_json(
+            os.path.join(tmp, "manifest.json"),
+            {
+                "format": INDEX_FORMAT,
+                "partitions": [pid],
+                "commit": uuid.uuid4().hex,
+                "wall_s": wall_s,
+                "per_partition": {str(pid): stats},
+            },
+        )
+        shutil.rmtree(wave, ignore_errors=True)
+        os.replace(tmp, wave)
+        done.append(pid)
+    return pa.table({"partition_id": pa.array(done, pa.int64())})
 
 
 def _segment_schema() -> pa.Schema:
@@ -880,7 +892,7 @@ def run_merge(
 
 
 # ---------------------------------------------------------------------------
-# Driver orchestration: waves, manifests, merge, meta
+# Driver orchestration: resume, eviction, merge, meta
 # ---------------------------------------------------------------------------
 
 
@@ -893,14 +905,18 @@ def _atomic_write_json(path: str, payload: dict) -> None:
 
 def _committed_partitions(
     out_dir: str,
-) -> tuple[set[int], dict[str, str | None]]:
-    """(committed partition ids, wave name → commit id).  The commit id
-    is fresh whenever a wave dir is (re)written, so it identifies the
-    wave's content where the name does not: a partition rebuild
-    recreates a wave under its old name.  A wave of another
-    ``INDEX_FORMAT`` is deleted like a crashed one, so its partitions
-    are rebuilt rather than merged."""
-    pids: set[int] = set()
+) -> tuple[dict[int, str], dict[str, str | None]]:
+    """(partition id → its wave name, wave name → commit id).  A wave
+    is committed when its name lacks the ``_tmp_`` prefix (the task
+    that built it renamed it into place) and its manifest names the
+    current ``INDEX_FORMAT`` and exactly one partition.  Anything else
+    in ``waves/`` — a crashed or evicted tmp dir, a wave of another
+    posting layout, a wave of several partitions from a batch-committing
+    build — is deleted, so its partitions are rebuilt rather than
+    merged.  The commit id is fresh whenever a wave dir is (re)written,
+    so it identifies the wave's content where the name does not: a
+    partition rebuild recreates a wave under its old name."""
+    pids: dict[int, str] = {}
     waves: dict[str, str | None] = {}
     wave_root = os.path.join(out_dir, "waves")
     if not os.path.isdir(wave_root):
@@ -908,18 +924,18 @@ def _committed_partitions(
     for d in sorted(os.listdir(wave_root)):
         wdir = os.path.join(wave_root, d)
         mpath = os.path.join(wdir, "manifest.json")
-        if not os.path.isfile(mpath):
-            # invariant: wave dirs are renamed into place complete —
-            # anything else is a crashed attempt; drop it
+        manifest = None
+        if not d.startswith("_tmp_") and os.path.isfile(mpath):
+            with open(mpath) as f:
+                manifest = json.load(f)
+        if (
+            manifest is None
+            or manifest.get("format") != INDEX_FORMAT
+            or len(manifest["partitions"]) != 1
+        ):
             shutil.rmtree(wdir, ignore_errors=True)
             continue
-        with open(mpath) as f:
-            manifest = json.load(f)
-        if manifest.get("format") != INDEX_FORMAT:
-            # segments of another posting layout: recompute the wave
-            shutil.rmtree(wdir)
-            continue
-        pids.update(int(p) for p in manifest["partitions"])
+        pids[int(manifest["partitions"][0])] = d
         waves[d] = manifest.get("commit")
     return pids, waves
 
@@ -955,49 +971,21 @@ def partition_of(out_dir: str, conv_id: str, turn_idx: int = 0) -> int:
     return partitions_of(out_dir, conv_id)[0]
 
 
-def evict_partition(out_dir: str, partition_id: int) -> list[str]:
-    """Remove one partition's contribution from its committed wave(s).
-
-    Crash-safe ordering: the old wave dir is deleted BEFORE the filtered
-    replacement is renamed in — a crash in between only loses committed
-    partitions, which a subsequent resume recomputes (idempotent), never
-    duplicates them.  Returns the rewritten wave names."""
+def evict_partition(out_dir: str, partition_id: int) -> str | None:
+    """Uncommit one partition: rename its wave to a ``_tmp_`` name,
+    which resume treats like a crashed build, then delete it.  A crash
+    between the two steps leaves a tmp dir that the next resume
+    deletes.  No other wave is read or written.  Returns the evicted
+    wave's name (None when the partition was not committed)."""
     wave_root = os.path.join(out_dir, "waves")
-    touched = []
-    _, waves = _committed_partitions(out_dir)
-    for wname in waves:
-        wdir = os.path.join(wave_root, wname)
-        with open(os.path.join(wdir, "manifest.json")) as f:
-            manifest = json.load(f)
-        pids = [int(p) for p in manifest["partitions"]]
-        if partition_id not in pids:
-            continue
-        rest = [p for p in pids if p != partition_id]
-        if not rest:
-            shutil.rmtree(wdir)
-            touched.append(wname)
-            continue
-        new_name = f"{wname}-x{partition_id}"
-        tmp = os.path.join(wave_root, "_tmp_" + new_name)
-        shutil.rmtree(tmp, ignore_errors=True)
-        for sub, write in (
-            ("segments", _write_postings), ("doclens", _atomic_write_table)
-        ):
-            os.makedirs(os.path.join(tmp, sub))
-            for fp in sorted(glob.glob(os.path.join(wdir, sub, "*.parquet"))):
-                t = pq.read_table(fp)
-                t = t.filter(pc.not_equal(t["partition_id"], partition_id))
-                if t.num_rows:
-                    write(t, os.path.join(tmp, sub, os.path.basename(fp)))
-        manifest["partitions"] = rest
-        manifest["per_partition"].pop(str(partition_id), None)
-        manifest["rebuilt_from"] = wname
-        manifest["commit"] = uuid.uuid4().hex
-        _atomic_write_json(os.path.join(tmp, "manifest.json"), manifest)
-        shutil.rmtree(wdir)
-        os.replace(tmp, os.path.join(wave_root, new_name))
-        touched.append(new_name)
-    return touched
+    committed, _ = _committed_partitions(out_dir)
+    wname = committed.get(partition_id)
+    if wname is None:
+        return None
+    tmp = os.path.join(wave_root, "_tmp_" + wname)
+    os.replace(os.path.join(wave_root, wname), tmp)
+    shutil.rmtree(tmp)
+    return wname
 
 
 def rebuild_partition(
@@ -1010,7 +998,7 @@ def rebuild_partition(
     reference's single-page reindex deletes the page's postings,
     decrements dfs and re-crawls one URL,
     IndexingServiceImpl.java:173-198; here the unit of incremental
-    recompute is an input partition — its segment is evicted and
+    recompute is an input partition — its wave is evicted and
     rebuilt, then the idempotent LSM merge reruns over the new wave
     set, which also restores df/cf in lexicon + meta)."""
     if partition_id is not None:
@@ -1030,7 +1018,6 @@ def build_index(
     mode: str = "latin",
     n_partitions: int | None = None,
     buckets: int = DEFAULT_BUCKETS,
-    wave_size: int | None = None,
     resume: bool = True,
     validate: bool = False,
     strip_html: bool = False,
@@ -1040,12 +1027,11 @@ def build_index(
 ) -> dict:
     """Build (or resume) the inverted index; returns the final meta dict.
 
-    ``wave_size`` bounds how many partitions commit atomically together
-    (None = all remaining in one fully-pipelined wave); smaller waves
-    trade pipeline overlap for finer-grained resume.  ``spill_rows``
-    bounds a partition task's posting buffer, ``read_batch_rows`` its
-    parquet read batches, and ``max_chunk`` the docs per merged
-    posting row.
+    One ``map_batches`` runs a task per remaining partition; each task
+    commits its partition as its own wave, so a stopped build resumes
+    from every partition it finished.  ``spill_rows`` bounds a
+    partition task's posting buffer, ``read_batch_rows`` its parquet
+    read batches, and ``max_chunk`` the docs per merged posting row.
     """
     import ray
     import ray.data as rd
@@ -1058,6 +1044,8 @@ def build_index(
     if n_partitions is None:
         n_partitions = max(1, min(len(files), 2 * ncpu))
     n_partitions = min(n_partitions, len(files))
+    if not resume:  # every wave goes, whatever its name or layout
+        shutil.rmtree(os.path.join(out_dir, "waves"), ignore_errors=True)
     os.makedirs(os.path.join(out_dir, "waves"), exist_ok=True)
 
     # ---- stage 0: conv offsets + input meta (resume-aware) ----
@@ -1095,84 +1083,40 @@ def build_index(
         pid: files[bounds[pid] : bounds[pid + 1]] for pid in range(n_partitions)
     }
 
-    committed, _ = _committed_partitions(out_dir) if resume else (set(), {})
+    committed, _ = _committed_partitions(out_dir) if resume else ({}, {})
     remaining = [p for p in range(n_partitions) if p not in committed]
-    offsets_ref = ray.put(offsets) if remaining else None
-
-    if wave_size is None:
-        wave_batches = [remaining] if remaining else []
-    else:
-        wave_batches = [
-            remaining[i : i + wave_size] for i in range(0, len(remaining), wave_size)
-        ]
-
     stage_times: dict[str, float] = {"setup": round(time.monotonic() - t_start, 3)}
 
-    for wave_pids in wave_batches:
-        # one task per partition streams its fragments, tokenizes, and
-        # writes sorted sub-segments with bounded-memory spill — no
-        # posting-row shuffle (the only all-to-all left is the merge
-        # over segment rows)
-        wave_t0 = time.monotonic()
-        wave_name = f"w-{wave_pids[0]:05d}-{len(wave_pids)}"
-        wave_tmp = os.path.join(out_dir, "waves", "_tmp_" + wave_name)
-        shutil.rmtree(wave_tmp, ignore_errors=True)
-        os.makedirs(os.path.join(wave_tmp, "segments"))
-        os.makedirs(os.path.join(wave_tmp, "doclens"))
+    if remaining:
+        # one task per partition streams its fragments, tokenizes,
+        # writes sorted sub-segments with bounded-memory spill and
+        # commits its wave — no posting-row shuffle (the only
+        # all-to-all left is the merge over segment rows)
+        t0 = time.monotonic()
         descs = pa.table(
             {
-                "pid": pa.array(wave_pids, pa.int64()),
+                "pid": pa.array(remaining, pa.int64()),
                 "files": pa.array(
-                    [part_files[p] for p in wave_pids], pa.list_(pa.string())
+                    [part_files[p] for p in remaining], pa.list_(pa.string())
                 ),
             }
         )
-        stats_tbl = (
-            rd.from_arrow(descs)
-            .repartition(len(wave_pids))
-            .map_batches(
-                build_partition_task,
-                fn_kwargs={
-                    "offsets_ref": offsets_ref,
-                    "mode": mode,
-                    "buckets": buckets,
-                    "strip_html": strip_html,
-                    "wave_tmp": wave_tmp,
-                    "spill_rows": spill_rows,
-                    "read_batch_rows": read_batch_rows,
-                },
-                batch_format="pyarrow",
-                batch_size=None,
-                num_cpus=1,
-            )
-            .to_pandas()  # one tiny stats row per partition
-        )
-        stage_times["partition_build"] = stage_times.get(
-            "partition_build", 0.0
-        ) + round(time.monotonic() - wave_t0, 3)
-        by_pid = {int(r.partition_id): r for r in stats_tbl.itertuples()}
-        manifest = {
-            "format": INDEX_FORMAT,
-            "partitions": wave_pids,
-            "commit": uuid.uuid4().hex,
-            "wall_s": round(time.monotonic() - wave_t0, 3),
-            "per_partition": {
-                str(p): {
-                    "files": part_files[p],
-                    "n_docs": int(by_pid[p].n_docs) if p in by_pid else 0,
-                    "n_tokens": int(by_pid[p].n_tokens) if p in by_pid else 0,
-                    "n_terms": int(by_pid[p].n_terms) if p in by_pid else 0,
-                    "n_postings": int(by_pid[p].n_postings) if p in by_pid else 0,
-                    "n_flushes": int(by_pid[p].n_flushes) if p in by_pid else 0,
-                    "build_s": float(by_pid[p].wall_s) if p in by_pid else 0.0,
-                }
-                for p in wave_pids
+        rd.from_arrow(descs).repartition(len(remaining)).map_batches(
+            build_partition_task,
+            fn_kwargs={
+                "offsets_ref": ray.put(offsets),
+                "mode": mode,
+                "buckets": buckets,
+                "strip_html": strip_html,
+                "out_dir": out_dir,
+                "spill_rows": spill_rows,
+                "read_batch_rows": read_batch_rows,
             },
-        }
-        _atomic_write_json(os.path.join(wave_tmp, "manifest.json"), manifest)
-        final = os.path.join(out_dir, "waves", wave_name)
-        shutil.rmtree(final, ignore_errors=True)
-        os.replace(wave_tmp, final)
+            batch_format="pyarrow",
+            batch_size=None,
+            num_cpus=1,
+        ).materialize()
+        stage_times["partition_build"] = round(time.monotonic() - t0, 3)
 
     # ---- merge (idempotent; skipped when no wave changed) ----
     committed, waves = _committed_partitions(out_dir)

@@ -978,9 +978,6 @@ def jaccard_pairs_exact(ds, threshold: float = 0.6, shingle: int = 3):
     verification-scale oracle for the minhash path (and the driver
     gate's SQL-checkable dedup row), NOT the 100 TB path.  Set sizes
     are broadcast via ray.put (one int per doc with ≥k tokens)."""
-    import ray
-    from ray.data.aggregate import Count
-
     tok = ds.map_batches(
         _DistinctShingleStrings(shingle), batch_format="pyarrow"
     ).materialize()
@@ -994,9 +991,14 @@ def _exact_jaccard_from_shingles(tok, threshold: float):
     import ray
     from ray.data.aggregate import Count
 
-    sizes_pdf = tok.groupby("doc_id").aggregate(Count(alias_name="n")).to_pandas()
+    # set sizes broadcast as two sorted int64 arrays (one ray.put) and
+    # looked up by searchsorted — no per-doc Python dict
+    sizes = (
+        tok.groupby("doc_id").aggregate(Count(alias_name="n")).to_pandas()
+        .sort_values("doc_id")
+    )
     sizes_ref = ray.put(
-        dict(zip(sizes_pdf["doc_id"].astype(np.int64), sizes_pdf["n"].astype(np.int64)))
+        (sizes["doc_id"].to_numpy(np.int64), sizes["n"].to_numpy(np.int64))
     )
 
     def emit(group: pd.DataFrame) -> pd.DataFrame:
@@ -1027,9 +1029,9 @@ def _exact_jaccard_from_shingles(tok, threshold: float):
     from raysearch.util import round_half_away
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
-        sizes = ray.get(sizes_ref)
-        na = batch["doc_a"].map(sizes).to_numpy(dtype=np.float64)
-        nb = batch["doc_b"].map(sizes).to_numpy(dtype=np.float64)
+        ids, n = ray.get(sizes_ref)
+        na = n[np.searchsorted(ids, batch["doc_a"].to_numpy())].astype(np.float64)
+        nb = n[np.searchsorted(ids, batch["doc_b"].to_numpy())].astype(np.float64)
         i = batch["n_common"].to_numpy(dtype=np.float64)
         jac = i / (na + nb - i)
         keep = jac >= threshold

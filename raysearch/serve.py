@@ -10,10 +10,11 @@ API (controllers/ApiController.java:28-52):
   BACKGROUND subprocess (IndexingServiceImpl.java:42-51: reject when
   already running with the reference's exact error string).
 * ``GET  /api/stopIndexing``  → terminate the running build
-  (IndexingServiceImpl.java:53-78 ``shutdownNow`` analog).  The wave
-  manifests make this safe: committed waves survive, the next
-  startIndexing resumes from them — which is the stop feature's whole
-  value here, vs the reference marking every site FAILED.
+  (IndexingServiceImpl.java:53-78 ``shutdownNow`` analog).  Each
+  partition commits itself as one wave, so a stop keeps every
+  partition finished before it and the next startIndexing resumes
+  from them — which is the stop feature's whole value here, vs the
+  reference marking every site FAILED.
 * ``POST /api/indexConv?conv_id=`` → partition-scoped rebuild of the
   conversation (the /api/indexPage analog,
   IndexingServiceImpl.java:137-152, including the out-of-scope error).

@@ -4,9 +4,11 @@ services/StatisticsServiceImpl.java:34-70, A3/A5 in SURVEY §2.5).
 
 The reference counts pages/lemmas per site with repository scans and
 reports an ``isIndexing`` flag from the global run state; here the
-numbers come from the index manifests + lexicon (no table scans), and
-"indexing in progress" means some partition lacks a committed wave
-manifest."""
+numbers come from the wave manifests + lexicon (no table scans), and
+"indexing in progress" means some partition lacks a committed wave.
+Each partition commits itself as one wave; a ``_tmp_`` wave is a build
+or eviction in progress (or a crashed one) and does not count, even
+once its manifest is written."""
 
 from __future__ import annotations
 
@@ -24,10 +26,13 @@ def index_stats(index_dir: str) -> dict:
     for mpath in sorted(
         glob.glob(os.path.join(index_dir, "waves", "*", "manifest.json"))
     ):
+        wave = os.path.basename(os.path.dirname(mpath))
+        if wave.startswith("_tmp_"):
+            continue
         with open(mpath) as f:
             manifest = json.load(f)
         for pid, stats in manifest["per_partition"].items():
-            per_partition[pid] = {**stats, "wave": os.path.basename(os.path.dirname(mpath))}
+            per_partition[pid] = {**stats, "wave": wave}
     committed = len(per_partition)
     meta_path = os.path.join(index_dir, "merged", "meta.json")
     merged = None

@@ -18,7 +18,7 @@ def built(ray_session, small_corpus, tmp_path_factory):
 
     out = str(tmp_path_factory.mktemp("index") / "idx")
     meta = build_index(
-        small_corpus, out, mode="latin", n_partitions=4, wave_size=2, validate=True
+        small_corpus, out, mode="latin", n_partitions=4, validate=True
     )
     return small_corpus, out, meta
 

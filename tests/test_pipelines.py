@@ -595,6 +595,30 @@ def test_jaccard_pairs_exact_vs_bruteforce(docs_ds):
     assert (0, 3) in got and got[(0, 3)] == 1.0
 
 
+def test_jaccard_pairs_exact_sparse_doc_ids(docs_ds):
+    """Set sizes are looked up by doc id, not position: sparse,
+    non-contiguous ids in no particular order give the dense-id run's
+    pairs and scores under the id map."""
+    import ray.data as rd
+
+    from raysearch.pipelines.dedup import jaccard_pairs_exact
+
+    sparse = [9_000_000_007, 12, 5_000, 3, 1 << 40, 77]
+    df = docs_ds.to_pandas()
+    df["doc_id"] = [sparse[i] for i in df["doc_id"]]
+
+    def pairs(out, id_map=lambda d: d):
+        return {
+            tuple(sorted((id_map(int(a)), id_map(int(b))))): float(j)
+            for a, b, j in zip(out.doc_a, out.doc_b, out.jaccard)
+        }
+
+    dense = jaccard_pairs_exact(docs_ds, threshold=0.3).to_pandas()
+    got = jaccard_pairs_exact(rd.from_pandas(df), threshold=0.3).to_pandas()
+    assert len(dense) > 1
+    assert pairs(got) == pairs(dense, lambda d: sparse[d])
+
+
 def test_minhash_recall_against_exact(docs_ds):
     """LSH near-dup pairs must recover the exact pairs at the same
     threshold on this small corpus (no false positives possible —

@@ -212,36 +212,23 @@ def _assert_posting_encodings(files: list[str]) -> None:
 
 @pytest.fixture(scope="module")
 def wave_index(ray_session, tiny_corpus, tmp_path_factory):
-    """A tiny index built one partition per wave."""
+    """A tiny index: four partitions, one wave each."""
     from raysearch.build import build_index
 
     out = str(tmp_path_factory.mktemp("layout") / "idx")
-    build_index(tiny_corpus, out, mode="latin", n_partitions=4, wave_size=1)
+    build_index(tiny_corpus, out, mode="latin", n_partitions=4)
     return tiny_corpus, out
 
 
-def test_posting_files_are_delta_packed(wave_index, tmp_path):
-    """Every segment, every merged bucket file and every segment that
-    ``evict_partition`` rewrites delta-packs its doc ids."""
-    from raysearch.build import evict_partition
-
+def test_posting_files_are_delta_packed(wave_index):
+    """Every segment and every merged bucket file delta-packs its doc
+    ids."""
     _, index = wave_index
     _assert_posting_encodings(
         glob.glob(os.path.join(index, "waves", "*", "segments", "*.parquet"))
     )
     _assert_posting_encodings(
         glob.glob(os.path.join(index, "merged", "postings", "*.parquet"))
-    )
-    # one wave holding two partitions, so eviction rewrites its segments
-    from raysearch.build import build_index
-
-    two = str(tmp_path / "two")
-    build_index(wave_index[0], two, mode="latin", n_partitions=2)
-    (wave,) = evict_partition(two, 1)
-    rewritten = glob.glob(os.path.join(two, "waves", wave, "segments", "*.parquet"))
-    _assert_posting_encodings(rewritten)
-    assert all(
-        set(pq.read_table(f)["partition_id"].to_pylist()) == {0} for f in rewritten
     )
 
 
@@ -276,7 +263,7 @@ def test_resume_recomputes_wave_of_old_format(wave_index, tmp_path):
         pq.write_table(t.append_column("docs", blobs).append_column("tfs", blobs), seg)
     kept = {w: os.path.getmtime(w) for w in waves if w != stale}
 
-    build_index(corpus, old, mode="latin", n_partitions=4, wave_size=1)
+    build_index(corpus, old, mode="latin", n_partitions=4)
 
     for w, m in kept.items():
         assert os.path.getmtime(w) == m, f"wave {w} was recomputed"

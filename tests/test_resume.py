@@ -15,7 +15,7 @@ def two_indexes(ray_session, tiny_corpus, tmp_path):
     from raysearch.build import build_index
 
     full = str(tmp_path / "full")
-    build_index(tiny_corpus, full, mode="latin", n_partitions=4, wave_size=1)
+    build_index(tiny_corpus, full, mode="latin", n_partitions=4)
     return tiny_corpus, full, tmp_path
 
 
@@ -49,7 +49,7 @@ def test_resume_after_lost_wave(two_indexes):
     shutil.rmtree(os.path.join(broken, "merged"))
     # record mtimes of surviving waves: resume must not recompute them
     mtimes = {w: os.path.getmtime(w) for w in waves if os.path.isdir(w)}
-    build_index(corpus, broken, mode="latin", n_partitions=4, wave_size=1)
+    build_index(corpus, broken, mode="latin", n_partitions=4)
     for w, m in mtimes.items():
         assert os.path.getmtime(w) == m, f"committed wave {w} was recomputed"
     assert _lexicon_rows(broken) == _lexicon_rows(full)
@@ -66,7 +66,7 @@ def test_crashed_wave_tmp_is_cleaned(two_indexes):
     waves = sorted(glob.glob(os.path.join(broken, "waves", "*")))
     os.remove(os.path.join(waves[1], "manifest.json"))
     shutil.rmtree(os.path.join(broken, "merged"))
-    build_index(corpus, broken, mode="latin", n_partitions=4, wave_size=1)
+    build_index(corpus, broken, mode="latin", n_partitions=4)
     assert _postings_rows(broken) == _postings_rows(full)
 
 
@@ -118,23 +118,32 @@ def test_rebuild_partition_by_conv_id(two_indexes):
     assert _postings_rows(redo) == _postings_rows(full)
 
 
-def test_evict_drops_partition_rows(two_indexes):
-    import duckdb
+def _files(root):
+    return {
+        os.path.join(d, f): os.path.getmtime(os.path.join(d, f))
+        for d, _, names in os.walk(root)
+        for f in names
+    }
 
+
+def test_evict_drops_partition_rows(two_indexes):
+    """Eviction deletes the partition's wave dir and nothing else: no
+    file is written and every other wave file keeps its mtime."""
     from raysearch.build import _committed_partitions, evict_partition
 
     corpus, full, tmp = two_indexes
     broken = str(tmp / "evicted")
     shutil.copytree(full, broken)
-    evict_partition(broken, 1)
+    gone = os.path.join(broken, "waves", "p-00001")
+    before = _files(broken)
+    assert evict_partition(broken, 1) == "p-00001"
+    assert not os.path.exists(gone)
     pids, _ = _committed_partitions(broken)
-    assert 1 not in pids
-    segs = glob.glob(os.path.join(broken, "waves", "*", "segments", "*.parquet"))
-    if segs:
-        rows = duckdb.sql(
-            f"SELECT count(*) FROM read_parquet({segs!r}) WHERE partition_id = 1"
-        ).fetchone()
-        assert rows[0] == 0
+    assert sorted(pids) == [0, 2, 3]
+    assert _files(broken) == {
+        f: m for f, m in before.items() if not f.startswith(gone + os.sep)
+    }
+    assert evict_partition(broken, 1) is None
 
 
 def test_merge_resumes_from_partial_tmp(two_indexes):
@@ -162,7 +171,7 @@ def test_merge_resumes_from_partial_tmp(two_indexes):
         f: os.path.getmtime(f) for f in bucket_files if os.path.exists(f)
     }
     time.sleep(0.05)
-    build_index(corpus, broken, mode="latin", n_partitions=4, wave_size=1)
+    build_index(corpus, broken, mode="latin", n_partitions=4)
     for f, m in survivors.items():
         final = f.replace("_tmp_merged", "merged")
         assert os.path.getmtime(final) == m, "completed bucket was redone"
@@ -212,30 +221,28 @@ def _append_to_first_turn(corpus, conv_id, word):
     raise KeyError(conv_id)
 
 
-@pytest.mark.parametrize("wave_size", [1, None], ids=["wave_per_partition", "one_wave"])
 def test_refresh_after_input_edit_matches_fresh_build(
-    ray_session, tiny_corpus, tmp_path, wave_size
+    ray_session, tiny_corpus, tmp_path
 ):
     """Refreshing an edited conversation's partition must leave the same
     merged index as a fresh build of the edited input, also when the
-    refresh recreates a wave under its old name: every refresh
-    with one partition per wave, the second refresh of the same
-    partition with one wave.  The merge is keyed on wave commit ids,
-    not wave names."""
+    refresh recreates a wave under its old name (each refresh of the
+    same conversation recreates its ``p-…`` wave).  The merge is keyed
+    on wave commit ids, not wave names."""
     from raysearch.build import build_index, rebuild_partition
     from raysearch.gen import conv_name
 
     corpus = str(tmp_path / "corpus")
     shutil.copytree(tiny_corpus, corpus)
     index = str(tmp_path / "index")
-    build_index(corpus, index, mode="latin", n_partitions=4, wave_size=wave_size)
+    build_index(corpus, index, mode="latin", n_partitions=4)
     conv = conv_name(7)
     for word in ("quokka", "wombat"):
         _append_to_first_turn(corpus, conv, word)
         rebuild_partition(corpus, index, conv_id=conv)
         assert word in {r[0] for r in _lexicon_rows(index)}, word
     fresh = str(tmp_path / "fresh")
-    build_index(corpus, fresh, mode="latin", n_partitions=4, wave_size=wave_size)
+    build_index(corpus, fresh, mode="latin", n_partitions=4)
     assert _lexicon_rows(index) == _lexicon_rows(fresh)
     assert _postings_rows(index) == _postings_rows(fresh)
 
@@ -258,9 +265,9 @@ def test_merge_skipped_when_up_to_date(two_indexes):
 
 def test_sigterm_midbuild_then_resume(ray_session, tiny_corpus, tmp_path):
     """Kill a REAL build process mid-run (the serve stopIndexing path:
-    SIGTERM, not a simulated missing wave), then resume: committed
-    waves must survive untouched and the final index must equal an
-    uninterrupted build's."""
+    SIGTERM of a default build, not a simulated missing wave), then
+    resume: committed waves must survive untouched and the final index
+    must equal an uninterrupted build's."""
     import subprocess
     import sys
     import time
@@ -273,7 +280,7 @@ def test_sigterm_midbuild_then_resume(ray_session, tiny_corpus, tmp_path):
         [
             sys.executable, "-m", "raysearch", "--num-cpus", "4", "build",
             "--input", tiny_corpus, "--out", out,
-            "--partitions", "4", "--wave-size", "1",
+            "--partitions", "4",
         ],
         cwd=repo,
         stdout=subprocess.DEVNULL,
@@ -296,12 +303,130 @@ def test_sigterm_midbuild_then_resume(ray_session, tiny_corpus, tmp_path):
         if os.path.isfile(os.path.join(w, "manifest.json"))
     }
     # resume in-process; committed waves must not be recomputed
-    build_index(tiny_corpus, out, mode="latin", n_partitions=4, wave_size=1)
+    build_index(tiny_corpus, out, mode="latin", n_partitions=4)
     for w, m in committed.items():
         assert os.path.getmtime(w) == m, f"committed wave {w} recomputed"
 
     clean = str(tmp_path / "clean")
-    build_index(tiny_corpus, clean, mode="latin", n_partitions=4, wave_size=1)
+    build_index(tiny_corpus, clean, mode="latin", n_partitions=4)
     assert _lexicon_rows(out) == _lexicon_rows(clean)
     assert _postings_rows(out) == _postings_rows(clean)
     assert interrupted or committed, "build finished before any commit"
+
+
+def _commits(index_dir):
+    out = {}
+    for mpath in glob.glob(os.path.join(index_dir, "waves", "*", "manifest.json")):
+        with open(mpath) as f:
+            out[os.path.basename(os.path.dirname(mpath))] = json.load(f)["commit"]
+    return out
+
+
+def test_every_wave_holds_one_partition(two_indexes):
+    _, full, _ = two_indexes
+    waves = {}
+    for mpath in glob.glob(os.path.join(full, "waves", "*", "manifest.json")):
+        with open(mpath) as f:
+            waves[os.path.basename(os.path.dirname(mpath))] = json.load(f)["partitions"]
+    assert waves == {f"p-{p:05d}": [p] for p in range(4)}
+
+
+def test_tmp_wave_with_manifest_is_not_committed(two_indexes):
+    """A partition task that wrote its manifest but crashed before its
+    rename leaves ``waves/_tmp_p-…`` complete-looking: statistics must
+    count the partition as uncommitted and resume must rebuild it, not
+    merge from the tmp dir."""
+    from raysearch.build import build_index
+    from raysearch.stats_api import index_stats
+
+    corpus, full, tmp = two_indexes
+    broken = str(tmp / "tmp_wave")
+    shutil.copytree(full, broken)
+    waves = os.path.join(broken, "waves")
+    os.rename(os.path.join(waves, "p-00001"), os.path.join(waves, "_tmp_p-00001"))
+    assert os.path.isfile(os.path.join(waves, "_tmp_p-00001", "manifest.json"))
+    st = index_stats(broken)
+    assert "1" not in st["partitions"]
+    assert st["committed_partitions"] == 3
+    assert st["total"]["is_indexing"] is True
+    build_index(corpus, broken, mode="latin", n_partitions=4)
+    assert sorted(os.listdir(waves)) == [f"p-{p:05d}" for p in range(4)]
+    assert _lexicon_rows(broken) == _lexicon_rows(full)
+    assert _postings_rows(broken) == _postings_rows(full)
+
+
+def test_rebuild_by_conv_keeps_other_waves(two_indexes):
+    """A refresh rewrites only the waves of the conversation's
+    partitions: every other wave keeps its commit id."""
+    from raysearch.build import partitions_of, rebuild_partition
+    from raysearch.gen import conv_name
+
+    corpus, full, tmp = two_indexes
+    redo = str(tmp / "redo_commits")
+    shutil.copytree(full, redo)
+    before = _commits(redo)
+    rebuilt = {f"p-{p:05d}" for p in partitions_of(redo, conv_name(7))}
+    rebuild_partition(corpus, redo, conv_id=conv_name(7))
+    after = _commits(redo)
+    assert sorted(after) == sorted(before)
+    for w, c in before.items():
+        assert (after[w] != c) == (w in rebuilt), w
+
+
+def test_multi_partition_wave_is_rebuilt(two_indexes):
+    """A wave holding several partitions (as batch-committing builds
+    wrote them) is deleted and its partitions rebuilt one wave each on
+    resume; the other waves stay, and the index equals a fresh build."""
+    from raysearch.build import build_index
+
+    corpus, full, tmp = two_indexes
+    old = str(tmp / "multi")
+    shutil.copytree(full, old)
+    waves = os.path.join(old, "waves")
+    multi = os.path.join(waves, "w-00001-2")
+    for sub in ("segments", "doclens"):
+        os.makedirs(os.path.join(multi, sub))
+    parts = []
+    for pid in (1, 2):
+        src = os.path.join(waves, f"p-{pid:05d}")
+        for sub in ("segments", "doclens"):
+            for f in os.listdir(os.path.join(src, sub)):
+                os.rename(os.path.join(src, sub, f), os.path.join(multi, sub, f))
+        with open(os.path.join(src, "manifest.json")) as f:
+            parts.append(json.load(f))
+        shutil.rmtree(src)
+    with open(os.path.join(multi, "manifest.json"), "w") as f:
+        json.dump(
+            {
+                **parts[0],
+                "partitions": [1, 2],
+                "per_partition": {k: v for m in parts for k, v in m["per_partition"].items()},
+            },
+            f,
+        )
+    kept = {w: os.path.getmtime(os.path.join(waves, w)) for w in ("p-00000", "p-00003")}
+
+    build_index(corpus, old, mode="latin", n_partitions=4)
+
+    assert sorted(os.listdir(waves)) == [f"p-{p:05d}" for p in range(4)]
+    for w, m in kept.items():
+        assert os.path.getmtime(os.path.join(waves, w)) == m, w
+    assert _lexicon_rows(old) == _lexicon_rows(full)
+    assert _postings_rows(old) == _postings_rows(full)
+
+
+def test_no_resume_replaces_every_wave(two_indexes):
+    """``resume=False`` rebuilds every partition and first drops every
+    wave, so a committed wave under another name (a single-partition
+    wave of a batch-committing build) cannot duplicate a partition."""
+    from raysearch.build import build_index
+
+    corpus, full, tmp = two_indexes
+    redo = str(tmp / "no_resume")
+    shutil.copytree(full, redo)
+    waves = os.path.join(redo, "waves")
+    os.rename(os.path.join(waves, "p-00003"), os.path.join(waves, "w-00003-1"))
+    build_index(corpus, redo, mode="latin", n_partitions=4, resume=False)
+    assert sorted(os.listdir(waves)) == [f"p-{p:05d}" for p in range(4)]
+    assert _lexicon_rows(redo) == _lexicon_rows(full)
+    assert _postings_rows(redo) == _postings_rows(full)
