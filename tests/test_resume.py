@@ -221,28 +221,32 @@ def _append_to_first_turn(corpus, conv_id, word):
     raise KeyError(conv_id)
 
 
+@pytest.mark.parametrize(
+    "n_partitions", [4, 1], ids=["wave_per_partition", "one_wave"]
+)
 def test_refresh_after_input_edit_matches_fresh_build(
-    ray_session, tiny_corpus, tmp_path
+    ray_session, tiny_corpus, tmp_path, n_partitions
 ):
     """Refreshing an edited conversation's partition must leave the same
     merged index as a fresh build of the edited input, also when the
     refresh recreates a wave under its old name (each refresh of the
-    same conversation recreates its ``p-…`` wave).  The merge is keyed
-    on wave commit ids, not wave names."""
+    same conversation recreates its ``p-…`` wave; with one partition
+    that wave is the whole index).  The merge is keyed on wave commit
+    ids, not wave names."""
     from raysearch.build import build_index, rebuild_partition
     from raysearch.gen import conv_name
 
     corpus = str(tmp_path / "corpus")
     shutil.copytree(tiny_corpus, corpus)
     index = str(tmp_path / "index")
-    build_index(corpus, index, mode="latin", n_partitions=4)
+    build_index(corpus, index, mode="latin", n_partitions=n_partitions)
     conv = conv_name(7)
     for word in ("quokka", "wombat"):
         _append_to_first_turn(corpus, conv, word)
         rebuild_partition(corpus, index, conv_id=conv)
         assert word in {r[0] for r in _lexicon_rows(index)}, word
     fresh = str(tmp_path / "fresh")
-    build_index(corpus, fresh, mode="latin", n_partitions=4)
+    build_index(corpus, fresh, mode="latin", n_partitions=n_partitions)
     assert _lexicon_rows(index) == _lexicon_rows(fresh)
     assert _postings_rows(index) == _postings_rows(fresh)
 
