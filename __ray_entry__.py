@@ -95,7 +95,7 @@ def _index_current(index: str) -> bool:
         meta = json.load(f)
     return (
         meta.get("format") == INDEX_FORMAT
-        and len(meta["waves"]) == meta["n_partitions"]
+        and meta.get("n_waves") == meta["n_partitions"]
     )
 
 

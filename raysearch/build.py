@@ -29,7 +29,12 @@ The merge writes everything a searcher opens: ``lexicon.parquet`` (df, cf
 and each term's posting bucket and row-group range) and one
 doc_id-ordered ``doclens.parquet``, besides the build's
 ``conv_offsets.parquet``; ``meta.json`` names the layout
-(``INDEX_FORMAT``).
+(``INDEX_FORMAT``).  Each partition task also writes its turns' raw
+(doc_id, role, text) once, as a doc_id-ordered uncompressed Arrow IPC
+file (``docs.arrow``, ``DOC_BATCH_ROWS``-row record batches); the merge
+hard-links every wave's file into ``merged/docs/``, so results render
+from the index, a refresh copies no text, and a searcher's text comes
+from the same ``merged/`` swap as its scores.
 
 Deterministic doc_id: dense rank under stable (conv_id, turn_idx)
 order, realized WITHOUT a global sort — conv offsets are computed from
@@ -47,13 +52,13 @@ re-chunks them at ``MAX_CHUNK`` docs, so no single allocation scales
 with global df (SURVEY §4, "Skew / hot keys").
 
 Checkpoint/resume: the unit of commit is the partition.  Each
-partition task writes its segments, doc lengths and a manifest
-(lineage: input files, row counts, wall time, a unique commit id) into
-``waves/_tmp_p-NNNNN`` and, as its last act, atomically renames it to
-``waves/p-NNNNN``.  A wave dir without the ``_tmp_`` prefix is complete
-by invariant; resume skips partitions that have one, so a stopped
-build keeps every partition it finished, and evicting a partition is a
-rename plus a directory delete.  The merge is keyed on the commit ids
+partition task writes its segments, doc lengths, doc store and a
+manifest (lineage: input files, row counts, wall time, a unique commit
+id) into ``waves/_tmp_p-NNNNN`` and, as its last act, atomically
+renames it to ``waves/p-NNNNN``.  A wave dir without the ``_tmp_``
+prefix is complete by invariant; resume skips partitions that have
+one, so a stopped build keeps every partition it finished, and
+evicting a partition is a rename plus a directory delete.  The merge is keyed on the commit ids
 of the waves it read, so it reruns whenever any wave was rewritten —
 even under the same wave name — and is idempotent (tmp + rename); this
 mirrors & replaces the reference's destructive re-init
@@ -63,6 +68,7 @@ mirrors & replaces the reference's destructive re-init
 from __future__ import annotations
 
 import glob
+import hashlib
 import json
 import os
 import shutil
@@ -81,7 +87,14 @@ MAX_CHUNK = 1 << 20  # max docs per merged posting row (bounds allocations)
 DEFAULT_BUCKETS = 64
 #: posting layout version in ``merged/meta.json`` and every wave
 #: manifest; searchers refuse other indexes, the build recomputes other waves
-INDEX_FORMAT = 3
+INDEX_FORMAT = 4
+#: rows per record batch of a wave's doc store: a searcher reads doc row
+#: ``r`` of a file as batch ``r // DOC_BATCH_ROWS``
+DOC_BATCH_ROWS = 256
+#: a wave's doc store: each turn's raw input role and text, doc_id order
+DOC_STORE_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("role", pa.string()), ("text", pa.string())]
+)
 
 
 def term_bucket(term: str, buckets: int) -> int:
@@ -193,8 +206,8 @@ def compute_conv_offsets(files: list[str], validate: bool = False):
 
 def file_conv_ranges(files: list[str]) -> list[dict]:
     """Per-file conv_id min/max from parquet footer statistics — used by
-    the doc-fetch path (M9 analog: title/text lookup without network,
-    SearchServiceImpl.java:82-94 → point read with predicate pushdown)."""
+    :func:`partitions_of` to find the partitions a conversation's
+    refresh must rebuild."""
     out = []
     for path in files:
         md = pq.ParquetFile(path).metadata
@@ -434,9 +447,11 @@ def build_partition_task(
     No shuffle: a partition's postings never leave the worker (the
     partition is file-determined, SURVEY §4 skew note); the only
     all-to-all in the build is the merge over segment rows.
-    Each partition commits itself: segments, doc lengths and its
-    manifest (lineage and metrics) go into ``waves/_tmp_p-NNNNN``, which
-    is renamed to ``waves/p-NNNNN`` as the task's last act.  A Ray retry
+    Each partition commits itself: segments, doc lengths, its doc store
+    (``docs.arrow``: the raw role and text of its turns in doc_id order,
+    never rewritten once committed) and its manifest (lineage and
+    metrics) go into ``waves/_tmp_p-NNNNN``, which is renamed to
+    ``waves/p-NNNNN`` as the task's last act.  A Ray retry
     starts by deleting the tmp dir, so it is idempotent.  Returns the
     committed partition ids."""
     key = (
@@ -472,6 +487,8 @@ def build_partition_task(
         tf_buf: list[np.ndarray] = []
         dl_doc: list[np.ndarray] = []
         dl_len: list[np.ndarray] = []
+        doc_role: list[pa.Array] = []
+        doc_text: list[pa.Array] = []
         n_buf = 0
         flush_i = 0
         n_postings = 0
@@ -503,13 +520,19 @@ def build_partition_task(
 
         for path in files:
             pf = pq.ParquetFile(path)
+            has_role = "role" in pf.schema_arrow.names
             for rb in pf.iter_batches(
-                batch_size=read_batch_rows, columns=["conv_id", "turn_idx", "text"]
+                batch_size=read_batch_rows,
+                columns=["conv_id", "turn_idx", "text"] + (["role"] if has_role else []),
             ):
                 tbl = pa.Table.from_batches([rb])
                 doc_ids, doc_len, p_row, ucodes, p_tf, uniq = tok.explode_arrays(
                     tbl
                 )
+                doc_role.append(
+                    rb.column("role") if has_role else pa.nulls(rb.num_rows, pa.string())
+                )
+                doc_text.append(rb.column("text"))
                 if len(ucodes):
                     remap = np.empty(len(uniq), dtype=np.int64)
                     for i, t in enumerate(uniq):
@@ -542,6 +565,9 @@ def build_partition_task(
             ),
             os.path.join(tmp, "doclens", f"pid-{pid:05d}.parquet"),
         )
+        _write_doc_store(
+            os.path.join(tmp, "docs.arrow"), docs, doc_role, doc_text
+        )
         wall_s = round(time.monotonic() - t0, 3)
         stats = {
             "files": files,
@@ -566,6 +592,30 @@ def build_partition_task(
         os.replace(tmp, wave)
         done.append(pid)
     return pa.table({"partition_id": pa.array(done, pa.int64())})
+
+
+def _write_doc_store(
+    path: str,
+    doc_ids: np.ndarray,
+    roles: list[pa.Array],
+    texts: list[pa.Array],
+) -> None:
+    """Write a partition's turns as an uncompressed Arrow IPC file in
+    doc_id order, ``DOC_BATCH_ROWS`` rows per record batch, so a
+    searcher memory-maps it and slices one row out of one batch.  The
+    text is the raw input text (before any markup strip): what a
+    result renders."""
+
+    def column(parts: list[pa.Array]) -> pa.ChunkedArray:
+        return pa.chunked_array([p.cast(pa.string()) for p in parts], pa.string())
+
+    table = pa.table(
+        [pa.array(doc_ids, pa.int64()), column(roles), column(texts)],
+        schema=DOC_STORE_SCHEMA,
+    )
+    table = table.take(np.argsort(doc_ids, kind="stable")).combine_chunks()
+    with pa.ipc.new_file(path, DOC_STORE_SCHEMA) as writer:
+        writer.write_table(table, max_chunksize=DOC_BATCH_ROWS)
 
 
 def _segment_schema() -> pa.Schema:
@@ -903,6 +953,13 @@ def _atomic_write_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def _waves_digest(waves: dict[str, str | None]) -> str:
+    """sha256 of the wave name → commit id map: what ``meta.json``
+    keeps of the merge's inputs, so its size does not grow with the
+    partition count (the merge checkpoint keeps the full map)."""
+    return hashlib.sha256(json.dumps(sorted(waves.items())).encode()).hexdigest()
+
+
 def _committed_partitions(
     out_dir: str,
 ) -> tuple[dict[int, str], dict[str, str | None]]:
@@ -1032,6 +1089,11 @@ def build_index(
     from every partition it finished.  ``spill_rows`` bounds a
     partition task's posting buffer, ``read_batch_rows`` its parquet
     read batches, and ``max_chunk`` the docs per merged posting row.
+    The merge publishes ``merged/`` in one rename: postings, lexicon,
+    doc lengths and ``docs/`` (hard links to the waves' doc stores).
+    ``meta.json`` keeps a digest of the wave → commit map it was merged
+    from (``waves_digest``, with ``n_waves``), and a build whose waves
+    match it skips the merge.
     """
     import ray
     import ray.data as rd
@@ -1129,7 +1191,10 @@ def build_index(
     if os.path.exists(meta_path):
         with open(meta_path) as f:
             meta = json.load(f)
-        if meta.get("waves") == waves and meta.get("format") == INDEX_FORMAT:
+        if (
+            meta.get("waves_digest") == _waves_digest(waves)
+            and meta.get("format") == INDEX_FORMAT
+        ):
             return meta
     # merge checkpoint: keep a partially-completed _tmp_merged (its
     # bucket files are atomic) when it was built from the SAME wave
@@ -1143,7 +1208,7 @@ def build_index(
             keep = json.load(f) == merge_inputs
     if not keep:
         shutil.rmtree(merged_tmp, ignore_errors=True)
-        for sub in ("postings", "lexparts", "convlex"):
+        for sub in ("postings", "lexparts", "convlex", "docs"):
             os.makedirs(os.path.join(merged_tmp, sub))
         _atomic_write_json(merge_ckpt, merge_inputs)
 
@@ -1191,6 +1256,13 @@ def build_index(
         use_dictionary=["doc_len"],
         column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
     )
+    # doc store: each wave's file, hard-linked (no text is copied, and
+    # the text stays with the scores it was committed with when the
+    # wave is later evicted); a kept checkpoint already holds some links
+    for wname in waves:
+        dst = os.path.join(merged_tmp, "docs", wname + ".arrow")
+        if not os.path.exists(dst):
+            os.link(os.path.join(out_dir, "waves", wname, "docs.arrow"), dst)
     stage_times["lexicon"] = round(time.monotonic() - t_m0 - stage_times["merge"], 3)
     meta = {
         "format": INDEX_FORMAT,
@@ -1201,7 +1273,8 @@ def build_index(
         "mode": mode,
         "buckets": buckets,
         "n_partitions": n_partitions,
-        "waves": waves,
+        "n_waves": len(waves),
+        "waves_digest": _waves_digest(waves),
         "conv_lemmas": True,
         "build_wall_s": round(time.monotonic() - t_start, 3),
         "stage_times": stage_times,

@@ -16,9 +16,14 @@ a fetch is a row-group read plus a list flatten: Parquet's own
 decoder is the only posting decode.
 
 The candidate semantics + scorers live in scoring.py and are shared
-verbatim with the oracle; doc text fetch for snippets is a point read
-into the original transcript parquet with predicate pushdown instead of
-the reference's live HTTP re-fetch (SearchServiceImpl.java:82-94, M9).
+verbatim with the oracle.  A result's role and snippet text come from
+the index's doc store (``merged/docs/``: one doc_id-ordered Arrow IPC
+file per committed wave, hard-linked by the merge), memory-mapped on
+the first fetch; a doc is a ``searchsorted`` plus a record-batch slice,
+not a re-read of the input parquet.  The text is the one committed
+with the doc's scores, where the reference re-fetches the live page
+(SearchServiceImpl.java:82-94, M9): an input edit shows only after its
+partition is rebuilt.
 
 Posting cache: one byte-bounded LRU keyed by term holds each decoded
 posting list together with its per-``BLOCK``-doc tf maxima, computed
@@ -33,6 +38,7 @@ skip blocks that cannot reach the current heap threshold.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 from collections import OrderedDict
@@ -41,9 +47,16 @@ from dataclasses import dataclass
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.ipc as ipc
 import pyarrow.parquet as pq
 
-from raysearch.build import INDEX_FORMAT, decode_postings, term_bucket
+from raysearch.build import (
+    DOC_BATCH_ROWS,
+    DOC_STORE_SCHEMA,
+    INDEX_FORMAT,
+    decode_postings,
+    term_bucket,
+)
 from raysearch.lex import Lexer, validate_query
 from raysearch.scoring import (
     BM25_B,
@@ -139,7 +152,7 @@ class IndexSearcher:
         self._lex_index: dict[str, int] = {}
         self._lex_terms: list[str] = []
         self._lex_df = np.empty(0, dtype=np.int64)
-        self._by_len: tuple[np.ndarray, np.ndarray] | None = None
+        self._by_len: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if self._lazy:
             self._lexparts_dir = os.path.join(merged, "lexparts")
             self._bucket_cache: OrderedDict[int, dict[str, tuple]] = OrderedDict()
@@ -183,8 +196,7 @@ class IndexSearcher:
         self._conv_offsets = offsets["offset"].to_numpy()
         self._conv_turns = offsets["n_turns"].to_numpy()
         self._conv_index = {c: i for i, c in enumerate(self._conv_ids)}
-        with open(os.path.join(index_dir, "input_meta.json")) as f:
-            self._input_meta = json.load(f)
+        self._docs: tuple[list, np.ndarray, np.ndarray] | None = None
 
     # -- lexicon access (lazy per-bucket slices vs full arrays) ------------
 
@@ -427,7 +439,7 @@ class IndexSearcher:
         scores = self._score_union(docs, infos)
         return rank_results(docs, scores, k)
 
-    # -- doc fetch (M9 analog: no network, predicate-pushdown point read) --
+    # -- doc fetch (M9 analog: a slice of the committed doc store) --------
 
     def doc_locate(self, doc_id: int) -> tuple[str, int]:
         """doc_id → (conv_id, turn_idx) via the conv-offset table
@@ -439,48 +451,49 @@ class IndexSearcher:
             raise KeyError(f"doc_id {doc_id} out of range")
         return conv, int(turn)
 
+    def _doc_store(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """(one IPC reader per ``merged/docs`` file, the files' first
+        global rows, doc_id → global row), opened on the first fetch:
+        the files are memory-mapped, so only the doc_id columns are
+        read here."""
+        if self._docs is None:
+            docs_dir = os.path.join(self.index_dir, "merged", "docs")
+            paths = sorted(glob.glob(os.path.join(docs_dir, "*.arrow")))
+            readers = [ipc.open_file(pa.memory_map(p)) for p in paths]
+            ids = [r.read_all()["doc_id"].to_numpy() for r in readers]
+            starts = np.cumsum([0] + [len(i) for i in ids])
+            row_of = np.full(self.n_docs, -1, dtype=np.int64)
+            if ids:
+                row_of[np.concatenate(ids)] = np.arange(starts[-1])
+            if starts[-1] != self.n_docs or (row_of < 0).any():
+                raise ValueError(f"{docs_dir} does not hold every doc_id once")
+            self._docs = (readers, starts, row_of)
+        return self._docs
+
     def fetch_docs(self, doc_ids: list[int]) -> pa.Table:
-        """Point-read turn rows for result rendering; prunes fragments
-        by the per-file conv ranges captured at build time and pushes
-        (conv_id, turn_idx) filters into parquet."""
-        wanted = [(d, *self.doc_locate(d)) for d in doc_ids]
-        by_file: dict[str, list[tuple[int, str, int]]] = {}
-        ranges = self._input_meta["file_ranges"]
-        for d, conv, turn in wanted:
-            for fr in ranges:
-                if (fr["conv_min"] is None or fr["conv_min"] <= conv) and (
-                    fr["conv_max"] is None or conv <= fr["conv_max"]
-                ):
-                    by_file.setdefault(fr["path"], []).append((d, conv, turn))
-        tables = []
-        for path, rows in by_file.items():
-            convs = sorted({c for _, c, _ in rows})
-            t = pq.read_table(
-                path,
-                columns=["conv_id", "turn_idx", "role", "text"],
-                filters=[("conv_id", "in", convs)],
-            )
-            wanted_keys = {(c2, t2) for _, c2, t2 in rows}  # hoisted: O(rows+wanted)
-            key_ok = pa.array(
-                [
-                    (c, tu) in wanted_keys
-                    for c, tu in zip(_pylist(t["conv_id"]), _pylist(t["turn_idx"]))
-                ]
-            )
-            tables.append(t.filter(key_ok))
-        if not tables:
-            return pa.table({})
-        out = pa.concat_tables(tables)
-        # attach doc_id and order as requested
-        idx = {
-            (c, tu): i
-            for i, (c, tu) in enumerate(
-                zip(_pylist(out["conv_id"]), _pylist(out["turn_idx"]))
-            )
-        }
-        found = [(d, c, tu) for d, c, tu in wanted if (c, tu) in idx]
-        out = out.take([idx[(c, tu)] for _, c, tu in found])
-        return out.append_column("doc_id", pa.array([d for d, _, _ in found], pa.int64()))
+        """Turn rows (conv_id, turn_idx, role, text, doc_id) for result
+        rendering, in request order: each doc is one row sliced out of
+        one record batch of its wave's memory-mapped doc store."""
+        located = [self.doc_locate(d) for d in doc_ids]
+        readers, starts, row_of = self._doc_store()
+        rows = row_of[np.asarray(doc_ids, dtype=np.int64)]
+        files = np.searchsorted(starts, rows, side="right") - 1
+        docs = pa.Table.from_batches(
+            [
+                readers[f].get_batch(r // DOC_BATCH_ROWS).slice(r % DOC_BATCH_ROWS, 1)
+                for f, r in zip(files.tolist(), (rows - starts[files]).tolist())
+            ],
+            schema=DOC_STORE_SCHEMA,
+        )
+        return pa.table(
+            {
+                "conv_id": pa.array([c for c, _ in located], pa.string()),
+                "turn_idx": pa.array([t for _, t in located], pa.int32()),
+                "role": docs["role"],
+                "text": docs["text"],
+                "doc_id": docs["doc_id"],
+            }
+        )
 
     # -- full response (SearchData analog, dto/search/SearchData.java:6-13) --
 
@@ -490,11 +503,20 @@ class IndexSearcher:
         (same ranking: Levenshtein distance asc, df desc, term asc;
         the banded capped DP from ``dedup._lev_capped``).  Only terms
         whose length is within ``max_d`` of the query's can qualify,
-        so the lexicon is grouped by term length once, on first use,
-        and each request runs the DP over that length window alone.
+        and only those whose code-point histogram is within L1 ``2 *
+        max_d`` of the query's (a substitution moves two histogram
+        units, an insert or delete one: the bound
+        ``dedup.edit_distance_pairs`` prunes with).  So the lexicon is
+        grouped by term length once, on first use, with one int16
+        histogram per term (129 bins, 258 bytes a term), and each
+        request runs the DP on the survivors of one length window.
         In lazy-lexicon mode the full lexicon parquet is read then too
         — suggestion is a miss-path feature, not per-query work."""
-        from raysearch.pipelines.dedup import _lev_capped
+        from raysearch.pipelines.dedup import _char_hists, _lev_capped
+
+        def hists(terms: list[str]) -> np.ndarray:
+            # clipping both sides keeps the L1 bound a lower bound
+            return np.minimum(_char_hists(terms), np.iinfo(np.int16).max)
 
         q = term.lower()
         if self._by_len is None:
@@ -507,11 +529,13 @@ class IndexSearcher:
                 self._lex_df = lex["df"].to_numpy()
             lens = np.array([len(t) for t in self._lex_terms], dtype=np.int64)
             order = np.argsort(lens, kind="stable")
-            self._by_len = (lens[order], order)
-        lens, order = self._by_len
+            term_hists = hists([self._lex_terms[i] for i in order]).astype(np.int16)
+            self._by_len = (lens[order], order, term_hists)
+        lens, order, term_hists = self._by_len
         lo, hi = np.searchsorted(lens, [len(q) - max_d, len(q) + max_d + 1])
+        l1 = np.abs(term_hists[lo:hi] - hists([q])[0]).sum(axis=1)
         out = []
-        for i in order[lo:hi].tolist():
+        for i in order[lo:hi][l1 <= 2 * max_d].tolist():
             t = self._lex_terms[i]
             d = _lev_capped(q, t, max_d)
             if d <= max_d:
@@ -555,30 +579,21 @@ class IndexSearcher:
                 query, k=offset + k, scope=scope, scorer=scorer
             )
         ids, scores = ids[offset : offset + k], scores[offset : offset + k]
-        docs = self.fetch_docs(ids.tolist()) if len(ids) else pa.table({})
-        # a turn missing from the input renders empty; rows are matched
-        # by doc_id, so it cannot shift the other results
-        row_of = (
-            {d: i for i, d in enumerate(docs["doc_id"].to_pylist())}
-            if docs.num_rows
-            else {}
-        )
+        docs = self.fetch_docs(ids.tolist())
         query_lemmas = self.query_terms(query)
-        data = []
-        for doc_id, score in zip(ids.tolist(), scores.tolist()):
-            r = row_of.get(doc_id)
-            text = "" if r is None else docs["text"][r].as_py()
-            conv, turn = self.doc_locate(doc_id)
-            data.append(
-                {
-                    "conv_id": conv,
-                    "turn_idx": turn,
-                    "doc_id": doc_id,
-                    "role": "" if r is None else docs["role"][r].as_py(),
-                    "snippet": build_snippet(text, list(query_lemmas), self.lexer),
-                    "relevance": score,
-                }
+        data = [
+            {
+                "conv_id": conv,
+                "turn_idx": turn,
+                "doc_id": doc_id,
+                "role": role,
+                "snippet": build_snippet(text, list(query_lemmas), self.lexer),
+                "relevance": score,
+            }
+            for conv, turn, role, text, doc_id, score in zip(
+                *(_pylist(docs[c]) for c in docs.column_names), scores.tolist()
             )
+        ]
         return {"result": True, "count": total, "data": data}
 
 

@@ -109,23 +109,68 @@ def test_doc_lens_match(searcher, oracle):
     assert searcher.doc_lens.tolist() == oracle.doc_lens.tolist()
 
 
-def test_text_equality_invariant(built, searcher):
-    """Per-turn text byte-identity under stable (conv_id, turn_idx)
-    order (BASELINE.json input_hint per-row invariant)."""
+def _input_rows(corpus: str) -> list[tuple]:
+    """(conv_id, turn_idx, role, text) of every input turn, in doc_id
+    order (stable (conv_id, turn_idx) order)."""
     import duckdb
 
-    corpus = built[0]
-    rows = duckdb.sql(
-        f"SELECT conv_id, turn_idx, text FROM read_parquet('{corpus}/*.parquet') "
+    return duckdb.sql(
+        f"SELECT conv_id, turn_idx, role, text FROM read_parquet('{corpus}/*.parquet') "
         f"ORDER BY conv_id, turn_idx"
     ).fetchall()
-    sample = list(range(0, len(rows), max(1, len(rows) // 40)))
-    docs = searcher.fetch_docs(sample)
-    for i, doc_id in enumerate(sample):
-        conv, turn, text = rows[doc_id]
-        assert docs["conv_id"][i].as_py() == conv
-        assert docs["turn_idx"][i].as_py() == turn
-        assert docs["text"][i].as_py() == text  # byte-identical
+
+
+def _doc_rows(searcher) -> list[tuple]:
+    docs = searcher.fetch_docs(list(range(searcher.n_docs)))
+    assert docs["doc_id"].to_pylist() == list(range(searcher.n_docs))
+    return list(
+        zip(*(docs[c].to_pylist() for c in ("conv_id", "turn_idx", "role", "text")))
+    )
+
+
+def test_text_equality_invariant(ray_session, small_corpus, tmp_path):
+    """Per-turn text byte-identity under stable (conv_id, turn_idx)
+    order (BASELINE.json input_hint per-row invariant): every doc's
+    conv_id, turn_idx, role and text, at one and three partitions."""
+    from raysearch.build import build_index
+    from raysearch.search import IndexSearcher
+
+    rows = _input_rows(small_corpus)
+    for n_partitions in (1, 3):
+        out = str(tmp_path / f"idx{n_partitions}")
+        build_index(small_corpus, out, mode="latin", n_partitions=n_partitions)
+        assert _doc_rows(IndexSearcher(out)) == rows, n_partitions  # byte-identical
+
+
+def test_conversation_split_across_partitions_renders(
+    ray_session, small_corpus, tmp_path
+):
+    """A conversation whose turns straddle two input files (so two
+    partitions, two doc stores) renders every turn byte-identically."""
+    import pyarrow.parquet as pq
+
+    from raysearch.build import build_index
+    from raysearch.search import IndexSearcher
+
+    table = pq.read_table(small_corpus).sort_by(
+        [("conv_id", "ascending"), ("turn_idx", "ascending")]
+    )
+    convs = table["conv_id"].to_pylist()
+    cut = table.num_rows // 2
+    while convs[cut - 1] != convs[cut]:
+        cut += 1
+    corpus = tmp_path / "split"
+    corpus.mkdir()
+    pq.write_table(table.slice(0, cut), str(corpus / "part-0.parquet"))
+    pq.write_table(table.slice(cut), str(corpus / "part-1.parquet"))
+    out = str(tmp_path / "idx")
+    build_index(str(corpus), out, mode="latin", n_partitions=2)
+    s = IndexSearcher(out)
+    readers, starts, row_of = s._doc_store()
+    assert len(readers) == 2
+    lo, hi = s.conv_range(convs[cut])
+    assert lo < cut < hi  # the conversation's docs live in both files
+    assert _doc_rows(s) == _input_rows(str(corpus))
 
 
 def test_partition_count_invariance(ray_session, small_corpus, tmp_path, oracle):

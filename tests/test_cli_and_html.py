@@ -11,7 +11,8 @@ import pytest
 
 def test_html_strip_build(ray_session, tmp_path):
     """strip_html=True: markup in turn text is removed before
-    tokenization (M1 analog), entities decoded."""
+    tokenization (M1 analog), entities decoded; the doc store keeps the
+    raw text."""
     from raysearch.build import build_index
     from raysearch.search import IndexSearcher
 
@@ -41,6 +42,13 @@ def test_html_strip_build(ray_session, tmp_path):
     assert not {"p", "b", "amp"} & lex
     ids, _, total = s.search("beta", k=5, scorer="bm25")
     assert total == 1 and ids.tolist() == [0]
+    # results render the raw input text, markup included; the input
+    # has no role column, so role is null
+    docs = s.fetch_docs([2, 0, 1])
+    assert docs["text"].to_pylist() == [
+        "plain epsilon", "<p>alpha <b>beta</b></p>", "gamma &amp; delta"
+    ]
+    assert docs["role"].to_pylist() == [None] * 3
 
 
 def test_cli_search_stats_rebuild(ray_session, tiny_corpus, tmp_path, capsys):

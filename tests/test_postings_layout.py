@@ -233,43 +233,57 @@ def test_posting_files_are_delta_packed(wave_index):
 
 
 def _merged_tables(index: str) -> dict[str, pa.Table]:
+    """Every parquet file and doc store under ``merged/``, by path."""
     merged = os.path.join(index, "merged")
-    return {
+    out = {
         os.path.relpath(p, merged): pq.read_table(p)
         for p in glob.glob(os.path.join(merged, "**", "*.parquet"), recursive=True)
     }
+    for p in glob.glob(os.path.join(merged, "docs", "*.arrow")):
+        out[os.path.relpath(p, merged)] = pa.ipc.open_file(p).read_all()
+    return out
 
 
 def test_resume_recomputes_wave_of_old_format(wave_index, tmp_path):
-    """A wave whose manifest names posting format 2 (byte-string
-    segments) is rebuilt on resume, and only that wave; the merged
-    index then equals a fresh build's."""
+    """A wave whose manifest names an older format is rebuilt on
+    resume, and only that wave; the merged index then equals a fresh
+    build's.  Format 2 held byte-string segments; format 3 had no doc
+    store (``docs.arrow``)."""
     from raysearch.build import INDEX_FORMAT, build_index
 
     corpus, index = wave_index
-    old = str(tmp_path / "old")
-    shutil.copytree(index, old)
-    waves = sorted(glob.glob(os.path.join(old, "waves", "*")))
-    assert len(waves) == 4
-    stale = waves[1]
-    with open(os.path.join(stale, "manifest.json")) as f:
-        manifest = json.load(f)
-    manifest["format"] = 2
-    with open(os.path.join(stale, "manifest.json"), "w") as f:
-        json.dump(manifest, f)
-    for seg in glob.glob(os.path.join(stale, "segments", "*.parquet")):
-        t = pq.read_table(seg, columns=["term", "partition_id", "bucket"])
-        blobs = pa.array([b"\x01"] * t.num_rows, pa.binary())
-        pq.write_table(t.append_column("docs", blobs).append_column("tfs", blobs), seg)
-    kept = {w: os.path.getmtime(w) for w in waves if w != stale}
+    want = _merged_tables(index)
+    assert sum(name.startswith("docs" + os.sep) for name in want) == 4
+    for stale_format in (2, 3):
+        old = str(tmp_path / f"old{stale_format}")
+        shutil.copytree(index, old)
+        waves = sorted(glob.glob(os.path.join(old, "waves", "*")))
+        assert len(waves) == 4
+        stale = waves[1]
+        with open(os.path.join(stale, "manifest.json")) as f:
+            manifest = json.load(f)
+        manifest["format"] = stale_format
+        with open(os.path.join(stale, "manifest.json"), "w") as f:
+            json.dump(manifest, f)
+        if stale_format == 2:
+            for seg in glob.glob(os.path.join(stale, "segments", "*.parquet")):
+                t = pq.read_table(seg, columns=["term", "partition_id", "bucket"])
+                blobs = pa.array([b"\x01"] * t.num_rows, pa.binary())
+                pq.write_table(
+                    t.append_column("docs", blobs).append_column("tfs", blobs), seg
+                )
+        else:
+            os.remove(os.path.join(stale, "docs.arrow"))
+        kept = {w: os.path.getmtime(w) for w in waves if w != stale}
 
-    build_index(corpus, old, mode="latin", n_partitions=4)
+        build_index(corpus, old, mode="latin", n_partitions=4)
 
-    for w, m in kept.items():
-        assert os.path.getmtime(w) == m, f"wave {w} was recomputed"
-    with open(os.path.join(stale, "manifest.json")) as f:
-        assert json.load(f)["format"] == INDEX_FORMAT
-    got, want = _merged_tables(old), _merged_tables(index)
-    assert sorted(got) == sorted(want)
-    for name, table in want.items():
-        assert got[name].equals(table), name
+        for w, m in kept.items():
+            assert os.path.getmtime(w) == m, f"wave {w} was recomputed"
+        with open(os.path.join(stale, "manifest.json")) as f:
+            assert json.load(f)["format"] == INDEX_FORMAT
+        assert os.path.isfile(os.path.join(stale, "docs.arrow"))
+        got = _merged_tables(old)
+        assert sorted(got) == sorted(want)
+        for name, table in want.items():
+            assert got[name].equals(table), (stale_format, name)

@@ -249,6 +249,12 @@ def test_refresh_after_input_edit_matches_fresh_build(
     build_index(corpus, fresh, mode="latin", n_partitions=n_partitions)
     assert _lexicon_rows(index) == _lexicon_rows(fresh)
     assert _postings_rows(index) == _postings_rows(fresh)
+    from raysearch.search import IndexSearcher
+
+    got, want = IndexSearcher(index), IndexSearcher(fresh)
+    assert got.n_docs == want.n_docs
+    all_docs = list(range(want.n_docs))
+    assert got.fetch_docs(all_docs).equals(want.fetch_docs(all_docs))
 
 
 def test_merge_skipped_when_up_to_date(two_indexes):
@@ -265,6 +271,29 @@ def test_merge_skipped_when_up_to_date(two_indexes):
         for p in glob.glob(os.path.join(full, "merged", "postings", "*.parquet"))
     )
     assert mtime == mtime2
+
+
+def test_meta_size_is_flat_in_partition_count(ray_session, tmp_path):
+    """``meta.json``, which every searcher open parses, keeps a digest
+    of the wave → commit map, not the map: at 2 and 8 partitions it
+    has the same size once its timings are dropped."""
+    from raysearch.build import build_index
+    from raysearch.gen import write_corpus
+
+    corpus = str(tmp_path / "corpus")
+    write_corpus(corpus, n_convs=16, avg_turns=4, avg_tokens=10, seed=3, n_files=8)
+    sizes = {}
+    for n in (2, 8):
+        out = str(tmp_path / f"idx{n}")
+        meta = build_index(corpus, out, mode="latin", n_partitions=n)
+        assert meta["n_waves"] == n and "waves" not in meta
+        with open(os.path.join(out, "merged", "meta.json")) as f:
+            on_disk = json.load(f)
+        assert on_disk == json.loads(json.dumps(meta))
+        for timing in ("build_wall_s", "stage_times"):
+            on_disk.pop(timing)
+        sizes[n] = len(json.dumps(on_disk, indent=1))
+    assert sizes[2] == sizes[8]
 
 
 def test_sigterm_midbuild_then_resume(ray_session, tiny_corpus, tmp_path):

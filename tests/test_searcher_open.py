@@ -3,7 +3,8 @@
 * an eager searcher opens in three table reads (lexicon, doc lengths,
   conv offsets) and a lazy one reads one lexicon slice per bucket;
 * a shard's doc lengths are the matching slice of the full array;
-* a turn missing from the input blanks its own result only;
+* a result's text is the committed snapshot, not the live input, and
+  a warm response reads no parquet file;
 * ``suggest`` ranks exactly like a scan of the whole lexicon;
 * ``trending_terms`` keys do not overflow on a large batch vocabulary.
 """
@@ -92,14 +93,35 @@ def test_shard_doc_lens_are_full_slice(built):
             assert np.array_equal(shard.doc_norms, full.doc_norms[lo:hi])
 
 
-def test_missing_turn_blanks_only_its_result(ray_session, tiny_corpus, tmp_path):
-    """A matched turn deleted from the input after the build renders
-    with an empty role and snippet; every other result keeps its own
-    text (rows are matched by doc_id, not position)."""
+def _edit_turn(corpus: str, conv_id: str, turn_idx: int, text: str) -> None:
+    """Replace one turn's text in the input, in place."""
+    import pyarrow as pa
     import pyarrow.compute as pc
 
-    from raysearch.build import build_index
+    for path in sorted(glob.glob(os.path.join(corpus, "*.parquet"))):
+        t = pq.read_table(path)
+        hit = pc.and_(pc.equal(t["conv_id"], conv_id), pc.equal(t["turn_idx"], turn_idx))
+        if pc.any(hit).as_py():
+            i = t.schema.get_field_index("text")
+            new = pc.if_else(hit, pa.scalar(text, t.schema.field(i).type), t["text"])
+            pq.write_table(t.set_column(i, t.schema.field(i), new), path)
+            return
+    raise AssertionError("turn not found in the input")
+
+
+def test_result_text_is_the_committed_snapshot(ray_session, tiny_corpus, tmp_path):
+    """A result's text is the one committed with its scores: an input
+    edit after the build changes no response (snippet included), a
+    wave evicted under an open searcher keeps its text there, and a
+    refresh of the conversation moves snippet and score together."""
+    from raysearch.build import (
+        build_index,
+        evict_partition,
+        partitions_of,
+        rebuild_partition,
+    )
     from raysearch.search import IndexSearcher
+    from raysearch.snippet import build_snippet
 
     corpus = str(tmp_path / "corpus")
     shutil.copytree(tiny_corpus, corpus)
@@ -110,30 +132,58 @@ def test_missing_turn_blanks_only_its_result(ray_session, tiny_corpus, tmp_path)
         q for q in (LEMMAS[3], LEMMAS[5], LEMMAS[8], LEMMAS[10])
         if len(s.search(q, k=10)[0]) >= 5
     )
-    before = s.search_response(query, k=10)["data"]
-    gone = before[2]
+    before = s.search_response(query, k=10)
+    hit = before["data"][2]
+    old_text = s.fetch_docs([hit["doc_id"]])["text"][0].as_py()
+    new_text = f"quokka {query} {old_text} {query}"
+    _edit_turn(corpus, hit["conv_id"], hit["turn_idx"], new_text)
 
-    for path in sorted(glob.glob(os.path.join(corpus, "*.parquet"))):
-        t = pq.read_table(path)
-        keep = pc.invert(
-            pc.and_(
-                pc.equal(t["conv_id"], gone["conv_id"]),
-                pc.equal(t["turn_idx"], gone["turn_idx"]),
-            )
-        )
-        if not pc.all(keep).as_py():
-            pq.write_table(t.filter(keep), path)
-            break
-    else:
-        raise AssertionError("matched turn not found in the input")
+    assert s.search_response(query, k=10) == before
+    assert IndexSearcher(index).search_response(query, k=10) == before
 
-    after = s.search_response(query, k=10)["data"]
-    assert [r["doc_id"] for r in after] == [r["doc_id"] for r in before]
-    for b, a in zip(before, after):
-        if b["doc_id"] == gone["doc_id"]:
-            assert a["role"] == "" and a["snippet"] == ""
-        else:
-            assert a == b
+    # evict the edited turn's wave under two open searchers, one whose
+    # doc store is already mapped and one that maps it afterwards
+    unmapped = IndexSearcher(index)
+    for pid in partitions_of(index, hit["conv_id"]):
+        assert evict_partition(index, pid) is not None
+    for searcher in (s, unmapped):
+        assert searcher.fetch_docs([hit["doc_id"]])["text"][0].as_py() == old_text
+        assert searcher.search_response(query, k=10) == before
+
+    rebuild_partition(corpus, index, conv_id=hit["conv_id"])
+    assert s.fetch_docs([hit["doc_id"]])["text"][0].as_py() == old_text
+    fresh = str(tmp_path / "fresh")
+    build_index(corpus, fresh, mode="latin", n_partitions=2)
+    after = IndexSearcher(index).search_response(query, k=10)
+    assert after == IndexSearcher(fresh).search_response(query, k=10)
+    row = next(r for r in after["data"] if r["doc_id"] == hit["doc_id"])
+    assert row["relevance"] > hit["relevance"]
+    assert row["snippet"] == build_snippet(new_text, s.query_terms(query), s.lexer)
+    assert row["snippet"] != hit["snippet"]
+
+
+def test_warm_search_response_reads_no_parquet(built, monkeypatch):
+    """Once a query's postings are cached and the doc store is mapped,
+    rendering its results opens and reads no parquet file."""
+    from raysearch.search import IndexSearcher
+
+    s = IndexSearcher(built[1])
+    queries = [(LEMMAS[10], "and"), (f"{LEMMAS[10]} {LEMMAS[30]}", "or")]
+    want = [s.search_response(q, k=10, mode=m) for q, m in queries]
+    assert all(w["data"] for w in want)
+    calls: list[str] = []
+
+    def forbidden(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called on a warm request")
+
+        return record
+
+    monkeypatch.setattr(pq, "read_table", forbidden("read_table"))
+    monkeypatch.setattr(pq, "ParquetFile", forbidden("ParquetFile"))
+    assert [s.search_response(q, k=10, mode=m) for q, m in queries] == want
+    assert calls == []
 
 
 def _suggest_brute_force(s, term: str, max_d: int, limit: int) -> list[dict]:
