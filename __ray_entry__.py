@@ -2720,9 +2720,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # round 5 (final): rollup_counts and conv_truncate demoted in
         # the cap-rebalance (see the note above the media rows below) —
         # rollup's fold is the combiner shape role_stats / turn_rate
-        # drive above the cap, and conv_truncate's last-K selection is
-        # embedded verbatim in conv_curation's fused tail (above the
-        # cap); oracles + pytest + crosspar retained below the cap.
+        # drive above the cap, and conv_truncate's last-K window is
+        # convstats._tail_pairs, the function conv_curation's block
+        # pass (above the cap) truncates with; oracles + pytest +
+        # crosspar retained below the cap.
         "doc_fingerprints": _q_doc_fingerprints,
         "dup_span_stats": _q_dup_span_stats,
         "lang_id_ngram": _q_lang_id_ngram,
@@ -2857,10 +2858,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # (new operators get driver-checked immediately — the NEAR/w
         # positional operator between phrase_search's adjacency and
         # conjunctive AND); funnel_counts demoted — its per-user
-        # ordered-step scan is the per-entity map_groups ordered-scan
-        # machinery sft_pairs and tool_latency drive above the cap,
-        # with order_gaps' oracle below the cap on the same shape
-        # (oracle + pytest + crosspar retained).
+        # ordered-step scan is the per-entity ordered scan sft_pairs
+        # and tool_latency drive above the cap (there as whole-block
+        # passes, in funnel_counts a map_groups), with order_gaps'
+        # oracle below the cap on the same shape (oracle + pytest +
+        # crosspar retained).
         "proximity_search": _q_proximity_search,
         "event_pairs": _q_event_pairs,
         "props_stats": _q_props_stats,
@@ -2876,10 +2878,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # round 5 (final): tool_latency_quantiles admitted above the
         # cap (new operators get driver-checked immediately — the
         # p50/p90/p99 tool-telemetry dashboard); sft_pairs demoted —
-        # conv_curation's fused tail EMITS the same (user→assistant)
-        # SFT pairs above the cap, and the per-conv adjacency scan is
-        # tool_ngrams' machinery (oracle + pytest + crosspar
-        # retained).
+        # conv_curation's block pass EMITS the same (user→assistant)
+        # SFT pairs above the cap through the same
+        # convstats._tail_pairs adjacency mask (oracle + pytest +
+        # crosspar retained).
         "tool_latency_quantiles": _q_tool_latency_quantiles,
         # round 5 (final): group_sample_k and role_transitions demoted
         # in the cap-rebalance — the keyed-hash bottom-k/selection
@@ -2903,10 +2905,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # (new gate row — the disjunctive block-max WAND path
         # search_or, previously pytest-only, now value-checked against
         # a same-scorer SQL twin whose candidates are docs with ANY
-        # surviving term); assistant_share demoted — its integer
-        # basis-point share computation is embedded verbatim in
-        # conv_curation's share-band head above the cap (oracle +
-        # pytest + crosspar retained).
+        # surviving term); assistant_share demoted — its token count
+        # and integer basis-point band (convstats._simple_tokens /
+        # _share_band) are the ones conv_curation's block pass applies
+        # above the cap (oracle + pytest + crosspar retained).
         "transcripts_bm25_or": _q_transcripts_bm25_or,
         "transcripts_snippets": _q_transcripts_snippets,
         "minhash_pairs": _q_minhash_pairs,
@@ -2999,9 +3001,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # get driver-checked immediately); customers_no_orders
         # demoted — its anti-join is the inverted-keep flag of the
         # SAME copartition_attach tagged-union exchange whose semi
-        # flag conv_curation now drives above the cap, and conv_dedup
-        # (above the cap) drives the attach's inner-join path (oracle
-        # + pytest retained).
+        # flag curation_pipeline drives above the cap (oracle +
+        # pytest retained).
         "conv_curation": _q_conv_curation,
         # round 5 (final) CAP REBALANCE: late-round admissions had
         # pushed the above-cap region to 57 entries while the driver

@@ -44,12 +44,12 @@ first-class curation signals here:
   assistant-share band ∧ whole-conversation dedup → last-K-turn
   truncation → SFT pair extraction, one chained SQL twin.
 
-All stream: per-batch or per-conversation partials feed one or two
-small hash aggregates; per-group Python appears only where the work
-is irreducibly sequential over one conversation's own rows
-(:func:`conv_dedup`'s md5, the turn-order shifts in
-:func:`sft_pairs` / :func:`role_transitions`) — a conversation is the
-natural work unit, never the corpus.
+All stream: per-batch partials feed one or two small hash
+aggregates, and work over a conversation's ordered turns runs as a
+whole-block Arrow pass (:func:`_key_blocks`): after ``sort(conv_id)``
+one call per block handles all of its conversations with group
+offsets, segment reductions and shifted masks — no per-group
+pandas ``map_groups``.
 """
 
 from __future__ import annotations
@@ -72,6 +72,150 @@ _LEX_CACHE: dict = {}
 SIMPLE_TOKEN_RUN = r"[a-z0-9]+"
 
 
+def _simple_tokens(text) -> np.ndarray:
+    """Simple-mode token count of each turn (int64, null text → 0)."""
+    return (
+        pc.count_substring_regex(pc.utf8_lower(text), pattern=SIMPLE_TOKEN_RUN)
+        .fill_null(0)
+        .to_numpy(zero_copy_only=False)
+        .astype(np.int64)
+    )
+
+
+def _is_role(b: pa.Table, role: str) -> np.ndarray:
+    """Mask of the turns with this role (a null role matches none)."""
+    m = pc.equal(b["role"], role).fill_null(False)
+    return m.to_numpy(zero_copy_only=False)
+
+
+def _ts_us(ts) -> np.ndarray:
+    """Timestamps as int64 epoch microseconds."""
+    us = pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
+    return us.to_numpy(zero_copy_only=False)
+
+
+def _turn_tokens(b: pa.Table):
+    """Each turn's ``(assistant tokens, tokens)``: the share's addends."""
+    toks = _simple_tokens(b["text"])
+    return np.where(_is_role(b, "assistant"), toks, 0), toks
+
+
+def _share_band(at: np.ndarray, tt: np.ndarray, lo_bp: int, hi_bp: int):
+    """``(share_bp, keep)`` from assistant / total token sums: int64
+    floor basis points (0 when there are no tokens) and the
+    lo_bp ≤ share_bp ≤ hi_bp band over conversations with tokens."""
+    share = np.where(tt > 0, (at * 10000) // np.maximum(tt, 1), 0)
+    return share, (tt > 0) & (share >= lo_bp) & (share <= hi_bp)
+
+
+def _key_blocks(ds, key: str, fn):
+    """Apply ``fn`` to each block of ``ds.sort(key)`` as one Arrow
+    table.  The sort range-partitions on ``key``, so no group spans two
+    blocks — the guarantee ``groupby(key).map_groups`` rests on under
+    the default sort shuffle — but ``fn`` runs once per block, not once
+    per group.  (``Dataset.repartition(keys=…)`` needs the hash-shuffle
+    strategy, a global ``DataContext`` setting.)"""
+    return ds.sort(key).map_batches(
+        fn, batch_size=None, batch_format="pyarrow"
+    )
+
+
+def _groups(b: pa.Table, keys: list[str]):
+    """``b`` sorted by ``keys``, and the int64 row offsets at which
+    ``keys[0]`` changes: one start per group."""
+    b = b.take(pc.sort_indices(b, sort_keys=[(k, "ascending") for k in keys]))
+    col = b[keys[0]].combine_chunks()
+    if len(col) == 0:
+        return b, np.zeros(0, np.int64)
+    change = pc.not_equal(col[1:], col[:-1]).to_numpy(zero_copy_only=False)
+    return b, np.flatnonzero(np.concatenate(([True], change)))
+
+
+def _group_ids(starts: np.ndarray, n: int) -> np.ndarray:
+    """Group number of each of ``n`` rows, given the group starts."""
+    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+
+
+def _tail_pairs(b: pa.Table, starts: np.ndarray, k: int | None = None):
+    """Row masks over a block sorted by (conv_id, turn_idx) with
+    conversation ``starts``: ``window`` marks each conversation's last
+    ``k`` turns (every turn when ``k`` is None); ``pair`` marks the
+    assistant turns whose predecessor is a user turn of the same
+    conversation, inside that window (a null role matches neither)."""
+    n = b.num_rows
+    gid = _group_ids(starts, n)
+    pos = np.arange(n) - starts[gid]
+    lens = np.diff(np.append(starts, n))
+    window = np.ones(n, bool) if k is None else pos >= lens[gid] - k
+    pair = np.zeros(n, bool)
+    pair[1:] = (
+        _is_role(b, "assistant")[1:]
+        & _is_role(b, "user")[:-1]
+        & window[:-1]
+        & (pos[1:] > 0)
+    )
+    return window, pair
+
+
+def _pair_rows(b: pa.Table, idx: np.ndarray) -> pa.Table:
+    """``(conv_id, turn_idx, prompt, response)`` for the rows ``idx``
+    of a turn-ordered block: the prompt is the previous row's text."""
+    return pa.table(
+        {
+            "conv_id": b["conv_id"].take(idx),
+            "turn_idx": b["turn_idx"].take(idx),
+            "prompt": b["text"].take(idx - 1),
+            "response": b["text"].take(idx),
+        }
+    )
+
+
+def _turn_digests(b: pa.Table) -> list[str]:
+    """md5 hex of each turn's text.  Content hashes are defined over
+    non-null text only: a null text raises ``ValueError`` naming its
+    conversation."""
+    text = b["text"]
+    if text.null_count:
+        conv = b["conv_id"].filter(pc.is_null(text))[0].as_py()
+        raise ValueError(
+            f"conversation {conv!r} has a null text turn; "
+            "conversation content hashes need non-null text"
+        )
+    return [hashlib.md5(t.encode()).hexdigest() for t in text.to_pylist()]
+
+
+def _conv_hashes(th: list[str], starts: np.ndarray) -> list[str]:
+    """Each conversation's content hash: the md5 of its turn digests
+    joined by ``\\x1f`` in turn order."""
+    ends = np.append(starts[1:], len(th))
+    return [
+        hashlib.md5("\x1f".join(th[s:e]).encode()).hexdigest()
+        for s, e in zip(starts, ends)
+    ]
+
+
+def _canonical(b: pa.Table):
+    """``b`` sorted by (content_hash, conv_id), and a mask of the rows
+    whose conv_id is the smallest of their content hash (the canonical
+    copy).  ``b`` must hold whole content-hash groups."""
+    b, starts = _groups(b, ["content_hash", "conv_id"])
+    canon = b["conv_id"].take(starts[_group_ids(starts, b.num_rows)])
+    return b, pc.equal(b["conv_id"], canon)
+
+
+def _bigram_counts(col, starts: np.ndarray, prev: str, cur: str):
+    """``(prev, cur, n)``: counts of the (previous value, value) pairs
+    of consecutive rows of the same group in a group-ordered block,
+    pairs holding a null left out."""
+    has_prev = np.ones(len(col), bool)
+    has_prev[starts] = False
+    idx = np.flatnonzero(has_prev)
+    t = pa.table({prev: col.take(idx - 1), cur: col.take(idx)})
+    t = t.filter(pc.and_(pc.is_valid(t[prev]), pc.is_valid(t[cur])))
+    agg = t.group_by([prev, cur]).aggregate([([], "count_all")])
+    return pa.table({prev: agg[prev], cur: agg[cur], "n": agg["count_all"]})
+
+
 def role_stats(ds):
     """Per-role ``(role, n_convs, n_turns, n_tokens)`` sorted by role.
 
@@ -85,13 +229,7 @@ def role_stats(ds):
     def partial(b: pa.Table) -> pa.Table:
         roles = b["role"].to_numpy(zero_copy_only=False)
         convs = b["conv_id"].to_numpy(zero_copy_only=False)
-        toks = (
-            pc.count_substring_regex(
-                pc.utf8_lower(b["text"]), pattern=SIMPLE_TOKEN_RUN
-            )
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
+        toks = _simple_tokens(b["text"])
         key = pd.MultiIndex.from_arrays([roles, convs])
         df = pd.DataFrame({"n_turns": 1, "n_tokens": toks}, index=key)
         agg = df.groupby(level=[0, 1], sort=True).sum()
@@ -150,83 +288,51 @@ def conv_dedup(ds):
     keep)`` sorted by conv_id, where ``content_hash`` is the md5 hex
     of the conversation's per-turn text md5s joined by ``\\x1f`` in
     turn_idx order and ``keep`` marks the lexicographically-smallest
-    conv_id per hash (the canonical copy).
+    conv_id per hash (the canonical copy).  A null text turn raises
+    ``ValueError`` naming its conversation.
 
-    Scale shape (round 5): each turn's text is digested to a 32-hex
-    md5 inside a shuffle-free ``map_batches`` pass, so the
-    ``groupby(conv_id)`` exchange carries ~40 B/turn of digests
-    instead of the raw text — at 10^12 turns of ~0.5 KB that is a
-    ~15× smaller all-to-all with identical dedup semantics (md5 of
-    ordered turn-md5s equates exactly the conversations whose ordered
-    turn texts are equal).  The hash → canonical-min resolution
-    reuses :func:`raysearch.util.copartition_attach` over the
-    n_convs-row hash table."""
-    from raysearch.util import copartition_attach
+    Plan: each turn's text is digested to a 32-hex md5 before the
+    first exchange, so ``sort(conv_id)`` carries ~40 B/turn instead of
+    the raw text.  One block pass (:func:`_key_blocks`) hashes every
+    conversation of a block; ``sort(content_hash)`` then puts each
+    hash's conversations in one block, where the canonical copy is the
+    first of its hash group; a last ``sort(conv_id)`` orders the
+    output.  Expects columns (conv_id, turn_idx, text)."""
 
-    def turn_digest(b: pa.Table) -> pa.Table:
-        th = [
-            hashlib.md5(t.encode()).hexdigest()
-            for t in b["text"].to_pylist()
-        ]
+    def digest(b: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "conv_id": b["conv_id"],
                 "turn_idx": b["turn_idx"],
-                "th": pa.array(th, pa.string()),
+                "th": pa.array(_turn_digests(b), pa.string()),
             }
         )
 
-    def conv_hash(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx")
-        h = hashlib.md5("\x1f".join(g["th"].tolist()).encode()).hexdigest()
-        return pd.DataFrame(
-            {"conv_id": [g["conv_id"].iloc[0]], "content_hash": [h]}
-        )
-
-    hashes = (
-        ds.map_batches(turn_digest, batch_format="pyarrow")
-        .groupby("conv_id")
-        .map_groups(conv_hash, batch_format="pandas")
-        .materialize()
-    )
-
-    def to_min(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {"content_hash": b["content_hash"], "canon": b["conv_id"]}
-        )
-
-    from ray.data.aggregate import Min
-
-    canon = (
-        hashes.map_batches(to_min, batch_format="pyarrow")
-        .groupby("content_hash")
-        .aggregate(Min("canon", alias_name="canon"))
-    )
-    joined = copartition_attach(
-        hashes,
-        canon,
-        key="content_hash",
-        left_schema=pa.schema(
-            [("conv_id", pa.string()), ("content_hash", pa.string())]
-        ),
-        payload={"canon": pa.string()},
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
+    def hash_convs(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        hashes = _conv_hashes(b["th"].to_pylist(), starts)
         return pa.table(
             {
-                "conv_id": b["conv_id"],
-                "content_hash": b["content_hash"],
-                "keep": pc.equal(b["conv_id"], b["canon"]),
+                "conv_id": b["conv_id"].take(starts),
+                "content_hash": pa.array(hashes, pa.string()),
             }
         )
 
-    return joined.map_batches(finish, batch_format="pyarrow").sort("conv_id")
+    def mark_canonical(b: pa.Table) -> pa.Table:
+        b, keep = _canonical(b)
+        return b.append_column("keep", keep)
+
+    hashes = _key_blocks(
+        ds.map_batches(digest, batch_format="pyarrow"), "conv_id", hash_convs
+    )
+    return _key_blocks(hashes, "content_hash", mark_canonical).sort("conv_id")
 
 
 def conv_dedup_sql(table: str) -> str:
     """DuckDB twin of :func:`conv_dedup` (same per-turn digest, same
-    separator byte, same min-conv_id canonical rule)."""
+    separator byte, same min-conv_id canonical rule).  It defines the
+    result for non-null text only: :func:`conv_dedup` rejects a null
+    text turn, while ``md5(NULL)`` drops out of ``string_agg`` here."""
     return (
         f"WITH h AS (SELECT conv_id, "
         f"md5(string_agg(md5(text), chr(31) ORDER BY turn_idx)) "
@@ -304,33 +410,27 @@ def turn_gap_stats(ds):
     n_turns, total_gap_us, max_gap_us)`` sorted by conv_id, gaps =
     consecutive ``ts`` deltas in turn_idx order.  Exact int64
     microseconds end-to-end (no float folds); single-turn
-    conversations report 0/0.  Per-conv work is one vectorized sort +
-    diff inside the conversation's own group."""
+    conversations report 0/0.  One whole-conversation block pass
+    (:func:`_key_blocks`): a diff and two segment reductions."""
 
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx")
-        ts = g["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        d = np.diff(ts)
-        return pd.DataFrame(
+    def gaps(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        lens = np.diff(np.append(starts, b.num_rows))
+        gap = np.diff(_ts_us(b["ts"]), prepend=np.int64(0))
+        gap[starts] = 0  # a conversation's first turn has no gap
+        top = gap.copy()
+        top[starts] = np.iinfo(np.int64).min
+        top = np.maximum.reduceat(top, starts)
+        return pa.table(
             {
-                "conv_id": [g["conv_id"].iloc[0]],
-                "n_turns": np.int64(len(g)),
-                "total_gap_us": d.sum() if len(d) else np.int64(0),
-                "max_gap_us": d.max() if len(d) else np.int64(0),
-            }
-        ).astype(
-            {
-                "n_turns": "int64",
-                "total_gap_us": "int64",
-                "max_gap_us": "int64",
+                "conv_id": b["conv_id"].take(starts),
+                "n_turns": lens,
+                "total_gap_us": np.add.reduceat(gap, starts),
+                "max_gap_us": np.where(lens > 1, top, 0),
             }
         )
 
-    return (
-        ds.groupby("conv_id")
-        .map_groups(gaps, batch_format="pandas")
-        .sort("conv_id")
-    )
+    return _key_blocks(ds, "conv_id", gaps).sort("conv_id")
 
 
 def sft_pairs(ds):
@@ -338,29 +438,17 @@ def sft_pairs(ds):
     prompt, response)`` sorted by (conv_id, turn_idx) — one row per
     assistant turn whose immediate predecessor in turn_idx order is a
     user turn (prompt = that user text, response = the assistant
-    text).  ``groupby(conv_id)`` routes each conversation to one
-    group; inside, a vectorized pandas shift finds the adjacencies.
-    Expects columns (conv_id, turn_idx, role, text)."""
+    text).  One whole-conversation block pass (:func:`_key_blocks`)
+    finds the adjacencies with shifted role masks
+    (:func:`_tail_pairs`).  Expects columns (conv_id, turn_idx, role,
+    text)."""
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx")
-        prev_role = g["role"].shift(1)
-        prev_text = g["text"].shift(1)
-        m = (g["role"] == "assistant") & (prev_role == "user")
-        return pd.DataFrame(
-            {
-                "conv_id": g.loc[m, "conv_id"].to_numpy(),
-                "turn_idx": g.loc[m, "turn_idx"].to_numpy(),
-                "prompt": prev_text[m].to_numpy(),
-                "response": g.loc[m, "text"].to_numpy(),
-            }
-        )
+    def pairs(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        _, pair = _tail_pairs(b, starts)
+        return _pair_rows(b, np.flatnonzero(pair))
 
-    return (
-        ds.groupby("conv_id")
-        .map_groups(pairs, batch_format="pandas")
-        .sort(["conv_id", "turn_idx"])
-    )
+    return _key_blocks(ds, "conv_id", pairs).sort(["conv_id", "turn_idx"])
 
 
 def sft_pairs_sql(table: str) -> str:
@@ -380,32 +468,17 @@ def role_transitions(ds):
     """Global conversation-structure bigram counts: ``(prev_role,
     role, n)`` sorted by (prev_role, role), counting consecutive-turn
     role adjacencies in turn_idx order within each conversation.
-    Per-conversation partials (a shift + value_counts, rows ≤ roles²)
+    Per-block partials (:func:`_key_blocks`; rows ≤ roles² per block)
     feed one small ``groupby((prev_role, role)).Sum`` — the exchange
     carries role-pair counts, never turns."""
     from ray.data.aggregate import Sum
 
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx")
-        prev = g["role"].shift(1)
-        m = prev.notna()
-        if not m.any():
-            return pd.DataFrame(
-                {"prev_role": [], "role": [], "n": []}
-            ).astype({"prev_role": "object", "role": "object", "n": "int64"})
-        key = pd.MultiIndex.from_arrays([prev[m], g["role"][m]])
-        agg = pd.Series(1, index=key).groupby(level=[0, 1]).sum()
-        return pd.DataFrame(
-            {
-                "prev_role": agg.index.get_level_values(0),
-                "role": agg.index.get_level_values(1),
-                "n": agg.to_numpy(np.int64),
-            }
-        )
+    def partial(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        return _bigram_counts(b["role"], starts, "prev_role", "role")
 
     out = (
-        ds.groupby("conv_id")
-        .map_groups(partial, batch_format="pandas")
+        _key_blocks(ds, "conv_id", partial)
         .groupby(["prev_role", "role"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -453,74 +526,33 @@ def assistant_share(
     assistant_tokens, total_tokens, share_bp, keep)`` sorted by
     conv_id, where ``share_bp = assistant_tokens * 10000 //
     total_tokens`` (int64 floor — no float anywhere) and ``keep``
-    means lo_bp ≤ share_bp ≤ hi_bp with total_tokens > 0.  One
-    per-batch partial + one ``groupby(conv_id)`` of four int sums —
-    the exchange carries 4 ints per (batch, conv)."""
-    from ray.data.aggregate import Sum
+    means lo_bp ≤ share_bp ≤ hi_bp with total_tokens > 0.  Each turn
+    becomes its two token counts before the exchange, so
+    ``sort(conv_id)`` carries two ints per turn, never text; one block
+    pass (:func:`_key_blocks`) sums them per conversation."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        convs = b["conv_id"].to_numpy(zero_copy_only=False)
-        toks = (
-            pc.count_substring_regex(
-                pc.utf8_lower(b["text"]), pattern=SIMPLE_TOKEN_RUN
-            )
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        is_a = pc.equal(b["role"], pa.scalar("assistant")).to_numpy(
-            zero_copy_only=False
-        )
-        df = pd.DataFrame(
-            {
-                "n_turns": np.int64(1),
-                "assistant_tokens": np.where(is_a, toks, 0),
-                "total_tokens": toks,
-            },
-            index=convs,
-        )
-        agg = df.groupby(level=0, sort=True).sum()
+    def tokens(b: pa.Table) -> pa.Table:
+        a, t = _turn_tokens(b)
+        return pa.table({"conv_id": b["conv_id"], "a": a, "t": t})
+
+    def per_conv(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id"])
+        at = np.add.reduceat(b["a"].to_numpy(), starts)
+        tt = np.add.reduceat(b["t"].to_numpy(), starts)
+        share, keep = _share_band(at, tt, lo_bp, hi_bp)
         return pa.table(
             {
-                "conv_id": pa.array(agg.index.to_numpy(object), pa.string()),
-                "n_turns": pa.array(agg["n_turns"].to_numpy(np.int64)),
-                "assistant_tokens": pa.array(
-                    agg["assistant_tokens"].to_numpy(np.int64)
-                ),
-                "total_tokens": pa.array(
-                    agg["total_tokens"].to_numpy(np.int64)
-                ),
+                "conv_id": b["conv_id"].take(starts),
+                "n_turns": np.diff(np.append(starts, b.num_rows)),
+                "assistant_tokens": at,
+                "total_tokens": tt,
+                "share_bp": share,
+                "keep": keep,
             }
         )
 
-    per_conv = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("conv_id")
-        .aggregate(
-            Sum("n_turns", alias_name="n_turns"),
-            Sum("assistant_tokens", alias_name="assistant_tokens"),
-            Sum("total_tokens", alias_name="total_tokens"),
-        )
-    )
-
-    def finish(b: pa.Table) -> pa.Table:
-        at = b["assistant_tokens"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        tt = b["total_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
-        share = np.where(tt > 0, (at * 10000) // np.maximum(tt, 1), 0)
-        keep = (tt > 0) & (share >= lo_bp) & (share <= hi_bp)
-        return pa.table(
-            {
-                "conv_id": b["conv_id"],
-                "n_turns": pc.cast(b["n_turns"], pa.int64()),
-                "assistant_tokens": pa.array(at),
-                "total_tokens": pa.array(tt),
-                "share_bp": pa.array(share.astype(np.int64)),
-                "keep": pa.array(keep),
-            }
-        )
-
-    return per_conv.map_batches(finish, batch_format="pyarrow").sort("conv_id")
+    ds = ds.map_batches(tokens, batch_format="pyarrow")
+    return _key_blocks(ds, "conv_id", per_conv).sort("conv_id")
 
 
 def assistant_share_sql(
@@ -552,34 +584,39 @@ def role_run_stats(ds):
     n_runs)`` sorted by (conv_id, role) — the longest consecutive
     same-role run and the number of runs, per conversation and role.
     A long ``tool`` run is a stuck agent loop; a long ``assistant``
-    run is a monologue.  Per-conv work is one vectorized
-    boundary-diff; output is bounded by convs × roles."""
+    run is a monologue.  One whole-conversation block pass
+    (:func:`_key_blocks`): run starts are the conversation starts plus
+    every role change; output is bounded by convs × roles.  Turns with
+    a null role are not counted."""
 
-    def runs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx")
-        roles = g["role"].to_numpy(object)
-        # run boundaries: position 0 plus every role change
-        change = np.flatnonzero(
-            np.concatenate(([True], roles[1:] != roles[:-1]))
-        )
-        lengths = np.diff(np.append(change, len(roles)))
-        run_roles = roles[change]
-        df = pd.DataFrame({"role": run_roles, "len": lengths})
-        agg = df.groupby("role", sort=True)["len"].agg(["max", "count"])
-        return pd.DataFrame(
+    def runs(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        role = b["role"].combine_chunks()
+        new = np.ones(b.num_rows, bool)
+        if b.num_rows:
+            change = pc.not_equal(role[1:], role[:-1]).fill_null(True)
+            new[1:] = change.to_numpy(zero_copy_only=False)
+        first = np.union1d(starts, np.flatnonzero(new))
+        t = pa.table(
             {
-                "conv_id": g["conv_id"].iloc[0],
-                "role": agg.index.to_numpy(object),
-                "max_run": agg["max"].to_numpy(np.int64),
-                "n_runs": agg["count"].to_numpy(np.int64),
+                "conv_id": b["conv_id"].take(first),
+                "role": role.take(first),
+                "len": np.diff(np.append(first, b.num_rows)),
+            }
+        ).filter(pc.is_valid(role.take(first)))
+        agg = t.group_by(["conv_id", "role"]).aggregate(
+            [("len", "max"), ("len", "count")]
+        )
+        return pa.table(
+            {
+                "conv_id": agg["conv_id"],
+                "role": agg["role"],
+                "max_run": agg["len_max"],
+                "n_runs": agg["len_count"],
             }
         )
 
-    return (
-        ds.groupby("conv_id")
-        .map_groups(runs, batch_format="pandas")
-        .sort(["conv_id", "role"])
-    )
+    return _key_blocks(ds, "conv_id", runs).sort(["conv_id", "role"])
 
 
 def role_run_stats_sql(table: str) -> str:
@@ -602,18 +639,18 @@ def conv_truncate(ds, k: int):
     """Context-length truncation: keep each conversation's LAST ``k``
     turns — ``(conv_id, turn_idx, role, text)`` sorted by (conv_id,
     turn_idx).  The standard pre-packing window: recent context
-    matters most, old turns drop.  Per-conv work is a sort + tail."""
+    matters most, old turns drop.  One whole-conversation block pass
+    (:func:`_key_blocks`) applies :func:`_tail_pairs`' window, the one
+    :func:`conv_curation` truncates with."""
 
-    def tail(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values("turn_idx").tail(k)[
-            ["conv_id", "turn_idx", "role", "text"]
-        ]
+    def tail(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        window, _ = _tail_pairs(b, starts, k)
+        return b.select(["conv_id", "turn_idx", "role", "text"]).filter(
+            pa.array(window)
+        )
 
-    return (
-        ds.groupby("conv_id")
-        .map_groups(tail, batch_format="pandas")
-        .sort(["conv_id", "turn_idx"])
-    )
+    return _key_blocks(ds, "conv_id", tail).sort(["conv_id", "turn_idx"])
 
 
 def conv_truncate_sql(table: str, k: int) -> str:
@@ -707,13 +744,7 @@ def turn_rate(ds):
     US_PER_HOUR = 3_600_000_000
 
     def partial(b: pa.Table) -> pa.Table:
-        ts = (
-            pc.cast(b["ts"], pa.timestamp("us"))
-            .to_numpy(zero_copy_only=False)
-            .astype("datetime64[us]")
-            .astype(np.int64)
-        )
-        hours = (ts // US_PER_HOUR) * US_PER_HOUR
+        hours = (_ts_us(b["ts"]) // US_PER_HOUR) * US_PER_HOUR
         convs = b["conv_id"].to_numpy(zero_copy_only=False)
         key = pd.MultiIndex.from_arrays([hours, convs])
         agg = pd.DataFrame({"n": 1}, index=key).groupby(
@@ -770,29 +801,24 @@ def _tool_durations(ds):
     shared first stage of :func:`tool_latency` and
     :func:`tool_latency_quantiles`: per conversation (turn_idx
     order), a tool turn's latency is the exact int64-µs gap to the
-    next turn; final turns have no successor and are untimed.
-    Per-conv work is one vectorized shift; the exchange carries
-    (tool, dur) rows for tool turns only."""
+    next turn; final turns have no successor and are untimed.  One
+    whole-conversation block pass (:func:`_key_blocks`); the exchange
+    after it carries (tool, dur) rows for tool turns only."""
 
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx")
-        ts = g["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        dur = np.empty(len(g), dtype=np.int64)
-        if len(g) > 1:
-            dur[:-1] = ts[1:] - ts[:-1]
-        m = (
-            (g["role"].to_numpy(object) == "tool")
-            & (g["tool"].to_numpy(object) != "")
-            & (np.arange(len(g)) < len(g) - 1)
+    def partial(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        n = b.num_rows
+        dur = np.diff(_ts_us(b["ts"]), append=np.int64(0))
+        timed = np.ones(n, bool)
+        timed[starts - 1] = False  # a conversation's last turn
+        timed &= _is_role(b, "tool")
+        timed &= pc.not_equal(b["tool"], "").fill_null(False).to_numpy(
+            zero_copy_only=False
         )
-        return pd.DataFrame(
-            {
-                "tool": g["tool"].to_numpy(object)[m],
-                "dur_us": dur[m],
-            }
-        )
+        idx = np.flatnonzero(timed)
+        return pa.table({"tool": b["tool"].take(idx), "dur_us": dur[idx]})
 
-    return ds.groupby("conv_id").map_groups(partial, batch_format="pandas")
+    return _key_blocks(ds, "conv_id", partial)
 
 
 def tool_latency(ds):
@@ -887,17 +913,21 @@ def conv_similarity_pairs(ds, threshold: float = 0.22, shingle: int = 1):
     order equal numeric order)."""
     from raysearch.pipelines.dedup import prefix_jaccard_pairs
 
-    def concat(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx")
-        cid = g["conv_id"].iloc[0]
-        return pd.DataFrame(
+    def concat(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        texts = b["text"].to_pylist()
+        ends = np.append(starts[1:], len(texts))
+        convs = b["conv_id"].take(starts).to_pylist()
+        return pa.table(
             {
-                "doc_id": [np.int64(int(cid.rsplit("-", 1)[1]))],
-                "text": [" ".join(g["text"].tolist())],
+                "doc_id": pa.array(
+                    [int(c.rsplit("-", 1)[1]) for c in convs], pa.int64()
+                ),
+                "text": [" ".join(texts[s:e]) for s, e in zip(starts, ends)],
             }
         )
 
-    docs = ds.groupby("conv_id").map_groups(concat, batch_format="pandas")
+    docs = _key_blocks(ds, "conv_id", concat)
     pairs = prefix_jaccard_pairs(docs, threshold=threshold, shingle=shingle)
 
     def fmt(b: pa.Table) -> pa.Table:
@@ -956,86 +986,52 @@ def conv_curation(
     (:func:`conv_dedup`), truncate each survivor to its last ``k``
     turns (:func:`conv_truncate`), and extract SFT ``(prompt,
     response)`` pairs (:func:`sft_pairs`) — the end-to-end SFT
-    data-prep a training pipeline runs nightly.
+    data-prep a training pipeline runs nightly.  A null text turn
+    raises ``ValueError`` naming its conversation.
 
-    Scale shape: the two keep decisions are per-conversation tables
-    (one row per conv, never per turn); their AND is one small
-    groupby, and the turn stream is filtered by ONE semi-join
-    (:func:`raysearch.util.copartition_attach`, ``semi=True``) before
-    the truncate/extract tail.  Expects columns (conv_id, turn_idx,
-    role, text)."""
-    from ray.data.aggregate import Min
+    Plan: three exchanges.  ``sort(conv_id)`` feeds one block pass
+    (:func:`_key_blocks`) that computes, per conversation, the share
+    band, the content hash and the last-``k`` user→assistant pairs; it
+    emits the pairs of conversations inside the band plus one marker
+    row (null turn_idx) per conversation, so the min-conv_id canonical
+    rule sees every copy of a hash, in or out of the band.
+    ``sort(content_hash)`` feeds a second block pass that keeps the
+    pairs of each hash's canonical conversation; the final
+    ``sort((conv_id, turn_idx))`` orders them.  Expects columns
+    (conv_id, turn_idx, role, text); select them at the read, since
+    any other column rides the first exchange."""
 
-    from raysearch.util import copartition_attach
-
-    share = assistant_share(
-        ds.select_columns(["conv_id", "role", "text"]), lo_bp, hi_bp
-    )
-    dedup = conv_dedup(ds.select_columns(["conv_id", "turn_idx", "text"]))
-
-    def keep_rows(b: pa.Table) -> pa.Table:
-        t = pa.table(
+    def conv_pass(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        hashes = np.array(_conv_hashes(_turn_digests(b), starts), object)
+        a, t = (np.add.reduceat(x, starts) for x in _turn_tokens(b))
+        _, ok = _share_band(a, t, lo_bp, hi_bp)
+        _, pair = _tail_pairs(b, starts, k)
+        gid = _group_ids(starts, b.num_rows)
+        idx = np.flatnonzero(pair & ok[gid])
+        pairs = _pair_rows(b, idx).append_column(
+            "content_hash", pa.array(hashes[gid[idx]], pa.string())
+        )
+        n, text_t = len(starts), b.schema.field("text").type
+        markers = pa.table(
             {
-                "conv_id": b["conv_id"],
-                "ok": pc.cast(b["keep"], pa.int64()),
+                "conv_id": b["conv_id"].take(starts),
+                "turn_idx": pa.nulls(n, b.schema.field("turn_idx").type),
+                "prompt": pa.nulls(n, text_t),
+                "response": pa.nulls(n, text_t),
+                "content_hash": pa.array(hashes, pa.string()),
             }
         )
-        return t
+        return pa.concat_tables([markers, pairs])
 
-    both = (
-        share.map_batches(keep_rows, batch_format="pyarrow")
-        .union(dedup.map_batches(keep_rows, batch_format="pyarrow"))
-        .groupby("conv_id")
-        .aggregate(Min("ok", alias_name="ok"))
-    )
+    def canonical_pairs(b: pa.Table) -> pa.Table:
+        b, keep = _canonical(b)
+        b = b.filter(pc.and_(keep, pc.is_valid(b["turn_idx"])))
+        return b.select(["conv_id", "turn_idx", "prompt", "response"])
 
-    def kept_only(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.equal(pc.cast(b["ok"], pa.int64()), 1))
-        return b.select(["conv_id"])
-
-    kept = both.map_batches(kept_only, batch_format="pyarrow")
-    turns = copartition_attach(
-        ds.select_columns(["conv_id", "turn_idx", "role", "text"]),
-        kept,
-        key="conv_id",
-        left_schema=pa.schema(
-            [
-                ("conv_id", pa.string()),
-                ("turn_idx", pa.int32()),
-                ("role", pa.string()),
-                ("text", pa.string()),
-            ]
-        ),
-        payload={},
-        semi=True,
-    )
-
-    # Fused truncate+pair tail (round 5): ``sft_pairs(conv_truncate(
-    # turns, k))`` would shuffle the surviving turn stream by conv_id
-    # TWICE more (each helper owns a groupby + a pinned global sort)
-    # right after the semi-join above already hash-exchanged it.  Both
-    # steps are per-conversation transforms, so one map_groups does
-    # tail-k and adjacency extraction in a single pass — same rows,
-    # same (conv_id, turn_idx) final order, two full-text all-to-alls
-    # saved (the composed path's dominant cost at 10^12-turn scale).
-    def tail_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("turn_idx").tail(k)
-        prev_role = g["role"].shift(1)
-        prev_text = g["text"].shift(1)
-        m = (g["role"] == "assistant") & (prev_role == "user")
-        return pd.DataFrame(
-            {
-                "conv_id": g.loc[m, "conv_id"].to_numpy(),
-                "turn_idx": g.loc[m, "turn_idx"].to_numpy(),
-                "prompt": prev_text[m].to_numpy(),
-                "response": g.loc[m, "text"].to_numpy(),
-            }
-        )
-
-    return (
-        turns.groupby("conv_id")
-        .map_groups(tail_pairs, batch_format="pandas")
-        .sort(["conv_id", "turn_idx"])
+    marked = _key_blocks(ds, "conv_id", conv_pass)
+    return _key_blocks(marked, "content_hash", canonical_pairs).sort(
+        ["conv_id", "turn_idx"]
     )
 
 
@@ -1047,7 +1043,10 @@ def conv_curation_sql(
 ) -> str:
     """DuckDB twin of :func:`conv_curation` — the component twins
     chained as CTEs (same share band, same dedup canonical rule, same
-    truncation window, same pair adjacency)."""
+    truncation window, same pair adjacency).  It defines the result
+    for non-null text only: :func:`conv_curation` rejects a null text
+    turn, while this query drops ``md5(NULL)`` from the content hash
+    and the turn's tokens from the share."""
     ntok = "len(regexp_extract_all(lower(text), '[a-z0-9]+'))"
     return (
         f"WITH share AS (SELECT conv_id, "
@@ -1100,35 +1099,20 @@ def tool_ngrams(ds):
     are counted as transitions.  Which tool tends to follow which is
     the first-order Markov audit of agent behavior.
 
-    Same exchange shape as role_transitions: per-conversation partials
-    (filter to tool turns, shift, value_counts — rows ≤ tools² per
-    conversation) feed one small ``groupby((prev_tool,
-    tool)).Sum``; the exchange carries tool-pair counts, never
-    turns."""
+    Same exchange shape as role_transitions: per-block partials
+    (filter to tool turns, then the same bigram count — rows ≤ tools²
+    per block) feed one small ``groupby((prev_tool, tool)).Sum``; the
+    exchange carries tool-pair counts, never turns."""
     from ray.data.aggregate import Sum
 
-    def partial(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[(g["role"] == "tool") & (g["tool"] != "")]
-        g = g.sort_values("turn_idx")
-        prev = g["tool"].shift(1)
-        m = prev.notna()
-        if not m.any():
-            return pd.DataFrame(
-                {"prev_tool": [], "tool": [], "n": []}
-            ).astype({"prev_tool": "object", "tool": "object", "n": "int64"})
-        key = pd.MultiIndex.from_arrays([prev[m], g["tool"][m]])
-        agg = pd.Series(1, index=key).groupby(level=[0, 1]).sum()
-        return pd.DataFrame(
-            {
-                "prev_tool": agg.index.get_level_values(0),
-                "tool": agg.index.get_level_values(1),
-                "n": agg.to_numpy(np.int64),
-            }
-        )
+    def partial(b: pa.Table) -> pa.Table:
+        is_call = pc.not_equal(b["tool"], "").fill_null(False)
+        b = b.filter(pc.and_(pc.equal(b["role"], "tool"), is_call))
+        b, starts = _groups(b, ["conv_id", "turn_idx"])
+        return _bigram_counts(b["tool"], starts, "prev_tool", "tool")
 
     out = (
-        ds.groupby("conv_id")
-        .map_groups(partial, batch_format="pandas")
+        _key_blocks(ds, "conv_id", partial)
         .groupby(["prev_tool", "tool"])
         .aggregate(Sum("n", alias_name="n"))
     )
