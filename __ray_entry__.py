@@ -2803,8 +2803,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # round 5 (final): fuzzy_terms admitted above the cap (new
         # operators get driver-checked immediately — the did-you-mean
         # lexicon fallback); edit_distance_pairs demoted —
-        # fuzzy_terms drives the IDENTICAL _lev_capped banded DP
-        # above the cap, and the pair operator's length-bucket prune
+        # fuzzy_terms drives the same capped prefix-min DP (batched:
+        # _lev_capped_many, equal to _lev_capped per pair, pytest-
+        # pinned) above the cap, and the pair operator's length-bucket prune
         # is pytest-pinned with its levenshtein() oracle below the
         # cap (oracle + pytest + crosspar retained).
         "fuzzy_terms": _q_fuzzy_terms,

@@ -470,7 +470,9 @@ def role_transitions(ds):
     role adjacencies in turn_idx order within each conversation.
     Per-block partials (:func:`_key_blocks`; rows ≤ roles² per block)
     feed one small ``groupby((prev_role, role)).Sum`` — the exchange
-    carries role-pair counts, never turns."""
+    carries role-pair counts, never turns.  A pair with a null role on
+    either side is not counted, so a null-role turn separates its
+    neighbours (the twin filters the same pairs)."""
     from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
@@ -498,13 +500,15 @@ def role_transitions(ds):
 
 
 def role_transitions_sql(table: str) -> str:
-    """DuckDB twin of :func:`role_transitions`."""
+    """DuckDB twin of :func:`role_transitions`.  A pair with a null
+    role on either side is not counted: a null-role turn still sits
+    between its neighbours (they form no pair), as in the operator."""
     return (
         f"WITH w AS (SELECT conv_id, role, "
         f"lag(role) OVER (PARTITION BY conv_id ORDER BY turn_idx) AS prev_role "
         f"FROM {table}) "
         f"SELECT prev_role, role, CAST(count(*) AS BIGINT) AS n "
-        f"FROM w WHERE prev_role IS NOT NULL "
+        f"FROM w WHERE prev_role IS NOT NULL AND role IS NOT NULL "
         f"GROUP BY prev_role, role ORDER BY prev_role, role"
     )
 
@@ -586,8 +590,10 @@ def role_run_stats(ds):
     A long ``tool`` run is a stuck agent loop; a long ``assistant``
     run is a monologue.  One whole-conversation block pass
     (:func:`_key_blocks`): run starts are the conversation starts plus
-    every role change; output is bounded by convs × roles.  Turns with
-    a null role are not counted."""
+    every role change; output is bounded by convs × roles.  Runs of
+    null-role turns are not reported, but a null-role turn still ends
+    the run before it (the twin drops the same runs after its island
+    detection)."""
 
     def runs(b: pa.Table) -> pa.Table:
         b, starts = _groups(b, ["conv_id", "turn_idx"])
@@ -621,7 +627,9 @@ def role_run_stats(ds):
 
 def role_run_stats_sql(table: str) -> str:
     """DuckDB twin of :func:`role_run_stats` (row_number-difference
-    islands)."""
+    islands).  Runs of null-role turns are dropped after the islands
+    are found, so a null-role turn still ends the run before it and
+    starts a new one after it, as in the operator."""
     return (
         f"WITH s AS (SELECT conv_id, role, "
         f"row_number() OVER (PARTITION BY conv_id ORDER BY turn_idx) - "
@@ -631,7 +639,8 @@ def role_run_stats_sql(table: str) -> str:
         f"FROM s GROUP BY conv_id, role, grp) "
         f"SELECT conv_id, role, CAST(max(run_len) AS BIGINT) AS max_run, "
         f"CAST(count(*) AS BIGINT) AS n_runs "
-        f"FROM r GROUP BY conv_id, role ORDER BY conv_id, role"
+        f"FROM r WHERE role IS NOT NULL "
+        f"GROUP BY conv_id, role ORDER BY conv_id, role"
     )
 
 

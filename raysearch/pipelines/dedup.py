@@ -1747,7 +1747,9 @@ def _lev_capped(a: str, b: str, k: int) -> int:
     distance when it is ≤ k, else ``k + 1``.  Row DP vectorized with
     numpy — the sequential ``cur[j-1] + 1`` insertion term becomes a
     prefix-min after the ``c[j] - j`` change of variable — with an
-    early abandon as soon as a whole row exceeds ``k``."""
+    early abandon as soon as a whole row exceeds ``k``.  Built for one
+    pair of long texts (:func:`edit_distance_pairs`); many short terms
+    against one query go through :func:`_lev_capped_many`."""
     if abs(len(a) - len(b)) > k:
         return k + 1
     if a == b:
@@ -1765,6 +1767,31 @@ def _lev_capped(a: str, b: str, k: int) -> int:
         if prev.min() > k:
             return k + 1
     return int(min(prev[lb], k + 1))
+
+
+def _lev_capped_many(q: str, terms: list[str], k: int) -> np.ndarray:
+    """``[_lev_capped(q, t, k) for t in terms]`` as one int64 array: the
+    same row DP run on all terms at once, over a padded ``(len(terms),
+    max_len)`` code-point matrix, one numpy step per character of
+    ``q``.  A column depends only on the columns left of it, so padding
+    never reaches a term's own last column, which is read at the end.
+    No early abandon: callers prune to the ``len(q) ± k`` window first
+    (a term outside it gets ``k + 1`` here too, after the full DP)."""
+    lens = np.fromiter(map(len, terms), np.int64, len(terms))
+    if not len(terms):
+        return lens
+    flat = np.frombuffer("".join(terms).encode("utf-32-le"), dtype=np.uint32)
+    rows = np.repeat(np.arange(len(terms)), lens)
+    cols = np.arange(len(flat)) - np.repeat(np.cumsum(lens) - lens, lens)
+    codes = np.zeros((len(terms), int(lens.max())), dtype=np.uint32)
+    codes[rows, cols] = flat
+    idx = np.arange(codes.shape[1] + 1, dtype=np.int32)
+    prev = np.broadcast_to(idx, (len(terms), len(idx)))
+    for i, cq in enumerate(q, 1):
+        t = np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (codes != np.uint32(ord(cq))))
+        c = np.hstack((np.full((len(terms), 1), i, np.int32), t - idx[1:]))
+        prev = np.minimum.accumulate(c, axis=1) + idx
+    return np.minimum(prev[np.arange(len(terms)), lens], k + 1).astype(np.int64)
 
 
 def _char_hists(texts: list[str]) -> np.ndarray:

@@ -2535,6 +2535,11 @@ def proximity_search_sql(terms: tuple[str, ...], w: int,
     )
 
 
+#: vocabulary terms per batched edit-distance DP in :func:`fuzzy_terms`
+#: (bounds its padded code-point matrix, not its result)
+FUZZY_DP_SLICE = 4096
+
+
 def fuzzy_terms(ds, query: str, max_d: int = 1):
     """Spell-correction candidates for a query term: corpus
     vocabulary terms within Levenshtein distance ``max_d`` of
@@ -2548,13 +2553,15 @@ def fuzzy_terms(ds, query: str, max_d: int = 1):
     ``groupby(term)`` df fold (vocabulary-bounded, the term_df
     primitive) → a zero-shuffle vectorized filter: terms outside
     ``len(query) ± max_d`` drop on length alone, survivors run the
-    banded capped DP (``dedup._lev_capped``) — per batch that is
-    O(batch_vocab × |query| × (2·max_d+1)), embarrassingly parallel,
-    nothing vocab-scale on the driver."""
+    batched capped DP that ``IndexSearcher.suggest`` runs
+    (``dedup._lev_capped_many``), :data:`FUZZY_DP_SLICE` terms at a
+    time — |query| numpy steps per slice over at most
+    ``FUZZY_DP_SLICE × (|query| + max_d)`` cells, embarrassingly
+    parallel, nothing vocab-scale on the driver."""
     q = query.lower()
     from ray.data.aggregate import Sum
 
-    from raysearch.pipelines.dedup import _lev_capped
+    from raysearch.pipelines.dedup import _lev_capped_many
 
     def df_partial(b: pa.Table) -> pa.Table:
         lexer = _cached(_RepetitionStats).lexer
@@ -2585,18 +2592,16 @@ def fuzzy_terms(ds, query: str, max_d: int = 1):
         dfs = pc.cast(b["df"], pa.int64()).to_numpy(zero_copy_only=False)
         lens = np.array([len(t) for t in terms], np.int64)
         cand = np.flatnonzero(np.abs(lens - len(q)) <= max_d)
-        out_t, out_d, out_df = [], [], []
-        for i in cand:
-            d = _lev_capped(q, terms[i], max_d)
-            if d <= max_d:
-                out_t.append(terms[i])
-                out_d.append(d)
-                out_df.append(int(dfs[i]))
+        dist = np.empty(len(cand), np.int64)
+        for s in range(0, len(cand), FUZZY_DP_SLICE):
+            part = terms[cand[s : s + FUZZY_DP_SLICE]].tolist()
+            dist[s : s + FUZZY_DP_SLICE] = _lev_capped_many(q, part, max_d)
+        hit = dist <= max_d
         return pa.table(
             {
-                "term": pa.array(out_t, pa.string()),
-                "d": pa.array(np.asarray(out_d, np.int64), pa.int64()),
-                "df": pa.array(np.asarray(out_df, np.int64), pa.int64()),
+                "term": pa.array(terms[cand[hit]], pa.string()),
+                "d": pa.array(dist[hit], pa.int64()),
+                "df": pa.array(dfs[cand[hit]], pa.int64()),
             }
         )
 

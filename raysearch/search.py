@@ -501,18 +501,20 @@ class IndexSearcher:
         """Did-you-mean candidates over the INDEX lexicon — the
         serving-side sibling of ``pipelines.textstats.fuzzy_terms``
         (same ranking: Levenshtein distance asc, df desc, term asc;
-        the banded capped DP from ``dedup._lev_capped``).  Only terms
-        whose length is within ``max_d`` of the query's can qualify,
-        and only those whose code-point histogram is within L1 ``2 *
-        max_d`` of the query's (a substitution moves two histogram
-        units, an insert or delete one: the bound
+        the same batched capped DP, ``dedup._lev_capped_many``).  Only
+        terms whose length is within ``max_d`` of the query's can
+        qualify, and only those whose code-point histogram is within
+        L1 ``2 * max_d`` of the query's (a substitution moves two
+        histogram units, an insert or delete one: the bound
         ``dedup.edit_distance_pairs`` prunes with).  So the lexicon is
         grouped by term length once, on first use, with one int16
-        histogram per term (129 bins, 258 bytes a term), and each
-        request runs the DP on the survivors of one length window.
-        In lazy-lexicon mode the full lexicon parquet is read then too
+        histogram per term over the bins any term uses (of 129; 21
+        bins, 42 bytes a term, on the latin lexicon), and each request
+        runs ONE DP over the survivors of one length window (a numpy
+        step per query character over all of them).  In
+        lazy-lexicon mode the full lexicon parquet is read then too
         — suggestion is a miss-path feature, not per-query work."""
-        from raysearch.pipelines.dedup import _char_hists, _lev_capped
+        from raysearch.pipelines.dedup import _char_hists, _lev_capped_many
 
         def hists(terms: list[str]) -> np.ndarray:
             # clipping both sides keeps the L1 bound a lower bound
@@ -530,17 +532,23 @@ class IndexSearcher:
             lens = np.array([len(t) for t in self._lex_terms], dtype=np.int64)
             order = np.argsort(lens, kind="stable")
             term_hists = hists([self._lex_terms[i] for i in order]).astype(np.int16)
-            self._by_len = (lens[order], order, term_hists)
-        lens, order, term_hists = self._by_len
+            # only the bins some term uses: a query count in any other
+            # bin adds to every term's L1 alike
+            used = np.flatnonzero(term_hists.any(axis=0))
+            self._by_len = (lens[order], order, term_hists[:, used], used)
+        lens, order, term_hists, used = self._by_len
         lo, hi = np.searchsorted(lens, [len(q) - max_d, len(q) + max_d + 1])
-        l1 = np.abs(term_hists[lo:hi] - hists([q])[0]).sum(axis=1)
-        out = []
-        for i in order[lo:hi][l1 <= 2 * max_d].tolist():
-            t = self._lex_terms[i]
-            d = _lev_capped(q, t, max_d)
-            if d <= max_d:
-                out.append((d, -int(self._lex_df[i]), t))
-        out.sort()
+        q_hist = hists([q])[0]
+        l1 = np.abs(term_hists[lo:hi] - q_hist[used]).sum(axis=1) + (
+            q_hist.sum() - q_hist[used].sum()
+        )
+        cand = order[lo:hi][l1 <= 2 * max_d]
+        terms = [self._lex_terms[i] for i in cand.tolist()]
+        dist = _lev_capped_many(q, terms, max_d)
+        out = sorted(
+            (int(dist[j]), -int(self._lex_df[cand[j]]), terms[j])
+            for j in np.flatnonzero(dist <= max_d).tolist()
+        )
         return [
             {"term": t, "d": d, "df": -ndf} for d, ndf, t in out[:limit]
         ]

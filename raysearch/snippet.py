@@ -20,6 +20,25 @@ index 20 / size-21 unconditionally and would throw on texts shorter
 than 21 words (the constructor clamps ``snippetSize`` but not the
 render positions); we clamp the render window to the text bounds
 instead of crashing.
+
+Linear-time window search.  The reference's loop tests every (box,
+start) pair with a fresh set — O(20·n) sets per attempt.  It returns
+the SMALLEST box that has any covering window, then the LEFTMOST start
+for that box, where starts run over ``range(0, n - box)``: that
+exclusive bound means no window ever reaches the last word, so the
+search runs over words ``0 … n-2`` only.  Over those words,
+``_find_query_window`` makes one pass that records, at each query-lemma
+hit ``p`` after which every lemma has been seen, the minimal covering
+interval ending at ``p`` (from the last-seen position of each lemma).
+A box of size b has a covering window iff b ≥ the smallest such
+interval width W, because any interval of width ≤ b can be widened to
+b inside ``0 … n-2`` whenever b ≤ n-1 (always: b < min(20, n)).  So the
+box is ``max(|query lemmas|, W)`` (the list may repeat a lemma), and
+the leftmost start for it is ``max(0, p - box + 1)`` at the first hit
+``p`` whose interval fits in the box: later hits only move that bound
+right.  Both equal the reference loop's answer, so snippets are
+byte-identical (``tests/test_snippet_kernels.py`` checks this against
+a verbatim copy of the loop).
 """
 
 from __future__ import annotations
@@ -29,27 +48,44 @@ SNIPPET_WINDOW = 20
 
 def _word_list(text: str, lexer) -> tuple[list[str], list[str]]:
     """(surface words, normal forms) — SnippetSearch.java:18-26; note
-    function words are KEPT here, unlike the index path."""
+    function words are KEPT here, unlike the index path.  The words are
+    already lowercased and stripped, so the mode's lemma function maps
+    them directly (``word_to_lemma``'s own lower/strip would be no-ops)."""
     cleaned = lexer._strip.sub("" if lexer.joins else " ", text.lower()).strip()
     if not cleaned:
         return [], []
     words = lexer._ws.split(cleaned)
-    normals = [lexer.word_to_lemma(w) for w in words]
-    return words, normals
+    if lexer.lemma_fn is None:
+        return words, words
+    return words, list(map(lexer.lemma_fn, words))
 
 
 def _find_query_window(
     normals: list[str], query_lemmas: list[str], snippet_size: int
 ) -> tuple[int, int] | None:
     """SnippetSearch.java:31-55: smallest, leftmost window containing
-    every query lemma; window sizes |lemmas| … snippet_size-1."""
+    every query lemma; window sizes |lemmas| … snippet_size-1, starts
+    ``0 … n-box-1`` (the reference's exclusive bound).  One pass over
+    the words; see the module docstring for why it equals the loop."""
     need = set(query_lemmas)
-    n = len(normals)
-    for box in range(len(query_lemmas), snippet_size):
-        for i in range(0, n - box):
-            if need <= set(normals[i : i + box]):
-                return i, i + box
-    return None
+    if not need:  # every window holds the empty set
+        return (0, 0) if normals and snippet_size > 0 else None
+    seen: dict[str, int] = {}
+    covers = []  # (hit p, width of the minimal covering window ending at p)
+    for p in range(len(normals) - 1):
+        w = normals[p]
+        if w in need:
+            seen[w] = p
+            if len(seen) == len(need):
+                covers.append((p, p - min(seen.values()) + 1))
+    if not covers:
+        return None
+    box = max(len(query_lemmas), min(width for _, width in covers))
+    if box >= snippet_size:
+        return None
+    end = next(p for p, width in covers if width <= box)
+    start = max(0, end - box + 1)
+    return start, start + box
 
 
 def build_snippet(text: str, query_lemmas: list[str], lexer) -> str:

@@ -205,6 +205,30 @@ def test_search_response_and_snippet(searcher, oracle):
     assert searcher.search_response("леопард")["result"] is False  # latin index
 
 
+@pytest.mark.parametrize("mode", ["and", "or"])
+def test_search_response_builds_one_snippet_per_row(searcher, monkeypatch, mode):
+    """``search_response`` calls ``build_snippet`` through
+    ``raysearch.search``'s own namespace, once per rendered row: the
+    name the benchmark's ``snippet.build_snippet`` span wraps."""
+    import raysearch.search as search_mod
+
+    real = search_mod.build_snippet
+    calls = []
+
+    def counting(text, query_lemmas, lexer):
+        calls.append((text, list(query_lemmas)))
+        return real(text, query_lemmas, lexer)
+
+    monkeypatch.setattr(search_mod, "build_snippet", counting)
+    query = LEMMAS[10] if mode == "and" else f"{LEMMAS[10]} {LEMMAS[100]}"
+    resp = searcher.search_response(query, k=7, mode=mode)
+    assert resp["result"] and resp["data"]
+    assert len(calls) == len(resp["data"])
+    assert [row["snippet"] for row in resp["data"]] == [
+        real(text, lemmas, searcher.lexer) for text, lemmas in calls
+    ]
+
+
 def _assert_or_matches_brute_force(searcher, oracle, q, k=10):
     """search_or's top-k must equal a naive full OR BM25 scorer over the
     oracle's postings (doc ids exactly, scores to 1e-12)."""

@@ -277,6 +277,48 @@ def test_null_role_matches_twins(ray_session):
     assert _same(sft_pairs(ds), _twin(tbl, sft_pairs_sql("corpus")))
 
 
+def test_null_role_runs_and_transitions_match_twins(ray_session):
+    """A null-role turn forms no transition and no run of its own, but
+    it still separates its neighbours: no (prev, role) pair spans it
+    and the runs on either side of it stay apart."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from raysearch.pipelines.convstats import (
+        role_run_stats,
+        role_run_stats_sql,
+        role_transitions,
+        role_transitions_sql,
+    )
+
+    convs = {
+        "a": ["user", None, None, "assistant"],
+        "b": ["tool", None],
+        "c": ["user", None, "user", "user"],
+    }
+    tbl = pa.table(
+        {
+            "conv_id": [c for c, roles in convs.items() for _ in roles],
+            "turn_idx": pa.array(
+                [i for roles in convs.values() for i in range(len(roles))], pa.int32()
+            ),
+            "role": [r for roles in convs.values() for r in roles],
+        }
+    )
+    ds = rd.from_arrow(tbl).repartition(2)
+    trans = _twin(tbl, role_transitions_sql("corpus"))
+    assert trans.values.tolist() == [["user", "user", 1]]
+    assert _same(role_transitions(ds), trans)
+    runs = _twin(tbl, role_run_stats_sql("corpus"))
+    assert runs.values.tolist() == [
+        ["a", "assistant", 1, 1],
+        ["a", "user", 1, 1],
+        ["b", "tool", 1, 1],
+        ["c", "user", 2, 2],
+    ]
+    assert _same(role_run_stats(ds), runs)
+
+
 def test_conv_curation_plan_has_six_operators(ray_session, tiny_corpus):
     """Three exchanges and two block passes after the read: a return
     to per-group UDFs or aggregates shows up here, not only in the
