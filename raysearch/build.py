@@ -12,19 +12,20 @@ cached lemmatizer state (the ST1 load-once pattern; the reference pays
 dictionary load once per page, RecursiveSearch.java:68), aggregates tf
 per doc in-batch (A1 analog, LemmaSearch.java:50-53), and flushes
 sorted sub-segments whenever its posting buffer reaches ``spill_rows``
-("per-partition spill").  A posting row is (term, first_doc, last_doc,
-``doc_ids``, ``tfs``) with the two lists stored as Parquet list
-columns — doc ids ``DELTA_BINARY_PACKED``, tfs dictionary-encoded — so
-Parquet does the compression and ``_write_postings`` is the one place
-that sets it.  Doc lengths and lineage stats are computed in the same
-task.  A partition is fully determined by its input files, so posting
-rows never cross workers: df comes from the merge, not a shared
-counter (contrast RecursiveSearch.java:150-162).  The only all-to-all
+("per-partition spill").  A posting row is (term, bucket, ``doc_ids``,
+``tfs``) with the two lists stored as Parquet list columns — doc ids
+``DELTA_BINARY_PACKED``, tfs, terms and buckets dictionary-encoded —
+so Parquet does the compression and ``_write_postings`` is the one
+place that sets it.  Wave segments and merged bucket files share that
+schema (``POSTINGS_SCHEMA``).  Doc lengths and lineage stats are
+computed in the same task.  A partition is fully determined by its
+input files, so posting rows never cross workers: df comes from the
+merge, not a shared counter (contrast RecursiveSearch.java:150-162).  The only all-to-all
 in the build is the merge: a task per run of term buckets reads each
 bucket's row groups of every segment (segments are written
 bucket-sorted) and LSM-merges them into the global index + lexicon +
-meta (S6/S7 analog), moving list values without decoding or
-re-encoding them.
+meta (S6/S7 analog), writing the segment rows as they are, in (term,
+first doc id) order, without decoding or re-encoding their lists.
 The merge writes everything a searcher opens: ``lexicon.parquet`` (df, cf
 and each term's posting bucket and row-group range) and one
 doc_id-ordered ``doclens.parquet``, besides the build's
@@ -44,12 +45,11 @@ conversation by input contract; ``validate=True`` asserts it).  This is
 SURVEY §7 hard-part (a)'s range-partition mitigation.
 
 Skew: hot Zipf terms (df≈N) never form one giant group — a segment
-row holds one term's postings within one partition (or one spill of
-it), so its size is bounded by the partition's doc count; the merge
-groups rows by crc32(term) % buckets, concatenates the
-per-partition sub-postings (doc-disjoint by construction) and
-re-chunks them at ``MAX_CHUNK`` docs, so no single allocation scales
-with global df (SURVEY §4, "Skew / hot keys").
+row holds one term's postings within one partition flush, so its size
+is bounded by the flush's posting buffer (``spill_rows``); the merge
+groups rows by crc32(term) % buckets and writes each per-partition
+row as it stands (doc-disjoint by construction), so no stored list
+scales with global df (SURVEY §4, "Skew / hot keys").
 
 Checkpoint/resume: the unit of commit is the partition.  Each
 partition task writes its segments, doc lengths, doc store and a
@@ -83,11 +83,18 @@ import pyarrow.parquet as pq
 
 from raysearch.lex import Lexer
 
-MAX_CHUNK = 1 << 20  # max docs per merged posting row (bounds allocations)
 DEFAULT_BUCKETS = 64
 #: posting layout version in ``merged/meta.json`` and every wave
 #: manifest; searchers refuse other indexes, the build recomputes other waves
-INDEX_FORMAT = 4
+INDEX_FORMAT = 5
+#: one posting row: a term's doc ids (ascending) and tfs within one
+#: partition flush; wave segments and merged bucket files alike
+POSTINGS_SCHEMA = pa.schema(
+    [
+        ("term", pa.string()), ("bucket", pa.int32()),
+        ("doc_ids", pa.list_(pa.int64())), ("tfs", pa.list_(pa.int64())),
+    ]
+)
 #: rows per record batch of a wave's doc store: a searcher reads doc row
 #: ``r`` of a file as batch ``r // DOC_BATCH_ROWS``
 DOC_BATCH_ROWS = 256
@@ -340,7 +347,7 @@ DEFAULT_SPILL_ROWS = 8_000_000
 
 def _encode_partition_segment(
     codes: np.ndarray, uniq_terms: np.ndarray, docs: np.ndarray,
-    tfs: np.ndarray, pid: int, buckets: int, bucket_memo: dict,
+    tfs: np.ndarray, buckets: int, bucket_memo: dict,
 ) -> pa.Table:
     """Sort one partition's exploded (term-code, doc, tf) rows into
     per-term posting rows, bucket-major (bucket assigned per term by
@@ -352,7 +359,7 @@ def _encode_partition_segment(
     SQL row per (lemma, page) (model/SearchIndex.java:12-27); its
     ``doc_ids``/``tfs`` lists are slices of the sorted flat arrays."""
     if len(codes) == 0:
-        return _empty_segment()
+        return POSTINGS_SCHEMA.empty_table()
     bucket_of = np.array(
         [
             bucket_memo[t]
@@ -365,17 +372,16 @@ def _encode_partition_segment(
     order = np.lexsort((docs, codes, bucket_of[codes]))
     s_codes = codes[order]
     starts = np.flatnonzero(np.concatenate(([True], s_codes[1:] != s_codes[:-1])))
-    s_docs = docs[order]
-    offsets = np.append(starts, len(s_docs))
+    offsets = np.append(starts, len(s_codes))
     row_codes = s_codes[starts]
-    out = {
-        "term": uniq_terms[row_codes].astype(object),
-        "partition_id": np.full(len(starts), pid, dtype=np.int64),
-        "bucket": bucket_of[row_codes],
-        "first_doc": s_docs[starts], "last_doc": s_docs[offsets[1:] - 1],
-        "doc_ids": _lists(offsets, s_docs), "tfs": _lists(offsets, tfs[order]),
-    }
-    return _segment_table(out)
+    return pa.Table.from_arrays(
+        [
+            pa.array(uniq_terms[row_codes], pa.string()),
+            pa.array(bucket_of[row_codes], pa.int32()),
+            _lists(offsets, docs[order]), _lists(offsets, tfs[order]),
+        ],
+        schema=POSTINGS_SCHEMA,
+    )
 
 
 def _lists(offsets: np.ndarray, values: np.ndarray) -> pa.ListArray:
@@ -395,21 +401,25 @@ def _write_postings(
     table: pa.Table, path: str, row_group_size: int | None = None
 ) -> None:
     """Write bucket-sorted posting rows (a wave segment or a merged
-    bucket): doc ids — ascending within a row —
-    delta-packed, tfs dictionary-encoded.  Parquet names a list
+    bucket): doc ids — ascending within a row — delta-packed; terms,
+    buckets and tfs dictionary-encoded.  Parquet names a list
     column's values ``<col>.list.element``; it ignores an encoding set
     under any other name and writes that column PLAIN.  No row group
     spans two buckets and only ``bucket`` carries statistics, so a
-    reader finds one bucket's row groups from the footer alone."""
+    reader finds one bucket's row groups from the footer alone.  The
+    footer keeps no copy of the Arrow schema: these four columns read
+    back as ``POSTINGS_SCHEMA`` from the Parquet schema alone, and the
+    copy cost ~0.5 kB per file (2% of corpus C's merged postings)."""
     b = table["bucket"].to_numpy()
     cuts = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)]))
     tmp = path + ".tmp"
     with pq.ParquetWriter(
         tmp,
         table.schema,
-        use_dictionary=["tfs.list.element"],
+        use_dictionary=["term", "bucket", "tfs.list.element"],
         column_encoding={"doc_ids.list.element": "DELTA_BINARY_PACKED"},
         write_statistics=["bucket"],
+        store_schema=False,
     ) as writer:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             writer.write_table(table.slice(lo, hi - lo), row_group_size)
@@ -502,7 +512,6 @@ def build_partition_task(
                 np.array(part_terms, dtype=object),
                 np.concatenate(doc_buf),
                 np.concatenate(tf_buf),
-                pid,
                 buckets,
                 tok._bucket_memo,
             )
@@ -558,9 +567,6 @@ def build_partition_task(
                 {
                     "doc_id": pa.array(docs, pa.int64()),
                     "doc_len": pa.array(lens, pa.int64()),
-                    "partition_id": pa.array(
-                        np.full(len(docs), pid), pa.int32()
-                    ),
                 }
             ),
             os.path.join(tmp, "doclens", f"pid-{pid:05d}.parquet"),
@@ -618,47 +624,42 @@ def _write_doc_store(
         writer.write_table(table, max_chunksize=DOC_BATCH_ROWS)
 
 
-def _segment_schema() -> pa.Schema:
-    return pa.schema(
-        [
-            ("term", pa.string()), ("partition_id", pa.int32()),
-            ("bucket", pa.int32()), ("first_doc", pa.int64()),
-            ("last_doc", pa.int64()), ("doc_ids", pa.list_(pa.int64())),
-            ("tfs", pa.list_(pa.int64())),
-        ]
-    )
-
-
-def _segment_table(out: dict) -> pa.Table:
-    schema = _segment_schema()
-    return pa.table(
-        {f.name: pa.array(out[f.name], f.type) for f in schema}, schema=schema
-    )
-
-
-def _empty_segment() -> pa.Table:
-    return _segment_table({f.name: [] for f in _segment_schema()})
-
-
 # ---------------------------------------------------------------------------
 # Stage 3 — LSM-style merge (per-bucket k-way concat of doc-disjoint subs)
 # ---------------------------------------------------------------------------
 
 
+#: posting rows per parquet row group in the merged index — small
+#: enough that a term point-read touches one-ish row group, large
+#: enough to amortize parquet overhead
+POSTING_RG_ROWS = 2048
+
+
+#: a term's merged lexicon row; rg_first..rg_last are the row groups of
+#: its bucket file that hold its posting rows
+_LEXICON_SCHEMA = pa.schema(
+    [("term", pa.string())]
+    + [(c, pa.int64()) for c in ("df", "cf", "bucket", "rg_first", "rg_last")]
+)
+
+
 def merge_bucket(
-    group: pa.Table,
-    max_chunk: int = MAX_CHUNK,
-    conv_starts: np.ndarray | None = None,
-) -> tuple[pa.Table, np.ndarray | None]:
-    """Merge one bucket's per-partition sub-postings into global posting
-    rows, re-chunked at MAX_CHUNK docs.  Sub-postings are doc-disjoint
-    (a doc lives in exactly one partition), so once the rows are in
-    (term, first_doc) order — one ``take`` — each term's doc ids are
-    the flattened ``doc_ids`` lists as they stand: no decode and no
-    re-encode, only a value-level order audit (which sorts a term whose
-    partitions' doc ranges interleave and rejects a repeated doc id)
-    and new list offsets; hot terms (df≈N) emit multiple chunk rows
-    instead of one giant list.
+    group: pa.Table, conv_starts: np.ndarray | None = None
+) -> tuple[pa.Table, pa.Table, np.ndarray | None]:
+    """Merge one bucket's segment rows into its posting rows and its
+    lexicon slice.  Segment rows are doc-disjoint (a doc lives in
+    exactly one partition flush), so once the rows are in (term, first
+    doc id) order — one ``take`` — each term's doc ids are its rows'
+    ``doc_ids`` lists as they stand, and every row is written with its
+    segment length: no decode, no re-encode, no re-chunk.  A
+    value-level order audit sorts a term whose partitions' doc ranges
+    interleave (its values move between its rows; the row lengths
+    stay) and rejects a repeated doc id.
+
+    The lexicon slice comes from the same term boundaries: a term's df
+    and cf, and the ``POSTING_RG_ROWS``-row groups ``rg_first..rg_last``
+    of the bucket file that hold its (contiguous) rows, so a searcher
+    locates a term's postings from its lexicon row alone.
 
     When ``conv_starts`` (the conv→first-doc offset array) is given,
     also returns this bucket's distinct-lemma count per conversation
@@ -672,23 +673,29 @@ def merge_bucket(
     plus O(n) compares over the flattened values, no shuffle."""
     _pin_arrow_threads()
     if group.num_rows == 0:
-        return _empty_merged(), None
-    rows = group.sort_by([("term", "ascending"), ("first_doc", "ascending")])
-    bucket = int(rows["bucket"][0].as_py())
+        return POSTINGS_SCHEMA.empty_table(), _LEXICON_SCHEMA.empty_table(), None
+    keys = pa.table(
+        {"term": group["term"], "first": pc.list_element(group["doc_ids"], 0)}
+    )
+    rows = group.take(
+        pc.sort_indices(keys, [("term", "ascending"), ("first", "ascending")])
+    )
     terms = rows["term"].to_numpy(zero_copy_only=False)
     term_row_starts = np.flatnonzero(
         np.concatenate(([True], terms[1:] != terms[:-1]))
     )
-    row_len = pc.list_value_length(rows["doc_ids"]).to_numpy()
+    row_offsets = np.concatenate(
+        ([0], np.cumsum(pc.list_value_length(rows["doc_ids"]).to_numpy()))
+    )
     d, t = decode_postings(rows)
     n_vals = len(d)
     # term segment boundaries in value space
-    term_val_starts = (np.cumsum(row_len) - row_len)[term_row_starts]
-    term_val_ends = np.concatenate((term_val_starts[1:], [n_vals]))
+    term_val_starts = row_offsets[term_row_starts]
+    term_val_ends = np.append(term_val_starts[1:], n_vals)
     sorted_terms = terms[term_row_starts]
 
-    # order audit: doc-disjoint partitions concatenated by first_doc are
-    # already ascending; sort (and dup-check) only the terms that aren't
+    # order audit: doc-disjoint rows in first-doc order are already
+    # ascending; sort (and dup-check) only the terms that aren't
     interior = np.ones(n_vals, dtype=bool)
     interior[term_val_starts] = False
     bad = np.flatnonzero(interior & (np.diff(np.concatenate(([d[0] - 1], d))) <= 0))
@@ -706,6 +713,11 @@ def merge_bucket(
                 raise ValueError(
                     f"duplicate doc_id in postings of {sorted_terms[ti]!r}"
                 )
+        rows = pa.Table.from_arrays(
+            [rows["term"], rows["bucket"]]
+            + [_lists(row_offsets, v) for v in (d, t)],
+            schema=POSTINGS_SCHEMA,
+        )
 
     # per-conv distinct-lemma partials (see docstring) — after the
     # audit, so doc_ids (hence conv indices) ascend within each segment
@@ -722,61 +734,20 @@ def merge_bucket(
             conv_of_val[keep], minlength=len(conv_starts)
         ).astype(np.int64)
 
-    # re-chunk each term at max_chunk: chunk c of a term starts
-    # c * max_chunk values after the term's first
-    n_chunks = -(-(term_val_ends - term_val_starts) // max_chunk)
-    chunk_term = np.repeat(np.arange(len(n_chunks)), n_chunks)
-    chunk_id = np.arange(len(chunk_term)) - np.repeat(
-        np.cumsum(n_chunks) - n_chunks, n_chunks
+    term_row_ends = np.append(term_row_starts[1:], rows.num_rows)
+    cols = (
+        sorted_terms,
+        term_val_ends - term_val_starts,
+        np.add.reduceat(t, term_val_starts),
+        np.full(len(sorted_terms), rows["bucket"][0].as_py()),
+        term_row_starts // POSTING_RG_ROWS,
+        (term_row_ends - 1) // POSTING_RG_ROWS,
     )
-    starts = term_val_starts[chunk_term] + chunk_id * max_chunk
-    offsets = np.append(starts, n_vals)
-    out = {
-        "term": sorted_terms[chunk_term],
-        "bucket": np.full(len(starts), bucket, dtype=np.int64),
-        "chunk_id": chunk_id,
-        "df": np.diff(offsets), "cf": np.add.reduceat(t, starts),
-        "first_doc": d[starts], "last_doc": d[offsets[1:] - 1],
-        "doc_ids": _lists(offsets, d), "tfs": _lists(offsets, t),
-    }
-    return _merged_table(out), conv_counts
-
-
-def _merged_schema() -> pa.Schema:
-    return pa.schema(
-        [
-            ("term", pa.string()), ("bucket", pa.int32()),
-            ("chunk_id", pa.int32()), ("df", pa.int64()), ("cf", pa.int64()),
-            ("first_doc", pa.int64()), ("last_doc", pa.int64()),
-            ("doc_ids", pa.list_(pa.int64())), ("tfs", pa.list_(pa.int64())),
-        ]
+    lexicon = pa.Table.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(cols, _LEXICON_SCHEMA)],
+        schema=_LEXICON_SCHEMA,
     )
-
-
-def _merged_table(out: dict) -> pa.Table:
-    schema = _merged_schema()
-    return pa.table(
-        {f.name: pa.array(out[f.name], f.type) for f in schema}, schema=schema
-    )
-
-
-def _empty_merged() -> pa.Table:
-    return _merged_table({f.name: [] for f in _merged_schema()})
-
-
-#: posting rows per parquet row group in the merged index — small
-#: enough that a term point-read touches one-ish row group, large
-#: enough to amortize parquet overhead
-POSTING_RG_ROWS = 2048
-
-
-#: a term's merged lexicon row; rg_first..rg_last are the row groups of
-#: its bucket file that hold its posting chunks
-_LEXICON_SCHEMA = pa.schema(
-    [("term", pa.string())]
-    + [(c, pa.int64()) for c in ("df", "cf", "n_chunks", "bucket")]
-    + [(c, pa.int64()) for c in ("rg_first", "rg_last")]
-)
+    return rows, lexicon, conv_counts
 
 
 def _merge_bucket_task(
@@ -785,7 +756,6 @@ def _merge_bucket_task(
     out_dir: str,
     lex_dir: str,
     convlex_dir: str | None,
-    max_chunk: int,
     conv_starts: np.ndarray | None,
 ) -> int:
     """Merge a run of buckets, one at a time, from every segment file.
@@ -815,7 +785,6 @@ def _merge_bucket_task(
                 None
                 if convlex_dir is None
                 else os.path.join(convlex_dir, f"convlex-{b:04d}.parquet"),
-                max_chunk,
                 conv_starts,
             )
     return n
@@ -826,21 +795,14 @@ def _merge_one_bucket(
     out_path: str,
     lex_path: str,
     convlex_path: str | None,
-    max_chunk: int,
     conv_starts: np.ndarray | None,
 ) -> int:
-    """Merge one bucket's segment rows and write the merged posting
-    rows (fixed ``POSTING_RG_ROWS`` row groups) and the bucket's
-    lexicon slice.  The merged rows are
-    term-sorted, so a term's chunks are one contiguous run and its row
-    groups one range; the slice records that range
-    (``rg_first``/``rg_last``), so a searcher locates a term's postings
-    from its lexicon row alone.  Buckets partition the term space, so
-    the global lexicon is just the concatenation — no driver-side scan
-    over the merged index.  Atomic renames; idempotent."""
-    merged, conv_counts = merge_bucket(
-        group, max_chunk=max_chunk, conv_starts=conv_starts
-    )
+    """Merge one bucket's segment rows and write its posting rows
+    (fixed ``POSTING_RG_ROWS`` row groups), its lexicon slice and its
+    convlex sidecar.  Buckets partition the term space, so the global
+    lexicon is just the concatenation of the slices — no driver-side
+    scan over the merged index.  Atomic renames; idempotent."""
+    postings, lexicon, conv_counts = merge_bucket(group, conv_starts=conv_starts)
     if convlex_path is not None and conv_counts is not None:
         # sparse sidecar: only convs this bucket's terms touch
         nz = np.flatnonzero(conv_counts)
@@ -853,28 +815,10 @@ def _merge_one_bucket(
             ),
             convlex_path,
         )
-    if merged.num_rows:
-        _write_postings(merged, out_path, row_group_size=POSTING_RG_ROWS)
-        terms = merged["term"].to_numpy(zero_copy_only=False)
-        starts = np.flatnonzero(np.concatenate(([True], terms[1:] != terms[:-1])))
-        ends = np.append(starts[1:], merged.num_rows)
-        cols = (
-            terms[starts],
-            np.add.reduceat(merged["df"].to_numpy(), starts),
-            np.add.reduceat(merged["cf"].to_numpy(), starts),
-            ends - starts,
-            np.full(len(starts), int(merged["bucket"][0].as_py())),
-            starts // POSTING_RG_ROWS,
-            (ends - 1) // POSTING_RG_ROWS,
-        )
-        _atomic_write_table(
-            pa.Table.from_arrays(
-                [pa.array(c, f.type) for c, f in zip(cols, _LEXICON_SCHEMA)],
-                schema=_LEXICON_SCHEMA,
-            ),
-            lex_path,
-        )
-    return merged.num_rows
+    if postings.num_rows:
+        _write_postings(postings, out_path, row_group_size=POSTING_RG_ROWS)
+        _atomic_write_table(lexicon, lex_path)
+    return postings.num_rows
 
 
 def run_merge(
@@ -882,12 +826,13 @@ def run_merge(
     out_dir: str,
     buckets: int,
     lex_dir: str | None = None,
-    max_chunk: int = MAX_CHUNK,
     convlex_dir: str | None = None,
     conv_starts: np.ndarray | None = None,
 ) -> None:
     """LSM merge: Ray tasks, each over a run of buckets, read each
-    bucket's rows from every segment file and merge them.
+    bucket's rows from every segment file and write them, term-sorted
+    and each at its segment length, as the bucket's posting file and
+    lexicon slice (:func:`merge_bucket`).
 
     Ray Data's ``groupby("bucket").map_groups`` key-SORTS the blocks;
     sorting rows whose payload is KB-sized posting lists measured 24s
@@ -933,7 +878,6 @@ def run_merge(
             out_dir,
             lex_dir,
             convlex_dir if use_conv else None,
-            max_chunk,
             conv_ref,
         )
         for run in np.array_split(todo, n_tasks)
@@ -1079,7 +1023,6 @@ def build_index(
     validate: bool = False,
     strip_html: bool = False,
     spill_rows: int = DEFAULT_SPILL_ROWS,
-    max_chunk: int = MAX_CHUNK,
     read_batch_rows: int = 32768,
 ) -> dict:
     """Build (or resume) the inverted index; returns the final meta dict.
@@ -1087,10 +1030,11 @@ def build_index(
     One ``map_batches`` runs a task per remaining partition; each task
     commits its partition as its own wave, so a stopped build resumes
     from every partition it finished.  ``spill_rows`` bounds a
-    partition task's posting buffer, ``read_batch_rows`` its parquet
-    read batches, and ``max_chunk`` the docs per merged posting row.
-    The merge publishes ``merged/`` in one rename: postings, lexicon,
-    doc lengths and ``docs/`` (hard links to the waves' doc stores).
+    partition task's posting buffer (and so the longest posting row:
+    the merge writes the segment rows as they are) and
+    ``read_batch_rows`` its parquet read batches.  The merge publishes
+    ``merged/`` in one rename: postings, lexicon, doc lengths and
+    ``docs/`` (hard links to the waves' doc stores).
     ``meta.json`` keeps a digest of the wave → commit map it was merged
     from (``waves_digest``, with ``n_waves``), and a build whose waves
     match it skips the merge.
@@ -1221,7 +1165,6 @@ def build_index(
         os.path.join(merged_tmp, "postings"),
         buckets,
         lex_dir=os.path.join(merged_tmp, "lexparts"),
-        max_chunk=max_chunk,
         convlex_dir=os.path.join(merged_tmp, "convlex"),
         conv_starts=offsets["offset"].to_numpy(),
     )
@@ -1275,7 +1218,6 @@ def build_index(
         "n_partitions": n_partitions,
         "n_waves": len(waves),
         "waves_digest": _waves_digest(waves),
-        "conv_lemmas": True,
         "build_wall_s": round(time.monotonic() - t_start, 3),
         "stage_times": stage_times,
     }

@@ -40,7 +40,6 @@ mega-bucket is recoverable transitively after verification.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pandas as pd
@@ -1367,7 +1366,7 @@ _VERIFY_CHUNK = 2048  # rows per matmul chunk inside one bucket
 # vector, O(n·d)) instead of the full chunked matmul (O(n²·d)) — a
 # dense near-identical cluster (boilerplate embeddings) is exactly the
 # dedup workload and must not cost quadratic FLOPs
-MAX_EMB_BUCKET = int(os.environ.get("RAYSEARCH_MAX_EMB_BUCKET", "4096"))
+MAX_EMB_BUCKET = 4096
 
 
 def embedding_near_dup(
@@ -1545,7 +1544,7 @@ def simhash_pairs_exact(ds, max_hamming: int = 3):
 #: edge sets at or below this size run the driver fast path (compact
 #: int pairs only — ≤ ~160 MB at the default); above it, the fully
 #: distributed propagation loop.  Same precedent as BROADCAST_ID_LIMIT.
-CC_DRIVER_EDGE_LIMIT = int(os.environ.get("RAYSEARCH_CC_DRIVER_EDGES", "10000000"))
+CC_DRIVER_EDGE_LIMIT = 10_000_000
 
 
 def _cc_numpy(ua: np.ndarray, va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1605,11 +1604,11 @@ def connected_components(pairs, *, col_a: str = "doc_a", col_b: str = "doc_b",
     exchange/scheduling latencies regardless of data size, which
     dominates when the edge set is small — the COMMON case (duplicate
     pairs ≪ corpus).  At or below ``driver_limit`` edges (default
-    ``CC_DRIVER_EDGE_LIMIT``; env ``RAYSEARCH_CC_DRIVER_EDGES``
-    — ids only, bounded, the ``BROADCAST_ID_LIMIT`` precedent) the
-    compact int pairs are pulled once and solved with vectorized
-    min-label + pointer jumping; above it the distributed loop runs
-    unchanged.  Both paths produce identical labels.
+    ``CC_DRIVER_EDGE_LIMIT`` — ids only, bounded, the
+    ``BROADCAST_ID_LIMIT`` precedent) the compact int pairs are pulled
+    once and solved with vectorized min-label + pointer jumping; above
+    it the distributed loop runs unchanged.  Both paths produce
+    identical labels.
     """
     import pyarrow.compute as pc
     import ray.data as rd

@@ -265,15 +265,6 @@ def hll_estimate(buckets: np.ndarray, registers: np.ndarray, p: int = HLL_P) -> 
     return float(e)
 
 
-def hll_vocab_estimate(ds, p: int = HLL_P) -> float:
-    """Convenience: documents(text) → estimated distinct-token count
-    (driver receives only the ≤ 2^p register rows)."""
-    t = hll_vocab_registers(ds, p).to_pandas()
-    return hll_estimate(
-        t["bucket"].to_numpy(), t["register"].to_numpy(), p
-    )
-
-
 #: heavy-hitter threshold: report terms with count · k > total tokens
 #: (the synthetic vocabulary is near-uniform over ~31 terms with top
 #: share ≈ 3.5%, so 1/30 ≈ 3.33% yields a non-trivial hitter set;

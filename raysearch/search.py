@@ -6,7 +6,7 @@ fetch J1, conjunctive intersection J2, per-pair tf lookups J3, tf-sum
 scoring A4) with an ``IndexSearcher`` that holds the lexicon and
 segment handles once (actor-pool-friendly: construct per actor, reuse
 across query batches) and fetches posting rows with parquet row-group
-pruning (the merged postings are term-clustered, so a term's chunks
+pruning (the merged postings are term-clustered, so a term's rows
 live in O(1) row groups).  Opening one reads three tables the merge
 wrote — ``lexicon.parquet`` (each row also names the term's bucket and
 posting row-group range), ``doclens.parquet`` (doc_id order) and
@@ -23,12 +23,16 @@ the first fetch; a doc is a ``searchsorted`` plus a record-batch slice,
 not a re-read of the input parquet.  The text is the one committed
 with the doc's scores, where the reference re-fetches the live page
 (SearchServiceImpl.java:82-94, M9): an input edit shows only after its
-partition is rebuilt.
+partition is rebuilt.  A searcher reads one index generation: every
+file it opens after the open (posting buckets, doc store, lexicon
+slices) is checked against the ``merged/meta.json`` it opened with,
+and a refresh in between makes the read raise instead of mixing
+generations.
 
 Posting cache: one byte-bounded LRU keyed by term holds each decoded
 posting list together with its per-``BLOCK``-doc tf maxima, computed
 once at fetch from the decoded tfs (``np.maximum.reduceat``), so the
-bounds are exact for any chunking of the stored rows.  For conjunctive
+bounds are exact however the stored rows cut the list.  For conjunctive
 top-k the searcher scores the exact candidate set (reference semantics
 demand it — the candidate count is part of the response,
 SearchServiceImpl.java:66); the block maxima give ``max_score`` upper
@@ -85,6 +89,12 @@ def _pylist(col: pa.ChunkedArray) -> list:
     return col.to_numpy(zero_copy_only=False).tolist()
 
 
+def _file_id(st: os.stat_result) -> tuple[int, int]:
+    """Identity of one written file: a rename into place or a rewrite
+    changes it."""
+    return st.st_ino, st.st_mtime_ns
+
+
 def _lex_rows(lex: pa.Table) -> list[tuple[int, int, int, int]]:
     """(df, bucket, rg_first, rg_last) per lexicon row."""
     return list(zip(*(_pylist(lex[c]) for c in _LEX_COLUMNS[1:])))
@@ -108,12 +118,12 @@ class IndexSearcher:
 
     ``doc_range=(lo, hi)`` builds a SHARD searcher that owns only that
     doc_id range: doc-length/norm arrays are sized to the range
-    (predicate-pushdown reads), posting CHUNKS wholly outside the range
-    are pruned before decode via their first_doc/last_doc metadata, and
-    every search is implicitly range-scoped.  Global statistics (df,
-    n_docs, avg_doc_len) stay global, so per-doc scores are identical
-    to an unsharded searcher — :class:`ShardedSearcher` merges shard
-    top-ks into exactly the single-node ranking."""
+    (predicate-pushdown reads), each decoded posting list is sliced to
+    the range (one ``searchsorted``) before it is cached, and every
+    search is implicitly range-scoped.  Global statistics (df, n_docs,
+    avg_doc_len) stay global, so per-doc scores are identical to an
+    unsharded searcher — :class:`ShardedSearcher` merges shard top-ks
+    into exactly the single-node ranking."""
 
     def __init__(
         self,
@@ -124,7 +134,9 @@ class IndexSearcher:
     ):
         self.index_dir = index_dir
         merged = os.path.join(index_dir, "merged")
-        with open(os.path.join(merged, "meta.json")) as f:
+        self._meta_path = os.path.join(merged, "meta.json")
+        with open(self._meta_path) as f:
+            self._generation = _file_id(os.fstat(f.fileno()))
             self.meta = json.load(f)
         if self.meta.get("format") != INDEX_FORMAT:
             raise ValueError(
@@ -198,6 +210,14 @@ class IndexSearcher:
         self._conv_index = {c: i for i, c in enumerate(self._conv_ids)}
         self._docs: tuple[list, np.ndarray, np.ndarray] | None = None
 
+    def _check_generation(self) -> None:
+        """Raise when ``merged/`` was replaced since this searcher
+        opened: a file opened after the swap is the new generation's,
+        while the searcher's lexicon, doc lengths and conv offsets are
+        the old one's.  Called after each lazy open."""
+        if _file_id(os.stat(self._meta_path)) != self._generation:
+            raise ValueError("index was replaced; reopen the searcher")
+
     # -- lexicon access (lazy per-bucket slices vs full arrays) ------------
 
     def _bucket_map(self, b: int) -> dict[str, tuple]:
@@ -212,6 +232,7 @@ class IndexSearcher:
         if os.path.exists(lex_path):
             lt = pq.read_table(lex_path, columns=_LEX_COLUMNS)
             out = dict(zip(_pylist(lt["term"]), _lex_rows(lt)))
+        self._check_generation()
         self._bucket_cache[b] = out
         while len(self._bucket_cache) > LAZY_BUCKETS:
             self._bucket_cache.popitem(last=False)
@@ -230,36 +251,19 @@ class IndexSearcher:
         pf = self._pf_cache.get(b)
         if pf is None:
             path = os.path.join(self._post_dir, f"bucket-{b:04d}.parquet")
-            pf = self._pf_cache[b] = pq.ParquetFile(path)
+            pf = pq.ParquetFile(path)
+            self._check_generation()
+            self._pf_cache[b] = pf
         # one row group is a few small column chunks: Arrow's thread
         # pool costs more than it saves (cold term fetch on a 32k-turn
         # index measured 1.66 ms with it, 1.35 ms without)
         return pf.read_row_group(rg, use_threads=False)
 
-    def _term_rows(self, term: str, b: int, rgs: range) -> pa.Table | None:
-        """All posting-chunk rows for a term (its lexicon row names the
-        bucket and row groups); a shard searcher additionally prunes
-        chunks wholly outside its doc range via the first_doc/last_doc
-        chunk metadata."""
-        sharded = (self.doc_lo, self.doc_hi) != (0, self.n_docs)
-        found = []
-        for rg in rgs:
-            t = self._read_row_group(b, rg)
-            mask = pc.equal(t["term"], term)
-            if sharded:
-                mask = pc.and_(
-                    mask,
-                    pc.and_(
-                        pc.greater_equal(t["last_doc"], self.doc_lo),
-                        pc.less(t["first_doc"], self.doc_hi),
-                    ),
-                )
-            rows = t.filter(mask)
-            if rows.num_rows:
-                found.append(rows)
-        if not found:
-            return None
-        return pa.concat_tables(found)
+    def _term_rows(self, term: str, b: int, rgs: range) -> pa.Table:
+        """All posting rows of a term (its lexicon row names the bucket
+        and row groups), in stored order."""
+        tables = [self._read_row_group(b, rg) for rg in rgs]
+        return pa.concat_tables([t.filter(pc.equal(t["term"], term)) for t in tables])
 
     def fetch_postings(self, term: str) -> CachedPostings | None:
         """The term's decoded posting list (in this searcher's doc
@@ -272,12 +276,16 @@ class IndexSearcher:
             self._term_cache.move_to_end(term)
             return hit
         df, b, rg_first, rg_last = entry
-        rows = self._term_rows(term, b, range(rg_first, rg_last + 1))
-        if rows is None:
+        # a term's rows are stored consecutively in doc order and its
+        # row groups are read in order: the flattened lists ascend
+        doc_ids, tfs = decode_postings(
+            self._term_rows(term, b, range(rg_first, rg_last + 1))
+        )
+        if (self.doc_lo, self.doc_hi) != (0, self.n_docs):
+            lo, hi = np.searchsorted(doc_ids, [self.doc_lo, self.doc_hi])
+            doc_ids, tfs = doc_ids[lo:hi], tfs[lo:hi]
+        if not len(doc_ids):
             return None
-        # a term's chunk rows are stored consecutively in doc order and
-        # its row groups are read in order: the flattened lists ascend
-        doc_ids, tfs = decode_postings(rows)
         block_max = np.maximum.reduceat(tfs, np.arange(0, len(tfs), BLOCK))
         out = CachedPostings(term, df, doc_ids, tfs, block_max.astype(np.float64))
         self._term_cache[term] = out
@@ -390,12 +398,6 @@ class IndexSearcher:
             infos.append((p, bm25_idf(p.df, self.n_docs)))
         if not infos:
             return empty
-        sharded = (self.doc_lo, self.doc_hi) != (0, self.n_docs)
-
-        def in_range(d: np.ndarray) -> np.ndarray:
-            if not sharded:
-                return d
-            return d[(d >= self.doc_lo) & (d < self.doc_hi)]
 
         # per-term block upper bounds
         ubs = [
@@ -411,12 +413,12 @@ class IndexSearcher:
             if not len(u):
                 continue
             b = int(np.argmax(u))
-            seed.append(in_range(p.doc_ids[b * BLOCK : (b + 1) * BLOCK]))
+            seed.append(p.doc_ids[b * BLOCK : (b + 1) * BLOCK])
         seed_docs = np.unique(np.concatenate(seed)) if seed else np.empty(0, np.int64)
-        # A shard whose doc range contains none of the globally-best
-        # blocks gets an empty seed — that only means no θ bound is
-        # available, NOT that the shard has no matches; fall through
-        # with θ=-inf so every block survives and is scored exactly.
+        # A seed of fewer than k docs (a shard's lists hold only its
+        # range's docs) only means no θ bound is available, NOT that
+        # there are fewer matches; fall through with θ=-inf so every
+        # block survives and is scored exactly.
         if len(seed_docs) >= k:
             seed_scores = self._score_union(seed_docs, infos)
             theta = float(-np.partition(-seed_scores, k - 1)[k - 1])
@@ -429,10 +431,10 @@ class IndexSearcher:
             rest = float(max_ub.sum() - max_ub[ti])
             keep = np.flatnonzero(u >= theta - rest)
             if len(keep) == len(u):
-                surv.append(in_range(p.doc_ids))
+                surv.append(p.doc_ids)
                 continue
             for b in keep:
-                surv.append(in_range(p.doc_ids[b * BLOCK : (b + 1) * BLOCK]))
+                surv.append(p.doc_ids[b * BLOCK : (b + 1) * BLOCK])
         docs = np.unique(np.concatenate(surv)) if surv else np.empty(0, np.int64)
         if not len(docs):
             return empty
@@ -460,6 +462,7 @@ class IndexSearcher:
             docs_dir = os.path.join(self.index_dir, "merged", "docs")
             paths = sorted(glob.glob(os.path.join(docs_dir, "*.arrow")))
             readers = [ipc.open_file(pa.memory_map(p)) for p in paths]
+            self._check_generation()
             ids = [r.read_all()["doc_id"].to_numpy() for r in readers]
             starts = np.cumsum([0] + [len(i) for i in ids])
             row_of = np.full(self.n_docs, -1, dtype=np.int64)
@@ -527,6 +530,7 @@ class IndexSearcher:
                     os.path.join(self.index_dir, "merged", "lexicon.parquet"),
                     columns=["term", "df"],
                 )
+                self._check_generation()
                 self._lex_terms = _pylist(lex["term"])
                 self._lex_df = lex["df"].to_numpy()
             lens = np.array([len(t) for t in self._lex_terms], dtype=np.int64)
@@ -636,7 +640,7 @@ class _ShardSearch:
 class ShardedSearcher:
     """Distributed query path: the doc space is split into N contiguous
     ranges, one shard actor per range (each holds ONLY its range's
-    doc-length/norm arrays and prunes posting chunks to its range —
+    doc-length/norm arrays and slices posting lists to its range —
     nothing per-shard scales with global n_docs except the lexicon).
     Per query every shard computes its exact range-scoped result with
     GLOBAL statistics (df, n_docs, avg_doc_len), so merging the shard

@@ -42,8 +42,7 @@ Documented divergences from the reference:
   conversation (round 3): the merge writes sparse per-bucket
   distinct-lemma-per-conv sidecars (``merged/convlex/``, term space is
   bucket-partitioned so the sum is exact) and the detail row carries
-  their sum alongside ``tokens`` (sum of doc lengths).  Indexes built
-  before the sidecar existed report ``lemmas: null``.
+  their sum alongside ``tokens`` (sum of doc lengths).
 """
 
 from __future__ import annotations
@@ -182,32 +181,26 @@ class EngineServer:
     def _build_running(self) -> bool:
         return self._proc is not None and self._proc.poll() is None
 
-    def _conv_lemmas(self, n_convs: int) -> "np.ndarray | None":
+    def _conv_lemmas(self, n_convs: int) -> np.ndarray:
         """Distinct-lemma count per conversation (DetailedStatisticsItem
         lemma analog) — summed from the sparse per-bucket ``convlex``
         sidecars the merge wrote (term space is bucket-partitioned, so
-        summing is exact).  Cached per merged-index mtime; None for
-        indexes built before the sidecar existed."""
+        summing is exact; an index without terms has none).  Cached per
+        merged-index mtime."""
         import glob as _glob
+
+        import pyarrow.parquet as pq
 
         mtime = self._searcher_mtime
         cached = getattr(self, "_conv_lemmas_cache", None)
         if cached is not None and cached[0] == mtime:
             return cached[1]
-        files = sorted(
-            _glob.glob(
-                os.path.join(self.index_dir, "merged", "convlex", "*.parquet")
-            )
-        )
-        out = None
-        if files:
-            import pyarrow.parquet as pq
-
-            out = np.zeros(n_convs, dtype=np.int64)
-            for p in files:
-                t = pq.read_table(p)
-                idx = t["conv_idx"].to_numpy()
-                np.add.at(out, idx, t["lemmas"].to_numpy())
+        out = np.zeros(n_convs, dtype=np.int64)
+        for p in _glob.glob(
+            os.path.join(self.index_dir, "merged", "convlex", "*.parquet")
+        ):
+            t = pq.read_table(p)
+            np.add.at(out, t["conv_idx"].to_numpy(), t["lemmas"].to_numpy())
         self._conv_lemmas_cache = (mtime, out)
         return out
 
@@ -253,7 +246,7 @@ class EngineServer:
                         "error": self._last_error or "",
                         "pages": int(turns[i]),
                         "tokens": int(tok[i]),
-                        "lemmas": int(lem[i]) if lem is not None else None,
+                        "lemmas": int(lem[i]),
                     }
                 )
         return {

@@ -1,6 +1,7 @@
 """Posting layout: per-row ``doc_ids``/``tfs`` Parquet list columns,
-written delta-packed by ``build._write_postings`` and moved through the
-merge as list values (flatten + new offsets, no decode/re-encode)."""
+written delta-packed by ``build._write_postings``; wave segments and
+merged bucket files share one schema, and the merge writes each
+segment row as it is (term-sorted, no decode/re-encode, no re-chunk)."""
 
 import glob
 import json
@@ -17,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raysearch.build import (
+    POSTING_RG_ROWS,
+    POSTINGS_SCHEMA,
     _encode_partition_segment,
     _write_postings,
     decode_postings,
@@ -28,7 +31,7 @@ from raysearch.build import (
 TERMS = ["a", "ab", "b", "z", "é", "жук", "ß"]
 
 
-def _segment(postings, pid):
+def _segment(postings):
     """One segment table out of (term, doc, tf) triples."""
     terms = np.array(sorted({t for t, _, _ in postings}), dtype=object)
     code = {t: i for i, t in enumerate(terms)}
@@ -37,7 +40,6 @@ def _segment(postings, pid):
         terms,
         np.array([d for _, d, _ in postings], dtype=np.int64),
         np.array([tf for _, _, tf in postings], dtype=np.int64),
-        pid,
         1,
         {},
     )
@@ -72,42 +74,54 @@ def partitioned_postings(draw):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             flush = [p for p in truth if part_of[p[1]] == pid and lo <= p[1] < hi]
             if flush:
-                segments.append(_segment(flush, pid))
+                segments.append(_segment(flush))
     draw(st.randoms()).shuffle(segments)
     conv_starts = np.array(
         sorted({0} | draw(st.sets(st.integers(1, max(1, n_docs - 1)), max_size=6))),
         dtype=np.int64,
     )
-    max_chunk = draw(st.integers(1, 8))
-    return truth, segments, conv_starts, max_chunk
+    return truth, segments, conv_starts
 
 
 @settings(max_examples=150, deadline=None)
 @given(partitioned_postings())
 def test_merge_matches_exploded_postings(case):
     """The merged rows flatten to exactly the exploded (term, doc_id,
-    tf) postings; each chunk holds ≤ max_chunk docs (all but a term's
-    last exactly max_chunk) and its df/cf/first_doc/last_doc describe
-    its own lists; the per-conversation lemma counts are exact."""
-    truth, segments, conv_starts, max_chunk = case
-    merged, conv_counts = merge_bucket(
-        pa.concat_tables(segments), max_chunk=max_chunk, conv_starts=conv_starts
+    tf) postings; per term, the rows keep the segment rows' lengths
+    (in first-doc order) and their doc ids ascend; the lexicon slice's
+    df/cf/row groups describe the rows and the per-conversation lemma
+    counts are exact."""
+    truth, segments, conv_starts = case
+    merged, lexicon, conv_counts = merge_bucket(
+        pa.concat_tables(segments), conv_starts=conv_starts
     )
+    assert merged.schema == POSTINGS_SCHEMA
     doc_ids, tfs = decode_postings(merged)
     terms = merged["term"].take(pc.list_parent_indices(merged["doc_ids"]))
     assert list(zip(terms.to_pylist(), doc_ids.tolist(), tfs.tolist())) == sorted(truth)
 
+    seg_rows = sorted(
+        (r["term"], r["doc_ids"][0], len(r["doc_ids"]))
+        for seg in segments
+        for r in seg.to_pylist()
+    )
     rows = merged.to_pylist()
-    for i, r in enumerate(rows):
-        assert 1 <= len(r["doc_ids"]) == len(r["tfs"]) == r["df"] <= max_chunk
-        assert r["cf"] == sum(r["tfs"])
-        assert (r["first_doc"], r["last_doc"]) == (r["doc_ids"][0], r["doc_ids"][-1])
-        last_of_term = i + 1 == len(rows) or rows[i + 1]["term"] != r["term"]
-        assert last_of_term or r["df"] == max_chunk
-        if i and rows[i - 1]["term"] == r["term"]:
-            assert r["chunk_id"] == rows[i - 1]["chunk_id"] + 1
-        else:
-            assert r["chunk_id"] == 0
+    assert [(r["term"], len(r["doc_ids"])) for r in rows] == [
+        (t, n) for t, _, n in seg_rows
+    ]
+    assert all(len(r["doc_ids"]) == len(r["tfs"]) for r in rows)
+
+    want_lex = []
+    for term in sorted({t for t, _, _ in truth}):
+        tfs_of = [tf for t, _, tf in truth if t == term]
+        at = [i for i, r in enumerate(rows) if r["term"] == term]
+        want_lex.append(
+            (term, len(tfs_of), sum(tfs_of),
+             at[0] // POSTING_RG_ROWS, at[-1] // POSTING_RG_ROWS)
+        )
+    got_lex = lexicon.select(["term", "df", "cf", "rg_first", "rg_last"]).to_pylist()
+    assert [tuple(r.values()) for r in got_lex] == want_lex
+    assert set(lexicon["bucket"].to_pylist()) == {0}
 
     conv_of = np.searchsorted(conv_starts, np.arange(max(d for _, d, _ in truth) + 1), "right") - 1
     pairs = {(t, int(conv_of[d])) for t, d, _ in truth}
@@ -118,14 +132,16 @@ def test_merge_matches_exploded_postings(case):
 def test_merge_rejects_duplicate_doc_id():
     """A doc id in two partitions' rows of one term is a broken
     partitioning, not a posting to keep twice."""
-    a = _segment([("x", 1, 1), ("x", 4, 2), ("y", 2, 1)], 0)
-    b = _segment([("x", 3, 1), ("x", 4, 5)], 1)
+    a = _segment([("x", 1, 1), ("x", 4, 2), ("y", 2, 1)])
+    b = _segment([("x", 3, 1), ("x", 4, 5)])
     with pytest.raises(ValueError, match="duplicate doc_id in postings of 'x'"):
         merge_bucket(pa.concat_tables([a, b]))
-    # the same rows without the repeat merge (interleaved ranges sort)
-    c = _segment([("x", 3, 1)], 1)
-    merged, _ = merge_bucket(pa.concat_tables([a, c]))
-    assert decode_postings(merged)[0].tolist() == [1, 3, 4, 2]
+    # the same rows without the repeat merge (interleaved ranges sort;
+    # the values move between x's rows, the row lengths stay)
+    c = _segment([("x", 3, 1)])
+    merged, _, _ = merge_bucket(pa.concat_tables([a, c]))
+    assert merged["doc_ids"].to_pylist() == [[1, 3], [4], [2]]
+    assert merged["tfs"].to_pylist() == [[1, 1], [2], [1]]
 
 
 def test_merge_sorts_row_and_rejects_repeated_doc_id():
@@ -133,13 +149,13 @@ def test_merge_sorts_row_and_rejects_repeated_doc_id():
     with them); a doc twice inside one row — an input turn that appears
     twice — is rejected."""
     with pytest.raises(ValueError, match="duplicate doc_id in postings of 'x'"):
-        merge_bucket(_segment([("x", 1, 1), ("x", 4, 2), ("x", 4, 1)], 0))
-    seg = _segment([("x", 2, 5), ("x", 3, 7)], 0)
+        merge_bucket(_segment([("x", 1, 1), ("x", 4, 2), ("x", 4, 1)]))
+    seg = _segment([("x", 2, 5), ("x", 3, 7)])
     i = seg.schema.get_field_index("doc_ids")
     seg = seg.set_column(i, "doc_ids", pa.array([[3, 2]], seg.schema.field(i).type))
     i = seg.schema.get_field_index("tfs")
     seg = seg.set_column(i, "tfs", pa.array([[7, 5]], seg.schema.field(i).type))
-    merged, _ = merge_bucket(seg)
+    merged, _, _ = merge_bucket(seg)
     doc_ids, tfs = decode_postings(merged)
     assert (doc_ids.tolist(), tfs.tolist()) == ([2, 3], [5, 7])
 
@@ -152,7 +168,7 @@ def test_merge_reads_buckets_by_row_group(tmp_path):
     terms = np.array(TERMS, dtype=object)
     seg = _encode_partition_segment(
         np.arange(len(terms)), terms, np.arange(len(terms)), np.ones(len(terms), np.int64),
-        0, 3, {},
+        3, {},
     )
     buckets = sorted(set(seg["bucket"].to_pylist()))
     path = str(tmp_path / "seg.parquet")
@@ -160,10 +176,10 @@ def test_merge_reads_buckets_by_row_group(tmp_path):
     assert pq.ParquetFile(path).num_row_groups == len(buckets) > 1
     out = str(tmp_path / "out")
     os.makedirs(out)
-    assert _merge_bucket_task(buckets, [path], out, out, None, 8, None) == len(terms)
+    assert _merge_bucket_task(buckets, [path], out, out, None, None) == len(terms)
     pq.write_table(seg, path)
     with pytest.raises(ValueError, match="spans several buckets"):
-        _merge_bucket_task(buckets, [path], out, out, None, 8, None)
+        _merge_bucket_task(buckets, [path], out, out, None, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +192,7 @@ def test_postings_roundtrip(doc_set, tf_seed):
     read, doc ids up to 10^12 included."""
     doc_ids = np.array(sorted(doc_set), dtype=np.int64)
     tfs = np.random.default_rng(tf_seed).integers(1, 1000, size=doc_ids.size)
-    seg = _segment([("t", int(d), int(tf)) for d, tf in zip(doc_ids, tfs)], 0)
+    seg = _segment([("t", int(d), int(tf)) for d, tf in zip(doc_ids, tfs)])
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "seg.parquet")
         _write_postings(seg, path)
@@ -196,10 +212,15 @@ def _encodings(path: str, column: str) -> list[set[str]]:
 
 
 def _assert_posting_encodings(files: list[str]) -> None:
-    """Delta-packed doc ids, dictionary tfs, and row groups that each
-    hold one bucket (the merge reads a bucket by row-group statistics)."""
+    """The one posting schema, delta-packed doc ids, dictionary terms,
+    buckets and tfs, and row groups that each hold one bucket (the
+    merge reads a bucket by row-group statistics)."""
     assert files
     for f in files:
+        assert pq.read_schema(f).remove_metadata() == POSTINGS_SCHEMA, f
+        for col in ("term", "bucket"):
+            enc = _encodings(f, col)
+            assert enc and all("RLE_DICTIONARY" in e for e in enc), (f, col, enc)
         doc_enc = _encodings(f, "doc_ids.list.element")
         assert doc_enc and all("DELTA_BINARY_PACKED" in e for e in doc_enc), (f, doc_enc)
         tf_enc = _encodings(f, "tfs.list.element")
@@ -221,8 +242,8 @@ def wave_index(ray_session, tiny_corpus, tmp_path_factory):
 
 
 def test_posting_files_are_delta_packed(wave_index):
-    """Every segment and every merged bucket file delta-packs its doc
-    ids."""
+    """Every segment and every merged bucket file has the one posting
+    schema and delta-packs its doc ids."""
     _, index = wave_index
     _assert_posting_encodings(
         glob.glob(os.path.join(index, "waves", "*", "segments", "*.parquet"))
@@ -248,13 +269,14 @@ def test_resume_recomputes_wave_of_old_format(wave_index, tmp_path):
     """A wave whose manifest names an older format is rebuilt on
     resume, and only that wave; the merged index then equals a fresh
     build's.  Format 2 held byte-string segments; format 3 had no doc
-    store (``docs.arrow``)."""
+    store (``docs.arrow``); format 4 segments carried per-row
+    ``partition_id``/``first_doc``/``last_doc`` columns."""
     from raysearch.build import INDEX_FORMAT, build_index
 
     corpus, index = wave_index
     want = _merged_tables(index)
     assert sum(name.startswith("docs" + os.sep) for name in want) == 4
-    for stale_format in (2, 3):
+    for stale_format in (2, 3, 4):
         old = str(tmp_path / f"old{stale_format}")
         shutil.copytree(index, old)
         waves = sorted(glob.glob(os.path.join(old, "waves", "*")))
@@ -265,15 +287,21 @@ def test_resume_recomputes_wave_of_old_format(wave_index, tmp_path):
         manifest["format"] = stale_format
         with open(os.path.join(stale, "manifest.json"), "w") as f:
             json.dump(manifest, f)
-        if stale_format == 2:
-            for seg in glob.glob(os.path.join(stale, "segments", "*.parquet")):
-                t = pq.read_table(seg, columns=["term", "partition_id", "bucket"])
-                blobs = pa.array([b"\x01"] * t.num_rows, pa.binary())
-                pq.write_table(
-                    t.append_column("docs", blobs).append_column("tfs", blobs), seg
-                )
-        else:
+        if stale_format == 3:
             os.remove(os.path.join(stale, "docs.arrow"))
+        for seg in glob.glob(os.path.join(stale, "segments", "*.parquet")):
+            t = pq.read_table(seg)
+            if stale_format == 2:
+                blobs = pa.array([b"\x01"] * t.num_rows, pa.binary())
+                t = t.select(["term", "bucket"])
+                t = t.append_column("docs", blobs).append_column("tfs", blobs)
+            elif stale_format == 4:
+                first = pc.list_element(t["doc_ids"], 0)
+                t = t.add_column(1, "partition_id", pa.array([1] * t.num_rows, pa.int32()))
+                t = t.add_column(3, "first_doc", first).add_column(4, "last_doc", first)
+            else:
+                continue
+            pq.write_table(t, seg)
         kept = {w: os.path.getmtime(w) for w in waves if w != stale}
 
         build_index(corpus, old, mode="latin", n_partitions=4)

@@ -181,15 +181,19 @@ def _scan_row_groups(postings_dir: str) -> dict[str, tuple[str, list[int]]]:
 def test_lexicon_row_group_ranges_match_scan(built, tmp_path):
     """Each lexicon row's ``rg_first..rg_last`` equals the row groups a
     scan of its bucket file's term column finds the term in — on the
-    default build, and on a one-bucket ``max_chunk=32`` build whose hot
-    terms span several posting row groups."""
+    default build, and on a one-bucket build whose partitions flush
+    every 512 postings, so a hot term's rows (one per flush) span
+    several posting row groups."""
     import pyarrow.parquet as pq
 
     from raysearch.build import build_index
 
     corpus, index = built
-    dense = str(tmp_path / "idx_chunk32")
-    build_index(corpus, dense, mode="latin", n_partitions=2, buckets=1, max_chunk=32)
+    dense = str(tmp_path / "idx_spill")
+    build_index(
+        corpus, dense, mode="latin", n_partitions=2, buckets=1,
+        spill_rows=512, read_batch_rows=64,
+    )
     spans = 0
     for idx in (index, dense):
         merged = os.path.join(idx, "merged")

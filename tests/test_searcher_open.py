@@ -2,9 +2,11 @@
 
 * an eager searcher opens in three table reads (lexicon, doc lengths,
   conv offsets) and a lazy one reads one lexicon slice per bucket;
-* a shard's doc lengths are the matching slice of the full array;
-* a result's text is the committed snapshot, not the live input, and
-  a warm response reads no parquet file;
+* a shard's doc lengths and cached posting lists are the matching
+  slices of the full searcher's;
+* a result's text is the committed snapshot, not the live input, a
+  searcher opened before a refresh refuses the new generation's files,
+  and a warm response reads no parquet file;
 * ``suggest`` ranks exactly like a scan of the whole lexicon;
 * ``trending_terms`` keys do not overflow on a large batch vocabulary.
 """
@@ -93,6 +95,34 @@ def test_shard_doc_lens_are_full_slice(built):
             assert np.array_equal(shard.doc_norms, full.doc_norms[lo:hi])
 
 
+def test_shard_caches_only_its_doc_range(built):
+    """Every posting list a shard caches is the full searcher's list
+    cut to ``[doc_lo, doc_hi)``; a term with no doc in the range is not
+    cached at all."""
+    from raysearch.search import IndexSearcher
+
+    full = IndexSearcher(built[1])
+    n = full.n_docs
+    terms = full._lex_terms[::7]
+    for lo, hi in ((0, n // 3), (n // 3, n - 7), (n - 7, n)):
+        for lazy in (False, True):
+            shard = IndexSearcher(built[1], doc_range=(lo, hi), lazy_lexicon=lazy)
+            for t in terms:
+                shard.fetch_postings(t)
+            assert shard._term_cache
+            for t in terms:
+                want = full.fetch_postings(t)
+                keep = (want.doc_ids >= lo) & (want.doc_ids < hi)
+                got = shard._term_cache.get(t)
+                if not keep.any():
+                    assert got is None, t
+                    continue
+                assert lo <= got.doc_ids[0] and got.doc_ids[-1] < hi
+                assert got.doc_ids.tolist() == want.doc_ids[keep].tolist(), t
+                assert got.tfs.tolist() == want.tfs[keep].tolist(), t
+                assert got.df == want.df
+
+
 def _edit_turn(corpus: str, conv_id: str, turn_idx: int, text: str) -> None:
     """Replace one turn's text in the input, in place."""
     import pyarrow as pa
@@ -160,6 +190,37 @@ def test_result_text_is_the_committed_snapshot(ray_session, tiny_corpus, tmp_pat
     assert row["relevance"] > hit["relevance"]
     assert row["snippet"] == build_snippet(new_text, s.query_terms(query), s.lexer)
     assert row["snippet"] != hit["snippet"]
+
+
+def test_searcher_refuses_a_replaced_index(ray_session, tiny_corpus, tmp_path):
+    """A searcher opened before a refresh never mixes generations: its
+    first lazy open after the ``merged/`` swap (doc store, posting
+    bucket file, lexicon slice) raises instead of returning the new
+    generation's text or postings, and a searcher opened afterwards
+    serves the refreshed turn."""
+    from raysearch.build import build_index, rebuild_partition
+    from raysearch.gen import conv_name
+    from raysearch.search import IndexSearcher
+
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(tiny_corpus, corpus)
+    index = str(tmp_path / "idx")
+    build_index(corpus, index, mode="latin", n_partitions=2)
+    eager = IndexSearcher(index)
+    lazy = IndexSearcher(index, lazy_lexicon=True)
+    doc = eager.conv_range(conv_name(0))[0]
+    _edit_turn(corpus, conv_name(0), 0, "EDITED quokka")
+    rebuild_partition(corpus, index, conv_id=conv_name(0))
+    replaced = "index was replaced; reopen the searcher"
+    with pytest.raises(ValueError, match=replaced):
+        eager.fetch_docs([doc])
+    with pytest.raises(ValueError, match=replaced):
+        eager.search(LEMMAS[10])
+    with pytest.raises(ValueError, match=replaced):
+        lazy.search(LEMMAS[10])
+    fresh = IndexSearcher(index)
+    assert fresh.fetch_docs([doc])["text"][0].as_py() == "EDITED quokka"
+    assert fresh.search("quokka")[0].tolist() == [doc]
 
 
 def test_warm_search_response_reads_no_parquet(built, monkeypatch):
