@@ -25,12 +25,14 @@ in the build is the merge: a task per run of term buckets reads each
 bucket's row groups of every segment (segments are written
 bucket-sorted) and LSM-merges them into the global index + lexicon +
 meta (S6/S7 analog), writing the segment rows as they are, in (term,
-first doc id) order, without decoding or re-encoding their lists.
-The merge writes everything a searcher opens: ``lexicon.parquet`` (df, cf
-and each term's posting bucket and row-group range) and one
-doc_id-ordered ``doclens.parquet``, besides the build's
-``conv_offsets.parquet``; ``meta.json`` names the layout
-(``INDEX_FORMAT``).  Each partition task also writes its turns' raw
+first doc id) order, without decoding or re-encoding their lists.  A
+merged bucket file's row groups hold whole terms, about
+``POSTING_RG_VALUES`` values each, so a searcher reads a term as one
+row slice of one row group.  The merge writes everything a searcher
+opens: ``lexicon.parquet`` (df, cf and each term's posting bucket, row
+group and row range) and one doc_id-ordered ``doclens.parquet``,
+besides the build's ``conv_offsets.parquet``; ``meta.json`` names the
+layout (``INDEX_FORMAT``).  Each partition task also writes its turns' raw
 (doc_id, role, text) once, as a doc_id-ordered uncompressed Arrow IPC
 file (``docs.arrow``, ``DOC_BATCH_ROWS``-row record batches); the merge
 hard-links every wave's file into ``merged/docs/``, so results render
@@ -86,7 +88,7 @@ from raysearch.lex import Lexer
 DEFAULT_BUCKETS = 64
 #: posting layout version in ``merged/meta.json`` and every wave
 #: manifest; searchers refuse other indexes, the build recomputes other waves
-INDEX_FORMAT = 5
+INDEX_FORMAT = 6
 #: one posting row: a term's doc ids (ascending) and tfs within one
 #: partition flush; wave segments and merged bucket files alike
 POSTINGS_SCHEMA = pa.schema(
@@ -398,20 +400,26 @@ def _atomic_write_table(table: pa.Table, path: str, **write_options) -> None:
 
 
 def _write_postings(
-    table: pa.Table, path: str, row_group_size: int | None = None
+    table: pa.Table, path: str, cuts: np.ndarray | None = None
 ) -> None:
     """Write bucket-sorted posting rows (a wave segment or a merged
     bucket): doc ids — ascending within a row — delta-packed; terms,
     buckets and tfs dictionary-encoded.  Parquet names a list
     column's values ``<col>.list.element``; it ignores an encoding set
-    under any other name and writes that column PLAIN.  No row group
-    spans two buckets and only ``bucket`` carries statistics, so a
-    reader finds one bucket's row groups from the footer alone.  The
-    footer keeps no copy of the Arrow schema: these four columns read
-    back as ``POSTINGS_SCHEMA`` from the Parquet schema alone, and the
-    copy cost ~0.5 kB per file (2% of corpus C's merged postings)."""
-    b = table["bucket"].to_numpy()
-    cuts = np.concatenate(([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)]))
+    under any other name and writes that column PLAIN.  Row group ``i``
+    holds rows ``cuts[i]:cuts[i + 1]`` (a merged bucket's term-aligned
+    groups, see :func:`merge_bucket`); without ``cuts`` a segment gets
+    one row group per bucket.  No row group spans two buckets and only
+    ``bucket`` carries statistics, so a reader finds one bucket's row
+    groups from the footer alone.  The footer keeps no copy of the
+    Arrow schema: these four columns read back as ``POSTINGS_SCHEMA``
+    from the Parquet schema alone, and the copy cost ~0.5 kB per file
+    (2% of corpus C's merged postings)."""
+    if cuts is None:
+        b = table["bucket"].to_numpy()
+        cuts = np.concatenate(
+            ([0], np.flatnonzero(b[1:] != b[:-1]) + 1, [len(b)])
+        )
     tmp = path + ".tmp"
     with pq.ParquetWriter(
         tmp,
@@ -422,7 +430,7 @@ def _write_postings(
         store_schema=False,
     ) as writer:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            writer.write_table(table.slice(lo, hi - lo), row_group_size)
+            writer.write_table(table.slice(lo, hi - lo), row_group_size=hi - lo)
     os.replace(tmp, path)
 
 
@@ -629,17 +637,18 @@ def _write_doc_store(
 # ---------------------------------------------------------------------------
 
 
-#: posting rows per parquet row group in the merged index — small
-#: enough that a term point-read touches one-ish row group, large
-#: enough to amortize parquet overhead
-POSTING_RG_ROWS = 2048
+#: posting values per row group of a merged bucket file: a row group
+#: holds whole terms, and a new one starts at the first term whose first
+#: value lies past the next multiple of this budget, so a cold fetch
+#: decodes about this many values besides its own term's
+POSTING_RG_VALUES = 4096
 
 
-#: a term's merged lexicon row; rg_first..rg_last are the row groups of
-#: its bucket file that hold its posting rows
+#: a term's merged lexicon row; its posting rows are rows
+#: ``row_lo:row_hi`` of row group ``rg`` of its bucket file
 _LEXICON_SCHEMA = pa.schema(
     [("term", pa.string())]
-    + [(c, pa.int64()) for c in ("df", "cf", "bucket", "rg_first", "rg_last")]
+    + [(c, pa.int64()) for c in ("df", "cf", "bucket", "rg", "row_lo", "row_hi")]
 )
 
 
@@ -657,9 +666,14 @@ def merge_bucket(
     stay) and rejects a repeated doc id.
 
     The lexicon slice comes from the same term boundaries: a term's df
-    and cf, and the ``POSTING_RG_ROWS``-row groups ``rg_first..rg_last``
-    of the bucket file that hold its (contiguous) rows, so a searcher
-    locates a term's postings from its lexicon row alone.
+    and cf, and its row group ``rg`` of the bucket file with its rows
+    ``row_lo:row_hi`` there, so a searcher locates a term's postings
+    from its lexicon row alone.  Row groups hold whole terms: one starts
+    at each term whose first value crosses into a new multiple of
+    ``POSTING_RG_VALUES``, and a term longer than that gets one of its
+    own, so a row group holds at most ``POSTING_RG_VALUES`` values
+    besides its last term's.  (:func:`_merge_one_bucket` reads the
+    row-group cuts back off the lexicon slice.)
 
     When ``conv_starts`` (the conv→first-doc offset array) is given,
     also returns this bucket's distinct-lemma count per conversation
@@ -734,14 +748,24 @@ def merge_bucket(
             conv_of_val[keep], minlength=len(conv_starts)
         ).astype(np.int64)
 
+    # term-aligned row groups: cut where a term starts in a new budget
+    # block and before every term longer than the budget (the term
+    # after one always starts in a new block)
+    blk = term_val_starts // POSTING_RG_VALUES
+    cut = term_val_ends - term_val_starts > POSTING_RG_VALUES
+    cut[0] = True
+    cut[1:] |= blk[1:] != blk[:-1]
+    rg = np.cumsum(cut) - 1
+    rg_row = term_row_starts[cut][rg]  # first row of each term's row group
     term_row_ends = np.append(term_row_starts[1:], rows.num_rows)
     cols = (
         sorted_terms,
         term_val_ends - term_val_starts,
         np.add.reduceat(t, term_val_starts),
         np.full(len(sorted_terms), rows["bucket"][0].as_py()),
-        term_row_starts // POSTING_RG_ROWS,
-        (term_row_ends - 1) // POSTING_RG_ROWS,
+        rg,
+        term_row_starts - rg_row,
+        term_row_ends - rg_row,
     )
     lexicon = pa.Table.from_arrays(
         [pa.array(c, f.type) for c, f in zip(cols, _LEXICON_SCHEMA)],
@@ -798,10 +822,11 @@ def _merge_one_bucket(
     conv_starts: np.ndarray | None,
 ) -> int:
     """Merge one bucket's segment rows and write its posting rows
-    (fixed ``POSTING_RG_ROWS`` row groups), its lexicon slice and its
-    convlex sidecar.  Buckets partition the term space, so the global
-    lexicon is just the concatenation of the slices — no driver-side
-    scan over the merged index.  Atomic renames; idempotent."""
+    (term-aligned row groups of about ``POSTING_RG_VALUES`` values), its
+    lexicon slice and its convlex sidecar.  Buckets partition the term
+    space, so the global lexicon is just the concatenation of the
+    slices — no driver-side scan over the merged index.  Atomic
+    renames; idempotent."""
     postings, lexicon, conv_counts = merge_bucket(group, conv_starts=conv_starts)
     if convlex_path is not None and conv_counts is not None:
         # sparse sidecar: only convs this bucket's terms touch
@@ -816,7 +841,12 @@ def _merge_one_bucket(
             convlex_path,
         )
     if postings.num_rows:
-        _write_postings(postings, out_path, row_group_size=POSTING_RG_ROWS)
+        # a row group ends at its last term's row_hi
+        rg, row_hi = lexicon["rg"].to_numpy(), lexicon["row_hi"].to_numpy()
+        last = np.append(rg[1:] != rg[:-1], True)
+        _write_postings(
+            postings, out_path, cuts=np.concatenate(([0], np.cumsum(row_hi[last])))
+        )
         _atomic_write_table(lexicon, lex_path)
     return postings.num_rows
 

@@ -5,15 +5,17 @@ Replaces the reference's SQL-backed search
 fetch J1, conjunctive intersection J2, per-pair tf lookups J3, tf-sum
 scoring A4) with an ``IndexSearcher`` that holds the lexicon and
 segment handles once (actor-pool-friendly: construct per actor, reuse
-across query batches) and fetches posting rows with parquet row-group
-pruning (the merged postings are term-clustered, so a term's rows
-live in O(1) row groups).  Opening one reads three tables the merge
-wrote — ``lexicon.parquet`` (each row also names the term's bucket and
-posting row-group range), ``doclens.parquet`` (doc_id order) and
+across query batches) and fetches posting rows by their location: the
+merge cuts each bucket file into row groups of whole terms (about
+``build.POSTING_RG_VALUES`` values each), so a term's rows are one
+row slice of one row group.  Opening one reads three tables the merge
+wrote — ``lexicon.parquet`` (each row also names the term's bucket,
+row group and row range there), ``doclens.parquet`` (doc_id order) and
 ``conv_offsets.parquet`` — and no posting file.  A posting row holds
 its doc ids and tfs as Parquet list columns (doc ids delta-packed), so
-a fetch is a row-group read plus a list flatten: Parquet's own
-decoder is the only posting decode.
+a fetch is a two-column row-group read, a row slice and a list
+flatten, with no term filter: Parquet's own decoder is the only
+posting decode.
 
 The candidate semantics + scorers live in scoring.py and are shared
 verbatim with the oracle.  A result's role and snippet text come from
@@ -50,7 +52,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.ipc as ipc
 import pyarrow.parquet as pq
 
@@ -79,8 +80,8 @@ TERM_CACHE_BYTES = 1 << 30  # decoded postings + block maxima per searcher
 LAZY_BUCKETS = 64  # per-bucket lexicon slices a lazy searcher keeps
 
 
-#: lexicon columns a searcher reads; the last four are a term's row
-_LEX_COLUMNS = ["term", "df", "bucket", "rg_first", "rg_last"]
+#: lexicon columns a searcher reads; the last five are a term's row
+_LEX_COLUMNS = ["term", "df", "bucket", "rg", "row_lo", "row_hi"]
 
 
 def _pylist(col: pa.ChunkedArray) -> list:
@@ -95,8 +96,8 @@ def _file_id(st: os.stat_result) -> tuple[int, int]:
     return st.st_ino, st.st_mtime_ns
 
 
-def _lex_rows(lex: pa.Table) -> list[tuple[int, int, int, int]]:
-    """(df, bucket, rg_first, rg_last) per lexicon row."""
+def _lex_rows(lex: pa.Table) -> list[tuple[int, int, int, int, int]]:
+    """(df, bucket, rg, row_lo, row_hi) per lexicon row."""
     return list(zip(*(_pylist(lex[c]) for c in _LEX_COLUMNS[1:])))
 
 
@@ -152,7 +153,7 @@ class IndexSearcher:
         self._post_dir = os.path.join(merged, "postings")
 
         # Lexicon: a term's row is also its posting locator (bucket +
-        # row-group range).  Two regimes:
+        # row group and row range).  Two regimes:
         #
         # * lazy (shard actors): NOTHING vocab-scale is loaded — a
         #   term's row is point-read from the per-bucket lexicon slice
@@ -238,8 +239,8 @@ class IndexSearcher:
             self._bucket_cache.popitem(last=False)
         return out
 
-    def _lookup(self, term: str) -> tuple[int, int, int, int] | None:
-        """(df, bucket, rg_first, rg_last) of a term, None if absent."""
+    def _lookup(self, term: str) -> tuple[int, int, int, int, int] | None:
+        """(df, bucket, rg, row_lo, row_hi) of a term, None if absent."""
         if self._lazy:
             return self._bucket_map(term_bucket(term, self.buckets)).get(term)
         i = self._lex_index.get(term)
@@ -254,16 +255,10 @@ class IndexSearcher:
             pf = pq.ParquetFile(path)
             self._check_generation()
             self._pf_cache[b] = pf
-        # one row group is a few small column chunks: Arrow's thread
-        # pool costs more than it saves (cold term fetch on a 32k-turn
-        # index measured 1.66 ms with it, 1.35 ms without)
-        return pf.read_row_group(rg, use_threads=False)
-
-    def _term_rows(self, term: str, b: int, rgs: range) -> pa.Table:
-        """All posting rows of a term (its lexicon row names the bucket
-        and row groups), in stored order."""
-        tables = [self._read_row_group(b, rg) for rg in rgs]
-        return pa.concat_tables([t.filter(pc.equal(t["term"], term)) for t in tables])
+        # the two columns of a row group (whole terms, ~POSTING_RG_VALUES
+        # values) are small chunks: Arrow's thread pool costs more than
+        # it saves on them
+        return pf.read_row_group(rg, columns=["doc_ids", "tfs"], use_threads=False)
 
     def fetch_postings(self, term: str) -> CachedPostings | None:
         """The term's decoded posting list (in this searcher's doc
@@ -275,17 +270,20 @@ class IndexSearcher:
         if hit is not None:
             self._term_cache.move_to_end(term)
             return hit
-        df, b, rg_first, rg_last = entry
-        # a term's rows are stored consecutively in doc order and its
-        # row groups are read in order: the flattened lists ascend
+        df, b, rg, row_lo, row_hi = entry
+        # a term's rows are one slice of one row group, stored in doc
+        # order: the flattened lists ascend
         doc_ids, tfs = decode_postings(
-            self._term_rows(term, b, range(rg_first, rg_last + 1))
+            self._read_row_group(b, rg).slice(row_lo, row_hi - row_lo)
         )
         if (self.doc_lo, self.doc_hi) != (0, self.n_docs):
             lo, hi = np.searchsorted(doc_ids, [self.doc_lo, self.doc_hi])
             doc_ids, tfs = doc_ids[lo:hi], tfs[lo:hi]
         if not len(doc_ids):
             return None
+        # copies: a view of the slice would pin the whole row group's
+        # buffers, which the cache's byte count would not see
+        doc_ids, tfs = doc_ids.copy(), tfs.copy()
         block_max = np.maximum.reduceat(tfs, np.arange(0, len(tfs), BLOCK))
         out = CachedPostings(term, df, doc_ids, tfs, block_max.astype(np.float64))
         self._term_cache[term] = out

@@ -8,17 +8,19 @@ import json
 import os
 import shutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import raysearch.build
 from raysearch.build import (
-    POSTING_RG_ROWS,
+    POSTING_RG_VALUES,
     POSTINGS_SCHEMA,
     _encode_partition_segment,
     _write_postings,
@@ -83,18 +85,47 @@ def partitioned_postings(draw):
     return truth, segments, conv_starts
 
 
+def _row_group_locators(rows: list[dict], budget: int) -> dict[str, tuple]:
+    """term → (rg, row_lo, row_hi) by the term-aligned row-group rule,
+    one term at a time: a row group starts at the first term, at each
+    term whose first value is in a later ``budget`` block than the
+    previous term's, and at each term of more than ``budget`` values."""
+    out, rg, rg_row, prev_blk, val = {}, -1, 0, None, 0
+    for term in dict.fromkeys(r["term"] for r in rows):
+        at = [i for i, r in enumerate(rows) if r["term"] == term]
+        n = sum(len(rows[i]["doc_ids"]) for i in at)
+        if rg < 0 or val // budget != prev_blk or n > budget:
+            rg, rg_row = rg + 1, at[0]
+        out[term] = (rg, at[0] - rg_row, at[-1] + 1 - rg_row)
+        prev_blk, val = val // budget, val + n
+    return out
+
+
+def _one_segment_case(postings):
+    return sorted(postings), [_segment(postings)], np.array([0], np.int64)
+
+
 @settings(max_examples=150, deadline=None)
-@given(partitioned_postings())
-def test_merge_matches_exploded_postings(case):
+@given(partitioned_postings(), st.sampled_from([POSTING_RG_VALUES, 1, 2, 4, 9]))
+# a 6-value term after a 2-value one in the same 4-value block: alone
+@example(_one_segment_case([("a", d, 1) for d in range(2)] + [("b", d, 1) for d in range(6)]), 4)
+# terms at values 0, 3 and 5: the third starts a new 4-value block
+@example(
+    _one_segment_case([("a", d, 1) for d in range(3)] + [("b", 0, 1), ("b", 1, 1), ("z", 0, 1)]),
+    4,
+)
+def test_merge_matches_exploded_postings(case, budget):
     """The merged rows flatten to exactly the exploded (term, doc_id,
     tf) postings; per term, the rows keep the segment rows' lengths
     (in first-doc order) and their doc ids ascend; the lexicon slice's
-    df/cf/row groups describe the rows and the per-conversation lemma
-    counts are exact."""
+    df/cf and (rg, row_lo, row_hi) describe the rows — at the real
+    row-group value budget and at small ones that cut these small
+    buckets — and the per-conversation lemma counts are exact."""
     truth, segments, conv_starts = case
-    merged, lexicon, conv_counts = merge_bucket(
-        pa.concat_tables(segments), conv_starts=conv_starts
-    )
+    with mock.patch.object(raysearch.build, "POSTING_RG_VALUES", budget):
+        merged, lexicon, conv_counts = merge_bucket(
+            pa.concat_tables(segments), conv_starts=conv_starts
+        )
     assert merged.schema == POSTINGS_SCHEMA
     doc_ids, tfs = decode_postings(merged)
     terms = merged["term"].take(pc.list_parent_indices(merged["doc_ids"]))
@@ -111,15 +142,14 @@ def test_merge_matches_exploded_postings(case):
     ]
     assert all(len(r["doc_ids"]) == len(r["tfs"]) for r in rows)
 
+    locators = _row_group_locators(rows, budget)
     want_lex = []
     for term in sorted({t for t, _, _ in truth}):
         tfs_of = [tf for t, _, tf in truth if t == term]
-        at = [i for i, r in enumerate(rows) if r["term"] == term]
-        want_lex.append(
-            (term, len(tfs_of), sum(tfs_of),
-             at[0] // POSTING_RG_ROWS, at[-1] // POSTING_RG_ROWS)
-        )
-    got_lex = lexicon.select(["term", "df", "cf", "rg_first", "rg_last"]).to_pylist()
+        want_lex.append((term, len(tfs_of), sum(tfs_of)) + locators[term])
+    got_lex = lexicon.select(
+        ["term", "df", "cf", "rg", "row_lo", "row_hi"]
+    ).to_pylist()
     assert [tuple(r.values()) for r in got_lex] == want_lex
     assert set(lexicon["bucket"].to_pylist()) == {0}
 
@@ -270,13 +300,15 @@ def test_resume_recomputes_wave_of_old_format(wave_index, tmp_path):
     resume, and only that wave; the merged index then equals a fresh
     build's.  Format 2 held byte-string segments; format 3 had no doc
     store (``docs.arrow``); format 4 segments carried per-row
-    ``partition_id``/``first_doc``/``last_doc`` columns."""
+    ``partition_id``/``first_doc``/``last_doc`` columns; format 5
+    segments are format 6's (only the merged row groups changed), so
+    the manifest alone marks the wave stale."""
     from raysearch.build import INDEX_FORMAT, build_index
 
     corpus, index = wave_index
     want = _merged_tables(index)
     assert sum(name.startswith("docs" + os.sep) for name in want) == 4
-    for stale_format in (2, 3, 4):
+    for stale_format in (2, 3, 4, 5):
         old = str(tmp_path / f"old{stale_format}")
         shutil.copytree(index, old)
         waves = sorted(glob.glob(os.path.join(old, "waves", "*")))

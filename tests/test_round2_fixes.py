@@ -160,51 +160,101 @@ def test_partitions_of_straddling_conv(tmp_path):
         partitions_of(str(out), "conv-999")
 
 
-def _scan_row_groups(postings_dir: str) -> dict[str, tuple[str, list[int]]]:
-    """term → (bucket file, row groups holding its rows), from a scan
-    of every posting file's term column."""
+@pytest.fixture(scope="module")
+def dense_index(built, tmp_path_factory):
+    """A one-bucket build whose partitions flush every 512 postings, so
+    a hot term has many rows (one per flush) and its bucket file many
+    row groups."""
+    from raysearch.build import build_index
+
+    corpus, _ = built
+    out = str(tmp_path_factory.mktemp("r2dense") / "idx")
+    build_index(
+        corpus, out, mode="latin", n_partitions=2, buckets=1,
+        spill_rows=512, read_batch_rows=64,
+    )
+    return out
+
+
+def _scan_postings(postings_dir: str) -> dict[str, list[tuple[str, int, int]]]:
+    """bucket file → one (term, row group, values) per posting row, in
+    file order, from a scan of every row group."""
     import glob
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    scan: dict[str, tuple[str, list[int]]] = {}
+    scan = {}
     for path in sorted(glob.glob(os.path.join(postings_dir, "*.parquet"))):
         pf = pq.ParquetFile(path)
+        rows = scan[os.path.basename(path)] = []
         for rg in range(pf.metadata.num_row_groups):
-            terms = pf.read_row_group(rg, columns=["term"])["term"]
-            for term in pc.unique(terms).to_pylist():
-                scan.setdefault(term, (os.path.basename(path), []))[1].append(rg)
+            t = pf.read_row_group(rg, columns=["term", "doc_ids"])
+            n = pc.list_value_length(t["doc_ids"]).to_pylist()
+            rows.extend((term, rg, v) for term, v in zip(t["term"].to_pylist(), n))
     return scan
 
 
-def test_lexicon_row_group_ranges_match_scan(built, tmp_path):
-    """Each lexicon row's ``rg_first..rg_last`` equals the row groups a
-    scan of its bucket file's term column finds the term in — on the
-    default build, and on a one-bucket build whose partitions flush
-    every 512 postings, so a hot term's rows (one per flush) span
-    several posting row groups."""
+def test_lexicon_row_group_ranges_match_scan(built, dense_index):
+    """Each lexicon row's ``(rg, row_lo, row_hi)`` slice of its bucket
+    file is exactly the rows a full scan finds the term in — on the
+    default build, and on the dense one-bucket build, where a hot
+    term's rows fill a long slice."""
     import pyarrow.parquet as pq
 
-    from raysearch.build import build_index
-
-    corpus, index = built
-    dense = str(tmp_path / "idx_spill")
-    build_index(
-        corpus, dense, mode="latin", n_partitions=2, buckets=1,
-        spill_rows=512, read_batch_rows=64,
-    )
-    spans = 0
-    for idx in (index, dense):
+    _, index = built
+    long_slices = 0
+    for idx in (index, dense_index):
         merged = os.path.join(idx, "merged")
         lex = pq.read_table(os.path.join(merged, "lexicon.parquet")).to_pylist()
-        scan = _scan_row_groups(os.path.join(merged, "postings"))
-        assert len(lex) == len(scan)
+        scan = _scan_postings(os.path.join(merged, "postings"))
+        where: dict[str, list[tuple[str, int, int]]] = {}
+        for name, rows in scan.items():
+            rg_start = {}
+            for i, (term, rg, _) in enumerate(rows):
+                rg_start.setdefault(rg, i)
+                where.setdefault(term, []).append((name, rg, i - rg_start[rg]))
+        assert len(lex) == len(where)
         for row in lex:
-            rgs = list(range(row["rg_first"], row["rg_last"] + 1))
-            assert scan[row["term"]] == (f"bucket-{row['bucket']:04d}.parquet", rgs)
-            spans += len(rgs) > 1
-    assert spans  # the dense build exercises multi-row-group ranges
+            name = f"bucket-{row['bucket']:04d}.parquet"
+            span = range(row["row_lo"], row["row_hi"])
+            assert where[row["term"]] == [(name, row["rg"], i) for i in span]
+            long_slices += len(span) > 1
+    assert long_slices  # the dense build exercises multi-row slices
+
+
+def test_posting_row_groups_hold_whole_terms(dense_index):
+    """Every merged bucket file's row groups start at a term start, no
+    term spans two of them, and each holds at most
+    ``POSTING_RG_VALUES`` values besides its last term's; a term longer
+    than that is alone in its row group.  The dense build has row
+    groups of several terms and terms of many rows."""
+    from raysearch.build import POSTING_RG_VALUES
+
+    scan = _scan_postings(os.path.join(dense_index, "merged", "postings"))
+    assert len(scan) == 1
+    multi_term_groups = 0
+    max_term_rows = 0
+    for rows in scan.values():
+        groups: dict[int, list[tuple[str, int]]] = {}
+        for term, rg, n in rows:
+            groups.setdefault(rg, []).append((term, n))
+        assert sorted(groups) == list(range(len(groups))) and len(groups) > 1
+        seen: set[str] = set()
+        for rg in sorted(groups):
+            if rg:  # starts at a term start
+                assert groups[rg][0][0] != groups[rg - 1][-1][0], rg
+            terms = list(dict.fromkeys(t for t, _ in groups[rg]))
+            assert not seen & set(terms), rg  # no term spans two groups
+            seen |= set(terms)
+            values = {t: sum(n for u, n in groups[rg] if u == t) for t in terms}
+            assert sum(values.values()) - values[terms[-1]] <= POSTING_RG_VALUES
+            if any(v > POSTING_RG_VALUES for v in values.values()):
+                assert len(terms) == 1, rg
+            multi_term_groups += len(terms) > 1
+            for t in terms:
+                max_term_rows = max(max_term_rows, sum(u == t for u, _ in groups[rg]))
+    assert multi_term_groups and max_term_rows >= 8
 
 
 def test_lazy_lexicon_shard_state_and_identity(built):

@@ -61,7 +61,8 @@ def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
     """An index whose meta.json has no "format" field, or an older one
     (1: a separate term-locator sidecar and per-wave doc lengths; 2:
     byte-string posting rows; 4: re-chunked merged rows with per-row
-    chunk columns), is refused with an error that says to
+    chunk columns; 5: lexicon row-group ranges over bucket-sized row
+    groups), is refused with an error that says to
     rebuild — eager and lazy alike: neither can locate or read posting
     rows in it."""
     from raysearch.build import build_index
@@ -76,7 +77,7 @@ def test_lazy_lexicon_requires_buckets_meta(ray_session, tiny_corpus, tmp_path):
     bad_indexes = []
     for name, fmt in (
         ("idx_noformat", None), ("idx_format1", 1), ("idx_format2", 2),
-        ("idx_format4", 4),
+        ("idx_format4", 4), ("idx_format5", 5),
     ):
         bad = str(tmp_path / name)
         shutil.copytree(index, bad)

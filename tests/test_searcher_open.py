@@ -3,7 +3,7 @@
 * an eager searcher opens in three table reads (lexicon, doc lengths,
   conv offsets) and a lazy one reads one lexicon slice per bucket;
 * a shard's doc lengths and cached posting lists are the matching
-  slices of the full searcher's;
+  slices of the full searcher's, and cached lists own their memory;
 * a result's text is the committed snapshot, not the live input, a
   searcher opened before a refresh refuses the new generation's files,
   and a warm response reads no parquet file;
@@ -121,6 +121,28 @@ def test_shard_caches_only_its_doc_range(built):
                 assert got.doc_ids.tolist() == want.doc_ids[keep].tolist(), t
                 assert got.tfs.tolist() == want.tfs[keep].tolist(), t
                 assert got.df == want.df
+
+
+def test_term_cache_owns_its_arrays(built):
+    """Cached posting lists are copies, not views of the row group they
+    were sliced from (a view would pin the whole row group while the
+    cache counts only the term), so ``_term_cache_bytes`` is what the
+    cache holds — for the full searcher and a shard alike."""
+    from raysearch.search import IndexSearcher
+
+    full = IndexSearcher(built[1])
+    n = full.n_docs
+    for searcher in (full, IndexSearcher(built[1], doc_range=(n // 3, n - 7))):
+        for t in full._lex_terms[::5]:
+            searcher.fetch_postings(t)
+        entries = list(searcher._term_cache.values())
+        assert len(entries) > 100
+        for e in entries:
+            for arr in (e.doc_ids, e.tfs, e.block_max):
+                assert arr.flags.owndata, e.term
+        assert searcher._term_cache_bytes == sum(
+            e.doc_ids.nbytes + e.tfs.nbytes + e.block_max.nbytes for e in entries
+        )
 
 
 def _edit_turn(corpus: str, conv_id: str, turn_idx: int, text: str) -> None:
