@@ -85,7 +85,11 @@ import pyarrow.parquet as pq
 
 from raysearch.lex import Lexer
 
-DEFAULT_BUCKETS = 64
+#: input bytes per merge bucket at most: a build has
+#: ``max(n_partitions, ceil(input_bytes / BUCKET_INPUT_BYTES))`` buckets,
+#: so the merge's unit of work matches the build's and a merge task
+#: (which concatenates a whole bucket) stays bounded on a large input
+BUCKET_INPUT_BYTES = 64 << 20
 #: posting layout version in ``merged/meta.json`` and every wave
 #: manifest; searchers refuse other indexes, the build recomputes other waves
 INDEX_FORMAT = 6
@@ -118,44 +122,24 @@ def term_bucket(term: str, buckets: int) -> int:
 
 
 def _file_conv_agg(path: str) -> pa.Table:
-    """Per-file (conv_id → max turn_idx [, count]) partial aggregate —
-    reads only the two key columns."""
+    """Per-file (conv_id, turn_idx_max, turn_idx_count) partial
+    aggregate — reads only the two key columns; the count counts every
+    row, so a duplicated turn shows in it."""
     t = pq.read_table(path, columns=["conv_id", "turn_idx"])
-    import pandas as pd
-
-    codes, uniq = pd.factorize(t["conv_id"].to_numpy(zero_copy_only=False))
-    turn = t["turn_idx"].to_numpy(zero_copy_only=False).astype(np.int64)
-    mx = np.full(len(uniq), -1, dtype=np.int64)
-    np.maximum.at(mx, codes, turn)
-    cnt = np.bincount(codes, minlength=len(uniq)).astype(np.int64)
-    return pa.table(
-        {
-            "conv_id": pa.array(uniq, pa.string()),
-            "max_turn": pa.array(mx, pa.int64()),
-            "cnt": pa.array(cnt, pa.int64()),
-        }
+    return t.group_by("conv_id").aggregate(
+        [("turn_idx", "max"), ("turn_idx", "count", pc.CountOptions(mode="all"))]
     )
 
 
 def _combine_conv_aggs(*tables: pa.Table) -> pa.Table:
-    """Associative combine of per-file (conv_id, max_turn, cnt) partials."""
-    combined = pa.concat_tables(tables)
-    import pandas as pd
-
-    codes, uniq = pd.factorize(combined["conv_id"].to_numpy(zero_copy_only=False))
-    mt = combined["max_turn"].to_numpy(zero_copy_only=False)
-    ct = combined["cnt"].to_numpy(zero_copy_only=False)
-    mx = np.full(len(uniq), -1, dtype=np.int64)
-    np.maximum.at(mx, codes, mt)
-    cnt = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(cnt, codes, ct)
-    return pa.table(
-        {
-            "conv_id": pa.array(uniq, pa.string()),
-            "max_turn": pa.array(mx, pa.int64()),
-            "cnt": pa.array(cnt, pa.int64()),
-        }
+    """Associative combine of :func:`_file_conv_agg` partials (same
+    schema out as in)."""
+    agg = (
+        pa.concat_tables(tables)
+        .group_by("conv_id")
+        .aggregate([("turn_idx_max", "max"), ("turn_idx_count", "sum")])
     )
+    return agg.rename_columns(["conv_id", "turn_idx_max", "turn_idx_count"])
 
 
 TREE_FANIN = 32  # per-file partials combined per tree-reduce task
@@ -182,11 +166,8 @@ def compute_conv_offsets(files: list[str], validate: bool = False):
             combine_remote.remote(*refs[i : i + TREE_FANIN])
             for i in range(0, len(refs), TREE_FANIN)
         ]
-    combined = _combine_conv_aggs(*ray.get(refs))
-    table = combined.rename_columns(
-        ["conv_id", "max(turn_idx)", "row_count"]
-    ).sort_by("conv_id")
-    n_turns = pc.add(table["max(turn_idx)"], 1).cast(pa.int64())
+    table = _combine_conv_aggs(*ray.get(refs)).sort_by("conv_id")
+    n_turns = pc.add(table["turn_idx_max"], 1).cast(pa.int64())
     counts = n_turns.to_numpy()
     offsets = np.cumsum(counts) - counts
     out = pa.table(
@@ -202,7 +183,7 @@ def compute_conv_offsets(files: list[str], validate: bool = False):
         # equal max(turn_idx)+1 (a duplicated turn makes the count too
         # high or, with a compensating gap, fails the per-file dup
         # check inside _file_conv_agg's source reads downstream).
-        rc = table["row_count"].to_numpy()
+        rc = table["turn_idx_count"].to_numpy()
         bad = np.flatnonzero(rc != counts)
         if len(bad):
             c = table["conv_id"][int(bad[0])].as_py()
@@ -997,7 +978,7 @@ def partitions_of(out_dir: str, conv_id: str) -> list[int]:
     return pids
 
 
-def partition_of(out_dir: str, conv_id: str, turn_idx: int = 0) -> int:
+def partition_of(out_dir: str, conv_id: str) -> int:
     """First covering partition (see :func:`partitions_of`)."""
     return partitions_of(out_dir, conv_id)[0]
 
@@ -1048,7 +1029,6 @@ def build_index(
     out_dir: str,
     mode: str = "latin",
     n_partitions: int | None = None,
-    buckets: int = DEFAULT_BUCKETS,
     resume: bool = True,
     validate: bool = False,
     strip_html: bool = False,
@@ -1062,7 +1042,9 @@ def build_index(
     from every partition it finished.  ``spill_rows`` bounds a
     partition task's posting buffer (and so the longest posting row:
     the merge writes the segment rows as they are) and
-    ``read_batch_rows`` its parquet read batches.  The merge publishes
+    ``read_batch_rows`` its parquet read batches.  The first build
+    fixes the merge's bucket count (:data:`BUCKET_INPUT_BYTES`); a
+    resume keeps the one in ``input_meta.json``.  The merge publishes
     ``merged/`` in one rename: postings, lexicon, doc lengths and
     ``docs/`` (hard links to the waves' doc stores).
     ``meta.json`` keeps a digest of the wave → commit map it was merged
@@ -1098,6 +1080,8 @@ def build_index(
         mode = input_meta["mode"]
         strip_html = input_meta.get("strip_html", False)
     else:
+        input_bytes = sum(os.path.getsize(p) for p in files)
+        buckets = max(n_partitions, -(-input_bytes // BUCKET_INPUT_BYTES))
         offsets = compute_conv_offsets(files, validate=validate)
         tmp = offsets_path + ".tmp"
         pq.write_table(offsets, tmp)

@@ -338,14 +338,11 @@ def heavy_hitters(ds, k: int = HH_K):
     cand_pdf = cand.to_pandas()  # ≤ min(vocab, blocks·k) rows
     if len(cand_pdf) == 0:
         # no block-local candidate anywhere ⇒ (by the average
-        # argument) no global hitter exists; an empty DATASET loses
-        # its schema through to_pandas (Ray 2.49), so return the
-        # typed empty DataFrame directly
-        return pd.DataFrame(
-            {
-                "term": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-            }
+        # argument) no global hitter exists
+        return rd.from_arrow(
+            pa.table(
+                {"term": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
+            )
         )
     if len(cand_pdf) > HH_CAND_LIMIT:
         raise ValueError(
@@ -566,12 +563,14 @@ def heavy_hitters_by(ds, key: str = "lang", k: int = HH_K):
             f"HH_CAND_LIMIT={HH_CAND_LIMIT}; raise k or the cap"
         )
     if len(cand) == 0:
-        return pd.DataFrame(
-            {
-                key: pd.Series([], dtype=object),
-                "term": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-            }
+        return rd.from_arrow(
+            pa.table(
+                {
+                    key: pa.array([], pa.string()),
+                    "term": pa.array([], pa.string()),
+                    "n": pa.array([], pa.int64()),
+                }
+            )
         )
     pairs = np.sort(
         np.char.add(

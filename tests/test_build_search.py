@@ -174,18 +174,83 @@ def test_conversation_split_across_partitions_renders(
 
 
 def test_partition_count_invariance(ray_session, small_corpus, tmp_path, oracle):
-    """doc_ids + scores identical under a different partitioning/bucket
-    count (SURVEY §4 'Ordering assumptions')."""
+    """doc_ids + scores identical under a different partitioning (and
+    so bucket) count (SURVEY §4 'Ordering assumptions')."""
     from raysearch.build import build_index
     from raysearch.search import IndexSearcher
 
     out = str(tmp_path / "idx2")
-    build_index(small_corpus, out, mode="latin", n_partitions=2, buckets=7)
+    build_index(small_corpus, out, mode="latin", n_partitions=7)
     s2 = IndexSearcher(out)
     for q in _query_set(oracle)[:6]:
         a = s2.search(q, k=10)
         b = oracle.search(q, k=10)
         assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+
+
+def test_bucket_count_follows_build(built, tmp_path, oracle, monkeypatch):
+    """The merge has ``max(n_partitions, ceil(input bytes /
+    BUCKET_INPUT_BYTES))`` buckets: one per partition on a small input,
+    more once the input outgrows them — with the same doc_ids and
+    scores — and a partition rebuild keeps the count the index has."""
+    import glob
+    import math
+    import os
+
+    import raysearch.build as build
+    from raysearch.search import IndexSearcher
+
+    corpus, index, meta = built
+    assert meta["buckets"] == meta["n_partitions"] == 4
+    for sub in ("postings", "lexparts", "convlex"):
+        files = glob.glob(os.path.join(index, "merged", sub, "*.parquet"))
+        assert 0 < len(files) <= meta["n_partitions"], sub
+
+    input_bytes = sum(
+        os.path.getsize(p) for p in glob.glob(os.path.join(corpus, "*.parquet"))
+    )
+    monkeypatch.setattr(build, "BUCKET_INPUT_BYTES", input_bytes // 10)
+    out = str(tmp_path / "idx_many")
+    many = build.build_index(corpus, out, mode="latin", n_partitions=2)
+    assert many["buckets"] == math.ceil(input_bytes / (input_bytes // 10)) > 2
+    queries = _query_set(oracle)[:6]
+
+    def assert_oracle_identical():
+        s = IndexSearcher(out)
+        for q in queries:
+            a, b = s.search(q, k=10), oracle.search(q, k=10)
+            assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+
+    assert_oracle_identical()
+    monkeypatch.undo()  # the rule would now give 2 buckets
+    rebuilt = build.rebuild_partition(corpus, out, partition_id=1)
+    assert rebuilt["buckets"] == many["buckets"]
+    assert rebuilt["waves_digest"] != many["waves_digest"]
+    assert_oracle_identical()
+
+
+def test_validate_names_duplicated_turn(ray_session, tmp_path):
+    """``validate=True`` rejects a corpus holding one (conv_id,
+    turn_idx) twice — here split across two input files, so the
+    partial aggregates' combine must count both rows — and names the
+    conversation."""
+    import pyarrow.parquet as pq
+
+    from raysearch.build import build_index
+
+    corpus = tmp_path / "dup"
+    corpus.mkdir()
+    cols = {"role": ["user", "assistant"], "text": ["hello there", "hi"]}
+    pq.write_table(
+        pa.table({"conv_id": ["c-a", "c-b"], "turn_idx": [0, 0], **cols}),
+        corpus / "part-00000.parquet",
+    )
+    pq.write_table(
+        pa.table({"conv_id": ["c-b", "c-b"], "turn_idx": [1, 1], **cols}),
+        corpus / "part-00001.parquet",
+    )
+    with pytest.raises(ValueError, match="'c-b'"):
+        build_index(str(corpus), str(tmp_path / "idx"), validate=True)
 
 
 def test_search_response_and_snippet(searcher, oracle):

@@ -162,15 +162,15 @@ def test_partitions_of_straddling_conv(tmp_path):
 
 @pytest.fixture(scope="module")
 def dense_index(built, tmp_path_factory):
-    """A one-bucket build whose partitions flush every 512 postings, so
-    a hot term has many rows (one per flush) and its bucket file many
-    row groups."""
+    """A one-partition (so one-bucket) build that flushes every 512
+    postings, so a hot term has many rows (one per flush) and its
+    bucket file many row groups."""
     from raysearch.build import build_index
 
     corpus, _ = built
     out = str(tmp_path_factory.mktemp("r2dense") / "idx")
     build_index(
-        corpus, out, mode="latin", n_partitions=2, buckets=1,
+        corpus, out, mode="latin", n_partitions=1,
         spill_rows=512, read_batch_rows=64,
     )
     return out

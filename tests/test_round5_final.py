@@ -928,12 +928,12 @@ def test_heavy_hitters_matches_duckdb_and_edges(ray_session):
         "lower(text), '[^a-z0-9]+')) AS t FROM documents) WHERE t <> ''"
     ).fetchone()[0]
     assert (got["n"].to_numpy() * 30 > total).all()
-    # near-uniform corpus at k=2: nothing exceeds half the stream
-    # (the empty path returns a typed DataFrame — an empty Dataset
-    # would lose its schema through to_pandas)
+    # near-uniform corpus at k=2: nothing exceeds half the stream; the
+    # empty result is a Dataset too, with the typed schema (Ray's
+    # to_pandas of an empty Dataset drops its columns, so check schema())
     ds = rd.read_parquet(f"{sf}/documents.parquet", columns=["text"])
     empty = heavy_hitters(ds, k=2)
-    assert list(empty.columns) == ["term", "n"] and len(empty) == 0
+    assert empty.schema().names == ["term", "n"] and empty.count() == 0
     # skew: 'hot' is >1/3 of the stream but all its mass sits in the
     # first rows; across 8 blocks the block-local pigeonhole still
     # nominates it somewhere and verification gets the exact count.

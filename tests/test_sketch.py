@@ -348,3 +348,8 @@ def test_heavy_hitters_by_matches_duckdb_and_skew(ray_session):
         .to_dict()
     )
     assert out == {("a", "hot"): 3}
+    # no term exceeds half of any group: an empty Dataset, typed schema
+    empty = heavy_hitters_by(
+        rd.from_items([{"lang": "a", "text": "x y z"}]), key="lang", k=2
+    )
+    assert empty.schema().names == ["lang", "term", "n"] and empty.count() == 0
