@@ -76,14 +76,15 @@ def _corpus_and_index(sf_dir: str) -> tuple[str, str]:
     corpus, index = f"{base}/corpus", f"{base}/index"
     write_corpus(corpus, n_convs=n_convs, avg_turns=avg_turns, avg_tokens=30, seed=42)
     if not _index_current(index):
-        build_index(corpus, index, mode="latin", n_partitions=4)
+        build_index(corpus, index, mode="latin", n_partitions=4, resume=False)
     return corpus, index
 
 
 def _index_current(index: str) -> bool:
     """A cached index is reusable only in the layout this engine reads,
-    with one committed wave per partition; build_index's resume
-    re-merges an older one and rebuilds its multi-partition waves."""
+    with one committed wave per partition; any other is rebuilt from
+    scratch (``resume=False``), so it also gets the bucket count a
+    fresh build derives, not the one its ``input_meta.json`` kept."""
     import json
 
     from raysearch.build import INDEX_FORMAT
@@ -638,7 +639,7 @@ def _simple_index(sf_dir: str) -> tuple[str, str]:
     name = os.path.basename(os.path.normpath(sf_dir)) or "sf0.01"
     index = f"/tmp/raysearch_entry/{name}/index_simple"
     if not _index_current(index):
-        build_index(corpus, index, mode="simple", n_partitions=4)
+        build_index(corpus, index, mode="simple", n_partitions=4, resume=False)
     return corpus, index
 
 
@@ -655,31 +656,12 @@ def _q_transcripts_lexicon_sql(sf_dir: str):
 
 
 def _decoded_postings(index: str):
-    """Merged posting rows flattened back to exploded (term, doc_id, tf)."""
-    import glob
+    """The index's postings flattened back to exploded (term, doc_id,
+    tf) rows — the same logical rows every searcher reads (base minus
+    the delta tier's masked docs, plus the delta)."""
+    from raysearch.build import decoded_postings
 
-    import pyarrow as pa
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from raysearch.build import decode_postings
-
-    parts = []
-    for f in sorted(
-        glob.glob(os.path.join(index, "merged", "postings", "*.parquet"))
-    ):
-        t = pq.read_table(f, columns=["term", "doc_ids", "tfs"])
-        doc_ids, tfs = decode_postings(t)
-        parts.append(
-            pa.table(
-                {
-                    "term": t["term"].take(pc.list_parent_indices(t["doc_ids"])),
-                    "doc_id": doc_ids,
-                    "tf": tfs,
-                }
-            )
-        )
-    return pa.concat_tables(parts)
+    return decoded_postings(index)
 
 
 def _q_transcripts_postings_sql(sf_dir: str):

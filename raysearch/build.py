@@ -16,11 +16,12 @@ sorted sub-segments whenever its posting buffer reaches ``spill_rows``
 ``tfs``) with the two lists stored as Parquet list columns — doc ids
 ``DELTA_BINARY_PACKED``, tfs, terms and buckets dictionary-encoded —
 so Parquet does the compression and ``_write_postings`` is the one
-place that sets it.  Wave segments and merged bucket files share that
-schema (``POSTINGS_SCHEMA``).  Doc lengths and lineage stats are
+place that sets it.  Merged posting files hold the segment rows
+without ``bucket`` (``MERGED_POSTINGS_SCHEMA``).  Doc lengths and lineage stats are
 computed in the same task.  A partition is fully determined by its
 input files, so posting rows never cross workers: df comes from the
-merge, not a shared counter (contrast RecursiveSearch.java:150-162).  The only all-to-all
+merge or the waves' statistics, not a shared counter (contrast
+RecursiveSearch.java:150-162).  The only all-to-all
 in the build is the merge: a task per run of term buckets reads each
 bucket's row groups of every segment (segments are written
 bucket-sorted) and LSM-merges them into the global index + lexicon +
@@ -52,6 +53,15 @@ is bounded by the flush's posting buffer (``spill_rows``); the merge
 groups rows by crc32(term) % buckets and writes each per-partition
 row as it stands (doc-disjoint by construction), so no stored list
 scales with global df (SURVEY §4, "Skew / hot keys").
+
+Refresh: the merged index has a base tier (the full merge's bucket
+files) and a delta tier (one posting file merged from the waves
+rebuilt since, whose docs the base no longer answers for); a refresh
+merges its changed waves only, and the full merge runs again once the
+delta outgrows ``DELTA_COMPACT_FRACTION`` of the base (see
+:func:`build_index`).  Global statistics never come from a scan: each
+wave writes its per-term (df, cf) and per-conversation lemma counts
+(:func:`_wave_stats`), and every generation sums them.
 
 Checkpoint/resume: the unit of commit is the partition.  Each
 partition task writes its segments, doc lengths, doc store and a
@@ -92,15 +102,27 @@ from raysearch.lex import Lexer
 BUCKET_INPUT_BYTES = 64 << 20
 #: posting layout version in ``merged/meta.json`` and every wave
 #: manifest; searchers refuse other indexes, the build recomputes other waves
-INDEX_FORMAT = 6
-#: one posting row: a term's doc ids (ascending) and tfs within one
-#: partition flush; wave segments and merged bucket files alike
+INDEX_FORMAT = 7
+#: one posting row of a wave segment: a term's doc ids (ascending) and
+#: tfs within one partition flush, and the term's merge bucket (the
+#: merge finds a bucket's row groups by its statistics)
 POSTINGS_SCHEMA = pa.schema(
     [
         ("term", pa.string()), ("bucket", pa.int32()),
         ("doc_ids", pa.list_(pa.int64())), ("tfs", pa.list_(pa.int64())),
     ]
 )
+#: a merged posting file's rows (a base bucket file or the delta file):
+#: the segment rows without ``bucket``, which is constant per bucket file
+#: and read by no searcher
+MERGED_POSTINGS_SCHEMA = pa.schema(
+    [f for f in POSTINGS_SCHEMA if f.name != "bucket"]
+)
+#: a refresh merges the waves changed since the base was merged into one
+#: delta posting file and masks their docs in the base; once the delta
+#: would hold more than this fraction of the base's posting values, the
+#: refresh runs the full merge instead, which compacts the delta away
+DELTA_COMPACT_FRACTION = 0.3
 #: rows per record batch of a wave's doc store: a searcher reads doc row
 #: ``r`` of a file as batch ``r // DOC_BATCH_ROWS``
 DOC_BATCH_ROWS = 256
@@ -264,6 +286,7 @@ class TokenizerActor:
         )
         self.conv_arr = offsets["conv_id"].combine_chunks()
         self.offset_arr = offsets["offset"].to_numpy()
+        self.turns_arr = offsets["n_turns"].to_numpy()
         self.lexer = Lexer(mode)
         self.strip_html = strip_html
         self._bucket_memo: dict[str, int] = {}
@@ -287,9 +310,9 @@ class TokenizerActor:
         return no_tags
 
     def explode_arrays(self, batch: pa.Table):
-        """Vectorized core: batch → (doc_ids per row, doc_len per row,
-        p_row posting→row index, term code per posting, p_tf, the batch
-        vocabulary the codes index)."""
+        """Vectorized core: batch → (doc_ids per row, conv index per
+        row, doc_len per row, p_row posting→row index, term code per
+        posting, p_tf, the batch vocabulary the codes index)."""
         n_rows = batch.num_rows
         conv_idx = pc.index_in(batch["conv_id"], value_set=self.conv_arr)
         conv_idx_np = conv_idx.to_numpy(zero_copy_only=False)
@@ -315,12 +338,18 @@ class TokenizerActor:
             p_tf = np.empty(0, dtype=np.int64)
             uniq = np.empty(0, dtype=object)
             doc_len = np.zeros(n_rows, dtype=np.int64)
-        return doc_ids, doc_len, p_row, ucodes, p_tf, uniq
+        return doc_ids, conv_idx_np, doc_len, p_row, ucodes, p_tf, uniq
 
 
 # ---------------------------------------------------------------------------
 # Stage 2 — partition-local segment build (A2 analog)
 # ---------------------------------------------------------------------------
+
+#: a wave's statistics files, as :func:`_wave_stats` returns them; like
+#: its ``doclens.arrow`` (doc_id, doc_len), uncompressed Arrow IPC: every
+#: merged generation reads each wave's, and a small Parquet file costs
+#: ~10x more to open and decode
+WAVE_STATS = ("termstats.arrow", "convlex.arrow", "convterms.arrow")
 
 #: exploded-posting buffer budget per partition before an early flush
 #: writes a partial (doc-disjoint) sub-segment — the "per-partition
@@ -330,8 +359,8 @@ DEFAULT_SPILL_ROWS = 8_000_000
 
 def _encode_partition_segment(
     codes: np.ndarray, uniq_terms: np.ndarray, docs: np.ndarray,
-    tfs: np.ndarray, buckets: int, bucket_memo: dict,
-) -> pa.Table:
+    tfs: np.ndarray, convs: np.ndarray, buckets: int, bucket_memo: dict,
+) -> tuple[pa.Table, np.ndarray, np.ndarray]:
     """Sort one partition's exploded (term-code, doc, tf) rows into
     per-term posting rows, bucket-major (bucket assigned per term by
     hash), so that each merge task reads its own bucket's row groups.
@@ -340,9 +369,16 @@ def _encode_partition_segment(
 
     One Arrow row per term per partition replaces the reference's one
     SQL row per (lemma, page) (model/SearchIndex.java:12-27); its
-    ``doc_ids``/``tfs`` lists are slices of the sorted flat arrays."""
+    ``doc_ids``/``tfs`` lists are slices of the sorted flat arrays.
+
+    Also returns the distinct (term code, conversation) pairs of the
+    rows (``convs`` is each posting's conversation index): doc ids
+    ascend within a term and conversations own contiguous doc ids, so a
+    pair starts at each term start and conversation change of the same
+    sort — O(n), no second sort."""
     if len(codes) == 0:
-        return POSTINGS_SCHEMA.empty_table()
+        none = np.empty(0, np.int64)
+        return POSTINGS_SCHEMA.empty_table(), none, none
     bucket_of = np.array(
         [
             bucket_memo[t]
@@ -354,10 +390,14 @@ def _encode_partition_segment(
     )
     order = np.lexsort((docs, codes, bucket_of[codes]))
     s_codes = codes[order]
-    starts = np.flatnonzero(np.concatenate(([True], s_codes[1:] != s_codes[:-1])))
+    s_convs = convs[order]
+    new_code = np.concatenate(([True], s_codes[1:] != s_codes[:-1]))
+    starts = np.flatnonzero(new_code)
+    pair = new_code
+    pair[1:] |= s_convs[1:] != s_convs[:-1]
     offsets = np.append(starts, len(s_codes))
     row_codes = s_codes[starts]
-    return pa.Table.from_arrays(
+    table = pa.Table.from_arrays(
         [
             pa.array(uniq_terms[row_codes], pa.string()),
             pa.array(bucket_of[row_codes], pa.int32()),
@@ -365,6 +405,70 @@ def _encode_partition_segment(
         ],
         schema=POSTINGS_SCHEMA,
     )
+    return table, s_codes[pair], s_convs[pair].astype(np.int64)
+
+
+def _wave_stats(
+    terms: np.ndarray,
+    flushes: list[tuple[np.ndarray, ...]],
+    doc_convs: np.ndarray,
+    conv_turns: np.ndarray,
+) -> tuple[pa.Table, pa.Table, pa.Table]:
+    """A partition's summary, from which every merged generation takes
+    its global statistics without reading a segment (a refresh sums
+    them over the waves; nothing is ever subtracted):
+
+    * ``termstats`` — (term, df, cf) of the partition's postings;
+    * ``convlex`` — (conv_idx, lemmas): the distinct-lemma count of each
+      conversation whose turns all lie in this partition;
+    * ``convterms`` — (conv_idx, term): the distinct lemmas of each
+      conversation that straddles a partition boundary, whose count is
+      the size of the union of its partitions' sets.
+
+    Each spill flush gives (df, cf) by term code (into ``terms``; a
+    later flush may know more terms) and its distinct (term code,
+    conversation) pairs (a pair may recur in a later flush).
+    ``doc_convs`` is the conversation of each of the partition's docs
+    and ``conv_turns`` every conversation's turn count."""
+    df = np.zeros(len(terms), np.int64)
+    cf = np.zeros(len(terms), np.int64)
+    for f_df, f_cf, _, _ in flushes:
+        df[: len(f_df)] += f_df
+        cf[: len(f_cf)] += f_cf
+    has = df > 0
+    termstats = pa.table(
+        {
+            "term": pa.array(terms[has], pa.string()),
+            "df": pa.array(df[has], pa.int64()),
+            "cf": pa.array(cf[has], pa.int64()),
+        }
+    )
+    p_code = np.concatenate([f[2] for f in flushes] or [np.empty(0, np.int64)])
+    p_conv = np.concatenate([f[3] for f in flushes] or [np.empty(0, np.int64)])
+    if len(flushes) > 1:
+        n = max(len(terms), 1)
+        p_conv, p_code = np.divmod(np.unique(p_conv * n + p_code), n)
+    lo = int(doc_convs.min()) if len(doc_convs) else 0
+    n_docs = np.bincount(doc_convs - lo)
+    here = np.flatnonzero(n_docs) + lo
+    split_conv = np.zeros(len(n_docs), dtype=bool)
+    split_conv[here - lo] = n_docs[here - lo] < conv_turns[here]
+    split = split_conv[p_conv - lo]
+    lemmas = np.bincount(p_conv[~split] - lo, minlength=len(n_docs))
+    whole = np.flatnonzero(lemmas)
+    convlex = pa.table(
+        {
+            "conv_idx": pa.array(whole + lo, pa.int64()),
+            "lemmas": pa.array(lemmas[whole], pa.int64()),
+        }
+    )
+    convterms = pa.table(
+        {
+            "conv_idx": pa.array(p_conv[split], pa.int64()),
+            "term": pa.array(terms[p_code[split]], pa.string()),
+        }
+    )
+    return termstats, convlex, convterms
 
 
 def _lists(offsets: np.ndarray, values: np.ndarray) -> pa.ListArray:
@@ -383,19 +487,21 @@ def _atomic_write_table(table: pa.Table, path: str, **write_options) -> None:
 def _write_postings(
     table: pa.Table, path: str, cuts: np.ndarray | None = None
 ) -> None:
-    """Write bucket-sorted posting rows (a wave segment or a merged
-    bucket): doc ids — ascending within a row — delta-packed; terms,
-    buckets and tfs dictionary-encoded.  Parquet names a list
-    column's values ``<col>.list.element``; it ignores an encoding set
-    under any other name and writes that column PLAIN.  Row group ``i``
-    holds rows ``cuts[i]:cuts[i + 1]`` (a merged bucket's term-aligned
-    groups, see :func:`merge_bucket`); without ``cuts`` a segment gets
-    one row group per bucket.  No row group spans two buckets and only
-    ``bucket`` carries statistics, so a reader finds one bucket's row
-    groups from the footer alone.  The footer keeps no copy of the
-    Arrow schema: these four columns read back as ``POSTINGS_SCHEMA``
-    from the Parquet schema alone, and the copy cost ~0.5 kB per file
-    (2% of corpus C's merged postings)."""
+    """Write term-sorted posting rows: a wave segment
+    (``POSTINGS_SCHEMA``, bucket-sorted) or a merged posting file
+    (``MERGED_POSTINGS_SCHEMA``).  Doc ids — ascending within a row —
+    are delta-packed; terms, buckets and tfs dictionary-encoded.
+    Parquet names a list column's values ``<col>.list.element``; it
+    ignores an encoding set under any other name and writes that column
+    PLAIN.  Row group ``i`` holds rows ``cuts[i]:cuts[i + 1]`` (a merged
+    file's term-aligned groups, see :func:`merge_bucket`); without
+    ``cuts`` a segment gets one row group per bucket, and only
+    ``bucket`` carries statistics, so a merge task finds one bucket's
+    row groups from the footer alone.  The footer keeps no copy of the
+    Arrow schema: the columns read back as their schema from the
+    Parquet schema alone, and the copy cost ~0.5 kB per file (2% of
+    corpus C's merged postings)."""
+    segment = "bucket" in table.column_names
     if cuts is None:
         b = table["bucket"].to_numpy()
         cuts = np.concatenate(
@@ -405,9 +511,9 @@ def _write_postings(
     with pq.ParquetWriter(
         tmp,
         table.schema,
-        use_dictionary=["term", "bucket", "tfs.list.element"],
+        use_dictionary=["term", "tfs.list.element"] + (["bucket"] if segment else []),
         column_encoding={"doc_ids.list.element": "DELTA_BINARY_PACKED"},
-        write_statistics=["bucket"],
+        write_statistics=["bucket"] if segment else False,
         store_schema=False,
     ) as writer:
         for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -448,7 +554,8 @@ def build_partition_task(
     all-to-all in the build is the merge over segment rows.
     Each partition commits itself: segments, doc lengths, its doc store
     (``docs.arrow``: the raw role and text of its turns in doc_id order,
-    never rewritten once committed) and its manifest (lineage and
+    never rewritten once committed), its term and conversation
+    statistics (:func:`_wave_stats`) and its manifest (lineage and
     metrics) go into ``waves/_tmp_p-NNNNN``, which is renamed to
     ``waves/p-NNNNN`` as the task's last act.  A Ray retry
     starts by deleting the tmp dir, so it is idempotent.  Returns the
@@ -475,7 +582,6 @@ def build_partition_task(
         tmp = os.path.join(out_dir, "waves", f"_tmp_p-{pid:05d}")
         shutil.rmtree(tmp, ignore_errors=True)
         os.makedirs(os.path.join(tmp, "segments"))
-        os.makedirs(os.path.join(tmp, "doclens"))
         # partition-level vocabulary: batch-local codes are remapped to
         # stable partition codes (Python work ∝ per-batch vocab, not
         # postings); posting buffers are pure int64 arrays
@@ -484,7 +590,10 @@ def build_partition_task(
         code_buf: list[np.ndarray] = []
         doc_buf: list[np.ndarray] = []
         tf_buf: list[np.ndarray] = []
+        conv_buf: list[np.ndarray] = []
+        flushes: list[tuple[np.ndarray, ...]] = []  # see _wave_stats
         dl_doc: list[np.ndarray] = []
+        dl_conv: list[np.ndarray] = []
         dl_len: list[np.ndarray] = []
         doc_role: list[pa.Array] = []
         doc_text: list[pa.Array] = []
@@ -496,13 +605,23 @@ def build_partition_task(
             nonlocal n_buf, flush_i
             if not n_buf:
                 return
-            seg = _encode_partition_segment(
-                np.concatenate(code_buf),
+            codes, tfs = np.concatenate(code_buf), np.concatenate(tf_buf)
+            seg, pair_codes, pair_convs = _encode_partition_segment(
+                codes,
                 np.array(part_terms, dtype=object),
                 np.concatenate(doc_buf),
-                np.concatenate(tf_buf),
+                tfs,
+                np.concatenate(conv_buf),
                 buckets,
                 tok._bucket_memo,
+            )
+            flushes.append(
+                (
+                    np.bincount(codes),
+                    np.bincount(codes, weights=tfs).astype(np.int64),
+                    pair_codes,
+                    pair_convs,
+                )
             )
             _write_postings(
                 seg,
@@ -513,6 +632,7 @@ def build_partition_task(
             code_buf.clear()
             doc_buf.clear()
             tf_buf.clear()
+            conv_buf.clear()
             n_buf = 0
             flush_i += 1
 
@@ -524,8 +644,8 @@ def build_partition_task(
                 columns=["conv_id", "turn_idx", "text"] + (["role"] if has_role else []),
             ):
                 tbl = pa.Table.from_batches([rb])
-                doc_ids, doc_len, p_row, ucodes, p_tf, uniq = tok.explode_arrays(
-                    tbl
+                doc_ids, convs, doc_len, p_row, ucodes, p_tf, uniq = (
+                    tok.explode_arrays(tbl)
                 )
                 doc_role.append(
                     rb.column("role") if has_role else pa.nulls(rb.num_rows, pa.string())
@@ -542,7 +662,9 @@ def build_partition_task(
                     code_buf.append(remap[ucodes])
                     doc_buf.append(doc_ids[p_row])
                     tf_buf.append(p_tf)
+                    conv_buf.append(convs[p_row])
                 dl_doc.append(doc_ids)
+                dl_conv.append(convs)
                 dl_len.append(doc_len)
                 n_buf += len(ucodes)
                 n_postings += len(ucodes)
@@ -551,18 +673,26 @@ def build_partition_task(
         flush()
         docs = np.concatenate(dl_doc) if dl_doc else np.empty(0, np.int64)
         lens = np.concatenate(dl_len) if dl_len else np.empty(0, np.int64)
-        _atomic_write_table(
+        _write_arrow(
             pa.table(
                 {
                     "doc_id": pa.array(docs, pa.int64()),
                     "doc_len": pa.array(lens, pa.int64()),
                 }
             ),
-            os.path.join(tmp, "doclens", f"pid-{pid:05d}.parquet"),
+            os.path.join(tmp, "doclens.arrow"),
         )
         _write_doc_store(
             os.path.join(tmp, "docs.arrow"), docs, doc_role, doc_text
         )
+        stat_tables = _wave_stats(
+            np.array(part_terms, dtype=object),
+            flushes,
+            np.concatenate(dl_conv).astype(np.int64) if dl_conv else np.empty(0, np.int64),
+            tok.turns_arr,
+        )
+        for name, table in zip(WAVE_STATS, stat_tables):
+            _write_arrow(table, os.path.join(tmp, name))
         wall_s = round(time.monotonic() - t0, 3)
         stats = {
             "files": files,
@@ -587,6 +717,13 @@ def build_partition_task(
         os.replace(tmp, wave)
         done.append(pid)
     return pa.table({"partition_id": pa.array(done, pa.int64())})
+
+
+def _write_arrow(table: pa.Table, path: str) -> None:
+    """Write a table as one uncompressed Arrow IPC file, atomically."""
+    with pa.ipc.new_file(path + ".tmp", table.schema) as writer:
+        writer.write_table(table)
+    os.replace(path + ".tmp", path)
 
 
 def _write_doc_store(
@@ -625,65 +762,71 @@ def _write_doc_store(
 POSTING_RG_VALUES = 4096
 
 
-#: a term's merged lexicon row; its posting rows are rows
-#: ``row_lo:row_hi`` of row group ``rg`` of its bucket file
+#: a term's lexicon row: its df and cf, its posting bucket, and two
+#: locators — its base rows are rows ``row_lo:row_hi`` of row group
+#: ``rg`` of the bucket file, its delta rows rows ``delta_lo:delta_hi``
+#: of row group ``delta_rg`` of the delta file (an empty range: none)
 _LEXICON_SCHEMA = pa.schema(
     [("term", pa.string())]
-    + [(c, pa.int64()) for c in ("df", "cf", "bucket", "rg", "row_lo", "row_hi")]
+    + [
+        (c, pa.int64())
+        for c in (
+            "df", "cf", "bucket", "rg", "row_lo", "row_hi",
+            "delta_rg", "delta_lo", "delta_hi",
+        )
+    ]
 )
+#: what :func:`merge_bucket` says of each term of the file it merged
+_LOCATOR_SCHEMA = pa.schema(
+    [("term", pa.string())]
+    + [(c, pa.int64()) for c in ("df", "cf", "rg", "row_lo", "row_hi")]
+)
+_DELTA_LOCATOR = ["delta_rg", "delta_lo", "delta_hi"]
 
 
-def merge_bucket(
-    group: pa.Table, conv_starts: np.ndarray | None = None
-) -> tuple[pa.Table, pa.Table, np.ndarray | None]:
-    """Merge one bucket's segment rows into its posting rows and its
-    lexicon slice.  Segment rows are doc-disjoint (a doc lives in
-    exactly one partition flush), so once the rows are in (term, first
-    doc id) order — one ``take`` — each term's doc ids are its rows'
-    ``doc_ids`` lists as they stand, and every row is written with its
-    segment length: no decode, no re-encode, no re-chunk.  A
-    value-level order audit sorts a term whose partitions' doc ranges
-    interleave (its values move between its rows; the row lengths
-    stay) and rejects a repeated doc id.
+def merge_bucket(group: pa.Table) -> tuple[pa.Table, pa.Table]:
+    """Merge segment rows (one bucket's, or a delta's) into one
+    term-sorted posting file's rows and a locator per term.  Segment
+    rows are doc-disjoint (a doc lives in exactly one partition flush),
+    so once the rows are in (term, first doc id) order — one ``take`` —
+    each term's doc ids are its rows' ``doc_ids`` lists as they stand,
+    and every row is written with its segment length: no decode, no
+    re-encode, no re-chunk.  A value-level order audit sorts a term
+    whose partitions' doc ranges interleave (its values move between
+    its rows; the row lengths stay) and rejects a repeated doc id.
 
-    The lexicon slice comes from the same term boundaries: a term's df
-    and cf, and its row group ``rg`` of the bucket file with its rows
-    ``row_lo:row_hi`` there, so a searcher locates a term's postings
-    from its lexicon row alone.  Row groups hold whole terms: one starts
-    at each term whose first value crosses into a new multiple of
-    ``POSTING_RG_VALUES``, and a term longer than that gets one of its
-    own, so a row group holds at most ``POSTING_RG_VALUES`` values
-    besides its last term's.  (:func:`_merge_one_bucket` reads the
-    row-group cuts back off the lexicon slice.)
-
-    When ``conv_starts`` (the conv→first-doc offset array) is given,
-    also returns this bucket's distinct-lemma count per conversation
-    (DetailedStatisticsItem lemma-count analog,
-    StatisticsServiceImpl.java:34-70): buckets partition the term
-    space, so per-conv distinct (term, conv) pairs are disjoint across
-    buckets and the global count is the sum of the per-bucket sidecars.
-    Because posting doc_ids are ascending within each term segment,
-    conv indices are non-decreasing there too — distinct pairs are just
-    segment starts plus conv-change boundaries: one ``searchsorted``
-    plus O(n) compares over the flattened values, no shuffle."""
+    The locator table (``_LOCATOR_SCHEMA``) comes from the same term
+    boundaries: a term's df and cf, and its row group ``rg`` of the
+    file with its rows ``row_lo:row_hi`` there, so a searcher locates a
+    term's postings from its lexicon row alone.  Row groups hold whole
+    terms: one starts at each term whose first value crosses into a new
+    multiple of ``POSTING_RG_VALUES``, and a term longer than that gets
+    one of its own, so a row group holds at most ``POSTING_RG_VALUES``
+    values besides its last term's.  (:func:`_write_merged` reads the
+    row-group cuts back off the locators.)"""
     _pin_arrow_threads()
+    group = group.select(MERGED_POSTINGS_SCHEMA.names)
     if group.num_rows == 0:
-        return POSTINGS_SCHEMA.empty_table(), _LEXICON_SCHEMA.empty_table(), None
+        return MERGED_POSTINGS_SCHEMA.empty_table(), _LOCATOR_SCHEMA.empty_table()
     keys = pa.table(
         {"term": group["term"], "first": pc.list_element(group["doc_ids"], 0)}
     )
-    rows = group.take(
-        pc.sort_indices(keys, [("term", "ascending"), ("first", "ascending")])
-    )
-    terms = rows["term"].to_numpy(zero_copy_only=False)
+    order = pc.sort_indices(
+        keys, [("term", "ascending"), ("first", "ascending")]
+    ).to_numpy()
+    terms = group["term"].to_numpy(zero_copy_only=False)[order]
     term_row_starts = np.flatnonzero(
         np.concatenate(([True], terms[1:] != terms[:-1]))
     )
-    row_offsets = np.concatenate(
-        ([0], np.cumsum(pc.list_value_length(rows["doc_ids"]).to_numpy()))
-    )
-    d, t = decode_postings(rows)
-    n_vals = len(d)
+    # the rows' values in the new row order: two numpy gathers over the
+    # flattened lists cost less than a list ``take`` of the rows
+    lens = pc.list_value_length(group["doc_ids"]).to_numpy()
+    row_offsets = np.concatenate(([0], np.cumsum(lens[order])))
+    n_vals = int(row_offsets[-1])
+    src = np.repeat(
+        (np.cumsum(lens) - lens)[order] - row_offsets[:-1], lens[order]
+    ) + np.arange(n_vals)
+    d, t = (v[src] for v in decode_postings(group))
     # term segment boundaries in value space
     term_val_starts = row_offsets[term_row_starts]
     term_val_ends = np.append(term_val_starts[1:], n_vals)
@@ -695,7 +838,6 @@ def merge_bucket(
     interior[term_val_starts] = False
     bad = np.flatnonzero(interior & (np.diff(np.concatenate(([d[0] - 1], d))) <= 0))
     if len(bad):
-        d, t = d.copy(), t.copy()  # the flattened lists are read-only
         term_of_val = np.repeat(
             np.arange(len(term_val_starts)),
             term_val_ends - term_val_starts,
@@ -708,26 +850,10 @@ def merge_bucket(
                 raise ValueError(
                     f"duplicate doc_id in postings of {sorted_terms[ti]!r}"
                 )
-        rows = pa.Table.from_arrays(
-            [rows["term"], rows["bucket"]]
-            + [_lists(row_offsets, v) for v in (d, t)],
-            schema=POSTINGS_SCHEMA,
-        )
-
-    # per-conv distinct-lemma partials (see docstring) — after the
-    # audit, so doc_ids (hence conv indices) ascend within each segment
-    conv_counts = None
-    if conv_starts is not None:
-        conv_of_val = (
-            np.searchsorted(conv_starts, d, side="right") - 1
-        ).astype(np.int64)
-        keep = np.empty(n_vals, dtype=bool)
-        keep[0] = True
-        keep[1:] = conv_of_val[1:] != conv_of_val[:-1]
-        keep[term_val_starts] = True
-        conv_counts = np.bincount(
-            conv_of_val[keep], minlength=len(conv_starts)
-        ).astype(np.int64)
+    rows = pa.Table.from_arrays(
+        [pa.array(terms, pa.string())] + [_lists(row_offsets, v) for v in (d, t)],
+        schema=MERGED_POSTINGS_SCHEMA,
+    )
 
     # term-aligned row groups: cut where a term starts in a new budget
     # block and before every term longer than the budget (the term
@@ -743,25 +869,29 @@ def merge_bucket(
         sorted_terms,
         term_val_ends - term_val_starts,
         np.add.reduceat(t, term_val_starts),
-        np.full(len(sorted_terms), rows["bucket"][0].as_py()),
         rg,
         term_row_starts - rg_row,
         term_row_ends - rg_row,
     )
-    lexicon = pa.Table.from_arrays(
-        [pa.array(c, f.type) for c, f in zip(cols, _LEXICON_SCHEMA)],
-        schema=_LEXICON_SCHEMA,
+    locators = pa.Table.from_arrays(
+        [pa.array(c, f.type) for c, f in zip(cols, _LOCATOR_SCHEMA)],
+        schema=_LOCATOR_SCHEMA,
     )
-    return rows, lexicon, conv_counts
+    return rows, locators
+
+
+def _write_merged(rows: pa.Table, locators: pa.Table, path: str) -> None:
+    """Write :func:`merge_bucket`'s rows in its term-aligned row groups
+    (a row group ends at its last term's ``row_hi``)."""
+    rg, row_hi = locators["rg"].to_numpy(), locators["row_hi"].to_numpy()
+    last = np.append(rg[1:] != rg[:-1], True)
+    _write_postings(
+        rows, path, cuts=np.concatenate(([0], np.cumsum(row_hi[last])))
+    )
 
 
 def _merge_bucket_task(
-    buckets: list[int],
-    seg_files: list[str],
-    out_dir: str,
-    lex_dir: str,
-    convlex_dir: str | None,
-    conv_starts: np.ndarray | None,
+    buckets: list[int], seg_files: list[str], out_dir: str, lex_dir: str
 ) -> int:
     """Merge a run of buckets, one at a time, from every segment file.
     Each file is opened once; a bucket's rows in it are one row group,
@@ -781,64 +911,38 @@ def _merge_bucket_task(
         segs.append((pf, rg_of))
     n = 0
     for b in buckets:
-        parts = [pf.read_row_group(rg_of[b]) for pf, rg_of in segs if b in rg_of]
-        if parts:
-            n += _merge_one_bucket(
-                pa.concat_tables(parts),
-                os.path.join(out_dir, f"bucket-{b:04d}.parquet"),
-                os.path.join(lex_dir, f"lexicon-{b:04d}.parquet"),
-                None
-                if convlex_dir is None
-                else os.path.join(convlex_dir, f"convlex-{b:04d}.parquet"),
-                conv_starts,
+        parts = [
+            pf.read_row_group(rg_of[b], columns=MERGED_POSTINGS_SCHEMA.names)
+            for pf, rg_of in segs
+            if b in rg_of
+        ]
+        if not parts:
+            continue
+        rows, locators = merge_bucket(pa.concat_tables(parts))
+        if rows.num_rows:
+            # buckets partition the term space, so the lexicon is the
+            # concatenation of the slices: no scan of the merged files
+            _write_merged(rows, locators, os.path.join(out_dir, f"bucket-{b:04d}.parquet"))
+            _write_arrow(
+                _lexicon_rows(locators, b), os.path.join(lex_dir, _lexpart(b))
             )
+        n += rows.num_rows
     return n
 
 
-def _merge_one_bucket(
-    group: pa.Table,
-    out_path: str,
-    lex_path: str,
-    convlex_path: str | None,
-    conv_starts: np.ndarray | None,
-) -> int:
-    """Merge one bucket's segment rows and write its posting rows
-    (term-aligned row groups of about ``POSTING_RG_VALUES`` values), its
-    lexicon slice and its convlex sidecar.  Buckets partition the term
-    space, so the global lexicon is just the concatenation of the
-    slices — no driver-side scan over the merged index.  Atomic
-    renames; idempotent."""
-    postings, lexicon, conv_counts = merge_bucket(group, conv_starts=conv_starts)
-    if convlex_path is not None and conv_counts is not None:
-        # sparse sidecar: only convs this bucket's terms touch
-        nz = np.flatnonzero(conv_counts)
-        _atomic_write_table(
-            pa.table(
-                {
-                    "conv_idx": pa.array(nz, pa.int64()),
-                    "lemmas": pa.array(conv_counts[nz], pa.int64()),
-                }
-            ),
-            convlex_path,
-        )
-    if postings.num_rows:
-        # a row group ends at its last term's row_hi
-        rg, row_hi = lexicon["rg"].to_numpy(), lexicon["row_hi"].to_numpy()
-        last = np.append(rg[1:] != rg[:-1], True)
-        _write_postings(
-            postings, out_path, cuts=np.concatenate(([0], np.cumsum(row_hi[last])))
-        )
-        _atomic_write_table(lexicon, lex_path)
-    return postings.num_rows
+def _lexicon_rows(locators: pa.Table, bucket: int) -> pa.Table:
+    """A base bucket's lexicon slice: its merge locators, its bucket and
+    an empty delta locator."""
+    n = locators.num_rows
+    cols = {c: locators[c] for c in locators.column_names}
+    cols["bucket"] = pa.array(np.full(n, bucket), pa.int64())
+    for c in _DELTA_LOCATOR:
+        cols[c] = pa.array(np.zeros(n, np.int64))
+    return pa.table([cols[f.name] for f in _LEXICON_SCHEMA], schema=_LEXICON_SCHEMA)
 
 
 def run_merge(
-    seg_files: list[str],
-    out_dir: str,
-    buckets: int,
-    lex_dir: str | None = None,
-    convlex_dir: str | None = None,
-    conv_starts: np.ndarray | None = None,
+    seg_files: list[str], out_dir: str, buckets: int, lex_dir: str | None = None
 ) -> None:
     """LSM merge: Ray tasks, each over a run of buckets, read each
     bucket's rows from every segment file and write them, term-sorted
@@ -860,40 +964,44 @@ def run_merge(
     import ray
 
     lex_dir = lex_dir or out_dir
-    use_conv = convlex_dir is not None and conv_starts is not None
     todo = [
         b
         for b in range(buckets)
         if not (
             os.path.exists(os.path.join(out_dir, f"bucket-{b:04d}.parquet"))
-            and os.path.exists(os.path.join(lex_dir, f"lexicon-{b:04d}.parquet"))
-            and (
-                not use_conv
-                or os.path.exists(
-                    os.path.join(convlex_dir, f"convlex-{b:04d}.parquet")
-                )
-            )
+            and os.path.exists(os.path.join(lex_dir, _lexpart(b)))
         )
     ]
     if not (todo and seg_files):
         return
     merge_remote = ray.remote(num_cpus=1)(_merge_bucket_task)
-    conv_ref = ray.put(conv_starts) if use_conv else None
     # one task per CPU, each over a run of buckets: a task opens every
     # segment file once, so fewer tasks parse fewer footers
     n_tasks = min(len(todo), int(ray.cluster_resources().get("CPU", 1)))
     futs = [
-        merge_remote.remote(
-            [int(b) for b in run],
-            seg_files,
-            out_dir,
-            lex_dir,
-            convlex_dir if use_conv else None,
-            conv_ref,
-        )
+        merge_remote.remote([int(b) for b in run], seg_files, out_dir, lex_dir)
         for run in np.array_split(todo, n_tasks)
     ]
     ray.get(futs)
+
+
+def _merge_delta_task(seg_files: list[str], path: str) -> pa.Table:
+    """The delta tier's merge: every row of the given segments (the
+    waves changed since the base was merged), all buckets at once, into
+    one term-sorted posting file at ``path`` (:func:`merge_bucket`).
+    Returns each term's delta locator (``term`` + ``_DELTA_LOCATOR``)."""
+    rows, locators = merge_bucket(
+        pa.concat_tables(
+            [pq.read_table(p, columns=MERGED_POSTINGS_SCHEMA.names) for p in seg_files]
+        )
+        if seg_files
+        else MERGED_POSTINGS_SCHEMA.empty_table()
+    )
+    if rows.num_rows:
+        _write_merged(rows, locators, path)
+    return locators.select(["term", "rg", "row_lo", "row_hi"]).rename_columns(
+        ["term"] + _DELTA_LOCATOR
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1006,13 +1114,13 @@ def rebuild_partition(
     partition_id: int | None = None,
     conv_id: str | None = None,
 ) -> dict:
-    """Partition-scoped rebuild + re-merge (§3.3 restated: the
-    reference's single-page reindex deletes the page's postings,
-    decrements dfs and re-crawls one URL,
-    IndexingServiceImpl.java:173-198; here the unit of incremental
-    recompute is an input partition — its wave is evicted and
-    rebuilt, then the idempotent LSM merge reruns over the new wave
-    set, which also restores df/cf in lexicon + meta)."""
+    """Partition-scoped rebuild (§3.3 restated: the reference's
+    single-page reindex deletes the page's postings, decrements dfs and
+    re-crawls one URL, IndexingServiceImpl.java:173-198; here the unit
+    of incremental recompute is an input partition — its wave is
+    evicted and rebuilt, then :func:`build_index` publishes a
+    generation whose delta tier holds the changed waves, with df/cf
+    summed from the waves' statistics; see there)."""
     if partition_id is not None:
         pids = [partition_id]
     elif conv_id is not None:
@@ -1044,12 +1152,25 @@ def build_index(
     the merge writes the segment rows as they are) and
     ``read_batch_rows`` its parquet read batches.  The first build
     fixes the merge's bucket count (:data:`BUCKET_INPUT_BYTES`); a
-    resume keeps the one in ``input_meta.json``.  The merge publishes
-    ``merged/`` in one rename: postings, lexicon, doc lengths and
-    ``docs/`` (hard links to the waves' doc stores).
-    ``meta.json`` keeps a digest of the wave → commit map it was merged
-    from (``waves_digest``, with ``n_waves``), and a build whose waves
-    match it skips the merge.
+    resume keeps the one in ``input_meta.json``.  Each generation is
+    published as ``merged/`` in one rename: postings, lexicon (+ its
+    per-bucket ``lexparts/``), doc lengths, ``convlex.parquet`` and
+    ``docs/`` (hard links to the waves' doc stores).  ``meta.json``
+    keeps a digest of the wave → commit map it was built from
+    (``waves_digest``, with ``n_waves``), and a build whose waves match
+    it returns at once.
+
+    Two tiers (an LSM tree of two levels, O'Neil et al. 1996): the full
+    merge writes the base — one posting file per bucket — and records
+    its wave commits in ``merge_inputs.json``.  A resume that finds a
+    base (a refresh) merges only the waves whose commit differs from it
+    into one term-sorted ``delta/postings.parquet`` (one Ray task) and
+    lists those waves' docs in ``delta/masked.parquet``; the base files
+    are hard links to the previous generation's.  The lexicon's df/cf
+    are then the sums of every wave's ``termstats``, and each lexicon
+    row locates the term's base and delta rows.  Once the changed
+    waves' posting values exceed ``DELTA_COMPACT_FRACTION`` of the
+    base's, the refresh runs the full merge instead (compaction).
     """
     import ray
     import ray.data as rd
@@ -1146,17 +1267,19 @@ def build_index(
         )
     merged_dir = os.path.join(out_dir, "merged")
     meta_path = os.path.join(merged_dir, "meta.json")
+    prev = None
     if os.path.exists(meta_path):
         with open(meta_path) as f:
-            meta = json.load(f)
-        if (
-            meta.get("waves_digest") == _waves_digest(waves)
-            and meta.get("format") == INDEX_FORMAT
-        ):
-            return meta
+            prev = json.load(f)
+        if prev.get("format") != INDEX_FORMAT:
+            prev = None
+        elif prev.get("waves_digest") == _waves_digest(waves):
+            return prev
     # merge checkpoint: keep a partially-completed _tmp_merged (its
     # bucket files are atomic) when it was built from the SAME wave
-    # commits in the same layout; run_merge then skips finished buckets
+    # commits in the same layout; run_merge then skips finished buckets.
+    # A delta generation writes its (base) merge inputs last, so a
+    # crashed one is never kept.
     merged_tmp = os.path.join(out_dir, "_tmp_merged")
     merge_ckpt = os.path.join(merged_tmp, "merge_inputs.json")
     merge_inputs = {"waves": waves, "format": INDEX_FORMAT}
@@ -1164,45 +1287,213 @@ def build_index(
     if os.path.exists(merge_ckpt):
         with open(merge_ckpt) as f:
             keep = json.load(f) == merge_inputs
+    plan = None if keep else _delta_plan(out_dir, prev, waves)
     if not keep:
         shutil.rmtree(merged_tmp, ignore_errors=True)
-        for sub in ("postings", "lexparts", "convlex", "docs"):
+        for sub in ("postings", "lexparts", "docs", "delta"):
             os.makedirs(os.path.join(merged_tmp, sub))
-        _atomic_write_json(merge_ckpt, merge_inputs)
+        if plan is None:
+            _atomic_write_json(merge_ckpt, merge_inputs)
 
-    seg_files = sorted(
-        glob.glob(os.path.join(out_dir, "waves", "*", "segments", "*.parquet"))
-    )
     t_m0 = time.monotonic()
-    run_merge(
-        seg_files,
-        os.path.join(merged_tmp, "postings"),
-        buckets,
-        lex_dir=os.path.join(merged_tmp, "lexparts"),
-        convlex_dir=os.path.join(merged_tmp, "convlex"),
-        conv_starts=offsets["offset"].to_numpy(),
-    )
-    stage_times["merge"] = round(time.monotonic() - t_m0, 3)
-
-    # global lexicon = sorted concat of the per-bucket slices the merge
-    # tasks already aggregated (buckets partition the term space; no
-    # scan over the merged postings is needed)
-    lex_parts = sorted(glob.glob(os.path.join(merged_tmp, "lexparts", "*.parquet")))
-    lex = pa.concat_tables(
-        [pq.read_table(p) for p in lex_parts] or [_LEXICON_SCHEMA.empty_table()]
-    ).sort_by("term")
-    _atomic_write_table(lex, os.path.join(merged_tmp, "lexicon.parquet"))
-    totals = (
-        int(pc.sum(lex["cf"]).as_py() or 0),
-        lex.num_rows,
-    )
-    # doc lengths: the waves' per-partition files, once, in doc_id order
-    doclens = pa.concat_tables(
-        pq.read_table(p, columns=["doc_id", "doc_len"])
-        for p in sorted(
-            glob.glob(os.path.join(out_dir, "waves", "*", "doclens", "*.parquet"))
+    if plan is None:
+        run_merge(
+            _segment_files(out_dir, waves),
+            os.path.join(merged_tmp, "postings"),
+            buckets,
+            lex_dir=os.path.join(merged_tmp, "lexparts"),
         )
-    ).sort_by("doc_id")
+        stage_times["merge"] = round(time.monotonic() - t_m0, 3)
+        # global lexicon = sorted concat of the per-bucket slices the
+        # merge tasks already aggregated (buckets partition the term
+        # space; no scan over the merged postings is needed)
+        lex = pa.concat_tables(
+            [
+                pa.ipc.open_file(p).read_all()
+                for p in glob.glob(os.path.join(merged_tmp, "lexparts", "*.arrow"))
+            ]
+            or [_LEXICON_SCHEMA.empty_table()]
+        ).sort_by("term")
+        base_values, delta, delta_values = int(pc.sum(lex["df"]).as_py() or 0), [], 0
+    else:
+        delta, base_inputs, delta_values = plan
+        # the base's files are the previous generation's, hard-linked
+        base_dir = os.path.join(merged_dir, "postings")
+        for name in os.listdir(base_dir):
+            os.link(
+                os.path.join(base_dir, name),
+                os.path.join(merged_tmp, "postings", name),
+            )
+        delta_loc = ray.get(
+            ray.remote(num_cpus=1)(_merge_delta_task).remote(
+                _segment_files(out_dir, delta),
+                os.path.join(merged_tmp, "delta", "postings.parquet"),
+            )
+        )
+        stage_times["merge"] = round(time.monotonic() - t_m0, 3)
+        lex = _refresh_lexicon(out_dir, merged_dir, waves, delta_loc, buckets)
+        _write_lexparts(lex, os.path.join(merged_tmp, "lexparts"))
+        base_values = prev["base_values"]
+    _atomic_write_table(lex, os.path.join(merged_tmp, "lexicon.parquet"))
+    masked = _write_doclens(out_dir, waves, delta, n_docs, merged_tmp)
+    _atomic_write_table(
+        conv_lemma_counts(
+            _wave_table(out_dir, waves, "convlex.arrow"),
+            _wave_table(out_dir, waves, "convterms.arrow"),
+            offsets.num_rows,
+        ),
+        os.path.join(merged_tmp, "convlex.parquet"),
+    )
+    # doc store: each wave's file, hard-linked (no text is copied, and
+    # the text stays with the scores it was committed with when the
+    # wave is later evicted); a kept checkpoint already holds some links
+    for wname in waves:
+        dst = os.path.join(merged_tmp, "docs", wname + ".arrow")
+        if not os.path.exists(dst):
+            os.link(os.path.join(out_dir, "waves", wname, "docs.arrow"), dst)
+    if plan is not None:
+        _atomic_write_json(merge_ckpt, base_inputs)
+    stage_times["lexicon"] = round(time.monotonic() - t_m0 - stage_times["merge"], 3)
+    total_tokens = int(pc.sum(lex["cf"]).as_py() or 0)
+    meta = {
+        "format": INDEX_FORMAT,
+        "n_docs": n_docs,
+        "total_tokens": total_tokens,
+        "n_terms": lex.num_rows,
+        "avg_doc_len": total_tokens / n_docs if n_docs else 0.0,
+        "mode": mode,
+        "buckets": buckets,
+        "n_partitions": n_partitions,
+        "n_waves": len(waves),
+        "waves_digest": _waves_digest(waves),
+        "base_values": base_values,
+        "delta_values": delta_values,
+        "delta_docs": masked,
+        "build_wall_s": round(time.monotonic() - t_start, 3),
+        "stage_times": stage_times,
+    }
+    _atomic_write_json(os.path.join(merged_tmp, "meta.json"), meta)
+    shutil.rmtree(merged_dir, ignore_errors=True)
+    os.replace(merged_tmp, merged_dir)
+    return meta
+
+
+# ---------------------------------------------------------------------------
+# Merged-generation helpers: the delta tier and the wave statistics
+# ---------------------------------------------------------------------------
+
+
+def _segment_files(out_dir: str, waves) -> list[str]:
+    return sorted(
+        p
+        for w in waves
+        for p in glob.glob(os.path.join(out_dir, "waves", w, "segments", "*.parquet"))
+    )
+
+
+def _delta_plan(
+    out_dir: str, prev: dict | None, waves: dict[str, str | None]
+) -> tuple[list[str], dict, int] | None:
+    """How a refresh publishes: (the waves whose commit differs from the
+    base's merge inputs, those inputs, the changed waves' posting
+    values) when the previous generation can serve as the base and the
+    delta tier stays within ``DELTA_COMPACT_FRACTION`` of it; None when
+    the full merge must run (no base, another partitioning, or a delta
+    that has outgrown the base: compaction)."""
+    if prev is None:
+        return None
+    path = os.path.join(out_dir, "merged", "merge_inputs.json")
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        base = json.load(f)
+    if base.get("format") != INDEX_FORMAT or set(base["waves"]) != set(waves):
+        return None
+    changed = sorted(w for w, c in waves.items() if base["waves"][w] != c)
+    values = 0
+    for w in changed:
+        with open(os.path.join(out_dir, "waves", w, "manifest.json")) as f:
+            values += sum(
+                p["n_postings"] for p in json.load(f)["per_partition"].values()
+            )
+    if values > DELTA_COMPACT_FRACTION * prev["base_values"]:
+        return None
+    return changed, base, values
+
+
+def _wave_table(out_dir: str, waves, name: str) -> pa.Table:
+    """One of a wave's Arrow IPC files, concatenated over ``waves``."""
+    return pa.concat_tables(
+        [
+            pa.ipc.open_file(os.path.join(out_dir, "waves", w, name)).read_all()
+            for w in sorted(waves)
+        ]
+    )
+
+
+def _refresh_lexicon(
+    out_dir: str, merged_dir: str, waves, delta_loc: pa.Table, buckets: int
+) -> pa.Table:
+    """The lexicon of a delta generation: each term's df and cf summed
+    over every wave's ``termstats`` (exact: a term whose last occurrence
+    went drops out), its base locator from the previous generation's
+    lexicon (the base files are unchanged) and its delta locator from
+    the delta merge.  A term new in the delta has an empty base locator
+    and is filed under its hash bucket."""
+    stats = (
+        _wave_table(out_dir, waves, "termstats.arrow")
+        .group_by("term")
+        .aggregate([("df", "sum"), ("cf", "sum")])
+        .rename_columns(["term", "df", "cf"])
+    )
+    base = pq.read_table(
+        os.path.join(merged_dir, "lexicon.parquet"),
+        columns=["term", "bucket", "rg", "row_lo", "row_hi"],
+    )
+    lex = stats.join(base, "term", join_type="left outer").join(
+        delta_loc, "term", join_type="left outer"
+    )
+    new = pc.is_null(lex["bucket"]).to_numpy(zero_copy_only=False)
+    bucket = pc.fill_null(lex["bucket"], 0).to_numpy().copy()
+    bucket[new] = [term_bucket(t, buckets) for t in lex["term"].filter(new).to_pylist()]
+    lex = lex.set_column(
+        lex.schema.get_field_index("bucket"), "bucket", pa.array(bucket)
+    )
+    return pa.table(
+        [
+            pc.fill_null(lex[f.name], 0) if f.name != "term" else lex["term"]
+            for f in _LEXICON_SCHEMA
+        ],
+        schema=_LEXICON_SCHEMA,
+    ).sort_by("term")
+
+
+def _lexpart(bucket: int) -> str:
+    """A bucket's lexicon slice (``lexparts/``): the lexicon rows of its
+    terms, as uncompressed Arrow IPC — a lazy searcher point-reads one,
+    and a refresh rewrites them all."""
+    return f"lexicon-{int(bucket):04d}.arrow"
+
+
+def _write_lexparts(lex: pa.Table, lex_dir: str) -> None:
+    """Split a lexicon into the per-bucket slices a lazy searcher reads."""
+    b = lex["bucket"].to_numpy()
+    order = np.argsort(b, kind="stable")
+    sb = b[order]
+    cuts = np.concatenate(([0], np.flatnonzero(sb[1:] != sb[:-1]) + 1, [len(sb)]))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        _write_arrow(lex.take(order[lo:hi]), os.path.join(lex_dir, _lexpart(sb[lo])))
+
+
+def _write_doclens(
+    out_dir: str, waves, delta: list[str], n_docs: int, merged_tmp: str
+) -> int:
+    """Write the generation's doc lengths (the waves' per-partition
+    files, once, in doc_id order) and, for a delta generation, the doc
+    ids the base must not answer for (every doc of a delta wave: a
+    conversation may straddle partitions, so it is a set, not a range).
+    Returns the number of masked docs."""
+    doclens = _wave_table(out_dir, waves, "doclens.arrow").sort_by("doc_id")
     if not np.array_equal(doclens["doc_id"].to_numpy(), np.arange(n_docs)):
         raise RuntimeError(
             f"wave doc lengths do not cover doc_ids 0..{n_docs - 1} exactly once"
@@ -1213,29 +1504,75 @@ def build_index(
         use_dictionary=["doc_len"],
         column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
     )
-    # doc store: each wave's file, hard-linked (no text is copied, and
-    # the text stays with the scores it was committed with when the
-    # wave is later evicted); a kept checkpoint already holds some links
-    for wname in waves:
-        dst = os.path.join(merged_tmp, "docs", wname + ".arrow")
-        if not os.path.exists(dst):
-            os.link(os.path.join(out_dir, "waves", wname, "docs.arrow"), dst)
-    stage_times["lexicon"] = round(time.monotonic() - t_m0 - stage_times["merge"], 3)
-    meta = {
-        "format": INDEX_FORMAT,
-        "n_docs": n_docs,
-        "total_tokens": int(totals[0]),
-        "n_terms": int(totals[1]),
-        "avg_doc_len": (int(totals[0]) / n_docs) if n_docs else 0.0,
-        "mode": mode,
-        "buckets": buckets,
-        "n_partitions": n_partitions,
-        "n_waves": len(waves),
-        "waves_digest": _waves_digest(waves),
-        "build_wall_s": round(time.monotonic() - t_start, 3),
-        "stage_times": stage_times,
-    }
-    _atomic_write_json(os.path.join(merged_tmp, "meta.json"), meta)
-    shutil.rmtree(merged_dir, ignore_errors=True)
-    os.replace(merged_tmp, merged_dir)
-    return meta
+    if not delta:
+        return 0
+    masked = np.sort(_wave_table(out_dir, delta, "doclens.arrow")["doc_id"].to_numpy())
+    _atomic_write_table(
+        pa.table({"doc_id": pa.array(masked, pa.int64())}),
+        os.path.join(merged_tmp, "delta", "masked.parquet"),
+        use_dictionary=False,
+        column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
+    )
+    return len(masked)
+
+
+def conv_lemma_counts(whole: pa.Table, split: pa.Table, n_convs: int) -> pa.Table:
+    """Distinct-lemma count per conversation (sparse: conv_idx, lemmas)
+    from the waves' ``convlex`` rows (``whole``: a conversation inside
+    one partition has its count in that wave's) and ``convterms`` rows
+    (``split``: a straddling one counts the union of its partitions'
+    (conversation, term) pairs)."""
+    counts = np.zeros(n_convs, np.int64)
+    counts[whole["conv_idx"].to_numpy()] = whole["lemmas"].to_numpy()
+    pairs = split.group_by(["conv_idx", "term"]).aggregate([])
+    counts += np.bincount(pairs["conv_idx"].to_numpy(), minlength=n_convs)
+    nz = np.flatnonzero(counts)
+    return pa.table(
+        {"conv_idx": pa.array(nz, pa.int64()), "lemmas": pa.array(counts[nz], pa.int64())}
+    )
+
+
+_EXPLODED_SCHEMA = pa.schema(
+    [("term", pa.string()), ("doc_id", pa.int64()), ("tf", pa.int64())]
+)
+
+
+def decoded_postings(index_dir: str) -> pa.Table:
+    """An index's logical postings as exploded (term, doc_id, tf) rows
+    in (term, doc_id) order: the base bucket files' rows without the
+    docs the delta tier masks, plus the delta file's rows — what every
+    searcher reads, whatever the tiers hold."""
+    merged = os.path.join(index_dir, "merged")
+
+    def exploded(paths: list[str]) -> pa.Table:
+        parts = []
+        for path in paths:
+            t = pq.read_table(path, columns=MERGED_POSTINGS_SCHEMA.names)
+            doc_ids, tfs = decode_postings(t)
+            parts.append(
+                pa.table(
+                    [
+                        t["term"].take(pc.list_parent_indices(t["doc_ids"])),
+                        pa.array(doc_ids, pa.int64()),
+                        pa.array(tfs, pa.int64()),
+                    ],
+                    schema=_EXPLODED_SCHEMA,
+                )
+            )
+        return pa.concat_tables(parts or [_EXPLODED_SCHEMA.empty_table()])
+
+    base = exploded(sorted(glob.glob(os.path.join(merged, "postings", "*.parquet"))))
+    masked = os.path.join(merged, "delta", "masked.parquet")
+    if os.path.exists(masked):
+        base = base.filter(
+            pc.invert(
+                pc.is_in(
+                    base["doc_id"],
+                    value_set=pq.read_table(masked)["doc_id"].combine_chunks(),
+                )
+            )
+        )
+    delta = glob.glob(os.path.join(merged, "delta", "postings.parquet"))
+    return pa.concat_tables([base, exploded(delta)]).sort_by(
+        [("term", "ascending"), ("doc_id", "ascending")]
+    )

@@ -15,7 +15,12 @@ row group and row range there), ``doclens.parquet`` (doc_id order) and
 its doc ids and tfs as Parquet list columns (doc ids delta-packed), so
 a fetch is a two-column row-group read, a row slice and a list
 flatten, with no term filter: Parquet's own decoder is the only
-posting decode.
+posting decode.  A refreshed index adds a delta tier
+(``merged/delta/``): the lexicon row also locates the term's rows in
+the delta posting file, and the base rows of the docs the delta
+re-indexed are masked.  Every fetch takes that one path — base rows
+minus masked docs, plus delta rows — and a fresh build's delta is
+empty.
 
 The candidate semantics + scorers live in scoring.py and are shared
 verbatim with the oracle.  A result's role and snippet text come from
@@ -26,7 +31,7 @@ not a re-read of the input parquet.  The text is the one committed
 with the doc's scores, where the reference re-fetches the live page
 (SearchServiceImpl.java:82-94, M9): an input edit shows only after its
 partition is rebuilt.  A searcher reads one index generation: every
-file it opens after the open (posting buckets, doc store, lexicon
+file it opens after the open (posting files, doc store, lexicon
 slices) is checked against the ``merged/meta.json`` it opened with,
 and a refresh in between makes the read raise instead of mixing
 generations.
@@ -45,6 +50,7 @@ skip blocks that cannot reach the current heap threshold.
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
 from collections import OrderedDict
@@ -80,8 +86,15 @@ TERM_CACHE_BYTES = 1 << 30  # decoded postings + block maxima per searcher
 LAZY_BUCKETS = 64  # per-bucket lexicon slices a lazy searcher keeps
 
 
-#: lexicon columns a searcher reads; the last five are a term's row
-_LEX_COLUMNS = ["term", "df", "bucket", "rg", "row_lo", "row_hi"]
+#: lexicon columns a searcher reads: a term, its df, its bucket and
+#: its base and delta locators (see ``build._LEXICON_SCHEMA``)
+_LEX_COLUMNS = [
+    "term", "df", "bucket", "rg", "row_lo", "row_hi",
+    "delta_rg", "delta_lo", "delta_hi",
+]
+#: ``_read_row_group``'s name for the delta posting file
+DELTA = -1
+_NO_ROWS = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 def _pylist(col: pa.ChunkedArray) -> list:
@@ -96,9 +109,17 @@ def _file_id(st: os.stat_result) -> tuple[int, int]:
     return st.st_ino, st.st_mtime_ns
 
 
-def _lex_rows(lex: pa.Table) -> list[tuple[int, int, int, int, int]]:
-    """(df, bucket, rg, row_lo, row_hi) per lexicon row."""
-    return list(zip(*(_pylist(lex[c]) for c in _LEX_COLUMNS[1:])))
+def _lex_rows(lex: pa.Table) -> list[tuple[int, ...]]:
+    """(df, bucket, rg, row_lo, row_hi, delta_rg, delta_lo, delta_hi)
+    per lexicon row; delta locator columns left unread are empty."""
+    return list(
+        zip(
+            *(
+                _pylist(lex[c]) if c in lex.column_names else itertools.repeat(0)
+                for c in _LEX_COLUMNS[1:]
+            )
+        )
+    )
 
 
 @dataclass
@@ -151,6 +172,7 @@ class IndexSearcher:
         self.doc_lo, self.doc_hi = doc_range if doc_range else (0, self.n_docs)
         self.buckets = int(self.meta["buckets"])
         self._post_dir = os.path.join(merged, "postings")
+        self._delta_path = os.path.join(merged, "delta", "postings.parquet")
 
         # Lexicon: a term's row is also its posting locator (bucket +
         # row group and row range).  Two regimes:
@@ -170,8 +192,10 @@ class IndexSearcher:
             self._lexparts_dir = os.path.join(merged, "lexparts")
             self._bucket_cache: OrderedDict[int, dict[str, tuple]] = OrderedDict()
         else:
+            # an index without a delta tier has only empty delta locators
             lex = pq.read_table(
-                os.path.join(merged, "lexicon.parquet"), columns=_LEX_COLUMNS
+                os.path.join(merged, "lexicon.parquet"),
+                columns=_LEX_COLUMNS if self.meta["delta_docs"] else _LEX_COLUMNS[:6],
             )
             self._lex_terms = _pylist(lex["term"])
             self._lex_df = lex["df"].to_numpy()
@@ -195,6 +219,15 @@ class IndexSearcher:
             "doc_len"
         ].to_numpy()
         self.doc_norms = precompute_norms(self.doc_lens, self.avg_doc_len)
+        # the docs of the waves refreshed since the base was merged: the
+        # base's postings of these docs are stale, the delta's are not
+        self._masked = None
+        if self.meta["delta_docs"]:
+            ids = pq.ParquetFile(os.path.join(merged, "delta", "masked.parquet"))
+            ids = ids.read()["doc_id"].to_numpy()  # sorted
+            lo, hi = np.searchsorted(ids, [self.doc_lo, self.doc_hi])
+            self._masked = np.zeros(self.doc_hi - self.doc_lo, dtype=bool)
+            self._masked[ids[lo:hi] - self.doc_lo] = True
 
         # serving warm-up: decode the N highest-df posting lists once at
         # startup (they dominate tail latency; everything else is small)
@@ -229,9 +262,9 @@ class IndexSearcher:
             self._bucket_cache.move_to_end(b)
             return hit
         out: dict[str, tuple] = {}
-        lex_path = os.path.join(self._lexparts_dir, f"lexicon-{b:04d}.parquet")
+        lex_path = os.path.join(self._lexparts_dir, f"lexicon-{b:04d}.arrow")
         if os.path.exists(lex_path):
-            lt = pq.read_table(lex_path, columns=_LEX_COLUMNS)
+            lt = ipc.open_file(lex_path).read_all()
             out = dict(zip(_pylist(lt["term"]), _lex_rows(lt)))
         self._check_generation()
         self._bucket_cache[b] = out
@@ -239,8 +272,8 @@ class IndexSearcher:
             self._bucket_cache.popitem(last=False)
         return out
 
-    def _lookup(self, term: str) -> tuple[int, int, int, int, int] | None:
-        """(df, bucket, rg, row_lo, row_hi) of a term, None if absent."""
+    def _lookup(self, term: str) -> tuple[int, ...] | None:
+        """A term's lexicon row (see ``_lex_rows``), None if absent."""
         if self._lazy:
             return self._bucket_map(term_bucket(term, self.buckets)).get(term)
         i = self._lex_index.get(term)
@@ -251,7 +284,11 @@ class IndexSearcher:
     def _read_row_group(self, b: int, rg: int) -> pa.Table:
         pf = self._pf_cache.get(b)
         if pf is None:
-            path = os.path.join(self._post_dir, f"bucket-{b:04d}.parquet")
+            path = (
+                self._delta_path
+                if b == DELTA
+                else os.path.join(self._post_dir, f"bucket-{b:04d}.parquet")
+            )
             pf = pq.ParquetFile(path)
             self._check_generation()
             self._pf_cache[b] = pf
@@ -260,9 +297,25 @@ class IndexSearcher:
         # it saves on them
         return pf.read_row_group(rg, columns=["doc_ids", "tfs"], use_threads=False)
 
+    def _rows(self, b: int, rg: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_ids, tfs) of rows ``lo:hi`` of row group ``rg`` of a
+        posting file, in this searcher's doc range.  A term's rows in a
+        file are stored in doc order: the flattened lists ascend."""
+        if hi <= lo:
+            return _NO_ROWS
+        doc_ids, tfs = decode_postings(
+            self._read_row_group(b, rg).slice(lo, hi - lo)
+        )
+        if (self.doc_lo, self.doc_hi) != (0, self.n_docs):
+            lo, hi = np.searchsorted(doc_ids, [self.doc_lo, self.doc_hi])
+            doc_ids, tfs = doc_ids[lo:hi], tfs[lo:hi]
+        return doc_ids, tfs
+
     def fetch_postings(self, term: str) -> CachedPostings | None:
         """The term's decoded posting list (in this searcher's doc
-        range) with its block maxima, through the term LRU."""
+        range) with its block maxima, through the term LRU: its base
+        rows without the masked docs, with its delta rows inserted in
+        doc order (base and delta docs are disjoint)."""
         entry = self._lookup(term)
         if entry is None:
             return None
@@ -270,15 +323,23 @@ class IndexSearcher:
         if hit is not None:
             self._term_cache.move_to_end(term)
             return hit
-        df, b, rg, row_lo, row_hi = entry
-        # a term's rows are one slice of one row group, stored in doc
-        # order: the flattened lists ascend
-        doc_ids, tfs = decode_postings(
-            self._read_row_group(b, rg).slice(row_lo, row_hi - row_lo)
-        )
-        if (self.doc_lo, self.doc_hi) != (0, self.n_docs):
-            lo, hi = np.searchsorted(doc_ids, [self.doc_lo, self.doc_hi])
-            doc_ids, tfs = doc_ids[lo:hi], tfs[lo:hi]
+        df, b, rg, row_lo, row_hi, d_rg, d_lo, d_hi = entry
+        doc_ids, tfs = self._rows(b, rg, row_lo, row_hi)
+        if self._masked is not None and len(doc_ids):
+            keep = ~self._masked[doc_ids - self.doc_lo]
+            doc_ids, tfs = doc_ids[keep], tfs[keep]
+        delta_ids, delta_tfs = self._rows(DELTA, d_rg, d_lo, d_hi)
+        if len(delta_ids):
+            at = np.searchsorted(doc_ids, delta_ids[[0, -1]])
+            if at[0] == at[1]:  # the delta fills one gap: splice it in
+                doc_ids, tfs = (
+                    np.concatenate((base[: at[0]], delta, base[at[0] :]))
+                    for base, delta in ((doc_ids, delta_ids), (tfs, delta_tfs))
+                )
+            else:  # partitions' doc ranges interleave
+                at = np.searchsorted(doc_ids, delta_ids)
+                doc_ids = np.insert(doc_ids, at, delta_ids)
+                tfs = np.insert(tfs, at, delta_tfs)
         if not len(doc_ids):
             return None
         # copies: a view of the slice would pin the whole row group's

@@ -39,10 +39,10 @@ Documented divergences from the reference:
   expressed here as "point --out at a fresh directory", or pass
   ``fresh=True``);
 * DetailedStatisticsItem's per-site ``lemmas`` count IS reported per
-  conversation (round 3): the merge writes sparse per-bucket
-  distinct-lemma-per-conv sidecars (``merged/convlex/``, term space is
-  bucket-partitioned so the sum is exact) and the detail row carries
-  their sum alongside ``tokens`` (sum of doc lengths).
+  conversation (round 3): each merged generation writes the sparse
+  distinct-lemma count per conversation (``merged/convlex.parquet``,
+  from the waves' statistics) and the detail row carries it alongside
+  ``tokens`` (sum of doc lengths).
 """
 
 from __future__ import annotations
@@ -183,12 +183,10 @@ class EngineServer:
 
     def _conv_lemmas(self, n_convs: int) -> np.ndarray:
         """Distinct-lemma count per conversation (DetailedStatisticsItem
-        lemma analog) — summed from the sparse per-bucket ``convlex``
-        sidecars the merge wrote (term space is bucket-partitioned, so
-        summing is exact; an index without terms has none).  Cached per
+        lemma analog) — the sparse ``convlex.parquet`` each merged
+        generation writes from its waves' statistics (exact also for a
+        conversation that straddles partitions).  Cached per
         merged-index mtime."""
-        import glob as _glob
-
         import pyarrow.parquet as pq
 
         mtime = self._searcher_mtime
@@ -196,11 +194,8 @@ class EngineServer:
         if cached is not None and cached[0] == mtime:
             return cached[1]
         out = np.zeros(n_convs, dtype=np.int64)
-        for p in _glob.glob(
-            os.path.join(self.index_dir, "merged", "convlex", "*.parquet")
-        ):
-            t = pq.read_table(p)
-            np.add.at(out, t["conv_idx"].to_numpy(), t["lemmas"].to_numpy())
+        t = pq.read_table(os.path.join(self.index_dir, "merged", "convlex.parquet"))
+        out[t["conv_idx"].to_numpy()] = t["lemmas"].to_numpy()
         self._conv_lemmas_cache = (mtime, out)
         return out
 

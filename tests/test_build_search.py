@@ -202,8 +202,8 @@ def test_bucket_count_follows_build(built, tmp_path, oracle, monkeypatch):
 
     corpus, index, meta = built
     assert meta["buckets"] == meta["n_partitions"] == 4
-    for sub in ("postings", "lexparts", "convlex"):
-        files = glob.glob(os.path.join(index, "merged", sub, "*.parquet"))
+    for sub in ("postings/*.parquet", "lexparts/*.arrow"):
+        files = glob.glob(os.path.join(index, "merged", sub))
         assert 0 < len(files) <= meta["n_partitions"], sub
 
     input_bytes = sum(
@@ -446,23 +446,20 @@ def test_stats(built):
 
 
 def test_conv_lemma_counts_sidecar(built, oracle):
-    """The merge's per-bucket convlex sidecars sum to the exact
-    distinct-lemma count per conversation (DetailedStatisticsItem
-    lemma analog, StatisticsServiceImpl.java:34-70)."""
-    import glob
+    """``merged/convlex.parquet``, combined from the waves' statistics,
+    holds the exact distinct-lemma count per conversation
+    (DetailedStatisticsItem lemma analog,
+    StatisticsServiceImpl.java:34-70)."""
     import os
 
     import pyarrow.parquet as pq
 
     _, out, _ = built
-    files = sorted(glob.glob(os.path.join(out, "merged", "convlex", "*.parquet")))
-    assert files
     offsets = pq.read_table(os.path.join(out, "conv_offsets.parquet"))
     conv_ids = offsets["conv_id"].to_pylist()
     got = np.zeros(len(conv_ids), dtype=np.int64)
-    for p in files:
-        t = pq.read_table(p)
-        np.add.at(got, t["conv_idx"].to_numpy(), t["lemmas"].to_numpy())
+    t = pq.read_table(os.path.join(out, "merged", "convlex.parquet"))
+    got[t["conv_idx"].to_numpy()] = t["lemmas"].to_numpy()
     assert got.sum() > 0
     from collections import Counter
 

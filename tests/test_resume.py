@@ -37,13 +37,12 @@ def _postings_rows(index_dir):
 
 
 def _decoded_postings(index_dir):
-    """The merged postings as exploded (term, doc_id, tf) rows."""
-    import duckdb
+    """The index's logical postings as exploded (term, doc_id, tf) rows
+    (base rows without the masked docs, plus the delta rows)."""
+    from raysearch.build import decoded_postings
 
-    return duckdb.sql(
-        f"SELECT term, unnest(doc_ids) AS doc_id, unnest(tfs) AS tf "
-        f"FROM read_parquet('{index_dir}/merged/postings/*.parquet') ORDER BY term, doc_id"
-    ).fetchall()
+    t = decoded_postings(index_dir)
+    return list(zip(*(t[c].to_pylist() for c in t.column_names)))
 
 
 def test_resume_after_lost_wave(two_indexes):
@@ -102,8 +101,23 @@ def test_manifest_lineage(two_indexes):
             assert st["n_docs"] > 0 and st["n_postings"] > 0
 
 
-def test_rebuild_partition_restores_index(two_indexes):
-    """§3.3 analog: evict one partition, rebuild, byte-equal index."""
+def _compact(monkeypatch, corpus, index, **target):
+    """Refresh once more with the compaction fraction patched to 0, so
+    the refresh runs the full merge; returns its meta."""
+    import raysearch.build as build
+
+    with monkeypatch.context() as m:
+        m.setattr(build, "DELTA_COMPACT_FRACTION", 0.0)
+        meta = build.rebuild_partition(corpus, index, **target)
+    assert meta["delta_values"] == meta["delta_docs"] == 0
+    return meta
+
+
+def test_rebuild_partition_restores_index(two_indexes, monkeypatch):
+    """§3.3 analog: evict one partition and rebuild it.  The refresh
+    merges only that wave, into the delta tier, and the index decodes
+    to the same (term, doc_id, tf) rows and lexicon as the full build;
+    after a compaction its posting files equal the full build's."""
     from raysearch.build import rebuild_partition
 
     corpus, full, tmp = two_indexes
@@ -111,11 +125,15 @@ def test_rebuild_partition_restores_index(two_indexes):
     shutil.copytree(full, redo)
     meta = rebuild_partition(corpus, redo, partition_id=2)
     assert meta["n_docs"] > 0
+    assert 0 < meta["delta_values"] < meta["base_values"]
+    assert _lexicon_rows(redo) == _lexicon_rows(full)
+    assert _decoded_postings(redo) == _decoded_postings(full)
+    _compact(monkeypatch, corpus, redo, partition_id=2)
     assert _lexicon_rows(redo) == _lexicon_rows(full)
     assert _postings_rows(redo) == _postings_rows(full)
 
 
-def test_rebuild_partition_by_conv_id(two_indexes):
+def test_rebuild_partition_by_conv_id(two_indexes, monkeypatch):
     from raysearch.build import partition_of, rebuild_partition
     from raysearch.gen import conv_name
 
@@ -124,7 +142,9 @@ def test_rebuild_partition_by_conv_id(two_indexes):
     shutil.copytree(full, redo)
     pid = partition_of(redo, conv_name(7))
     assert 0 <= pid < 4
-    rebuild_partition(corpus, redo, conv_id=conv_name(7))
+    assert rebuild_partition(corpus, redo, conv_id=conv_name(7))["delta_values"] > 0
+    assert _decoded_postings(redo) == _decoded_postings(full)
+    _compact(monkeypatch, corpus, redo, conv_id=conv_name(7))
     assert _postings_rows(redo) == _postings_rows(full)
 
 
@@ -238,14 +258,16 @@ def _append_to_first_turn(corpus, conv_id, word):
     "n_partitions", [4, 1], ids=["wave_per_partition", "one_wave"]
 )
 def test_refresh_after_input_edit_matches_fresh_build(
-    ray_session, tiny_corpus, tmp_path, n_partitions
+    ray_session, tiny_corpus, tmp_path, monkeypatch, n_partitions
 ):
-    """Refreshing an edited conversation's partition must leave the same
-    merged index as a fresh build of the edited input, also when the
-    refresh recreates a wave under its old name (each refresh of the
-    same conversation recreates its ``p-…`` wave; with one partition
-    that wave is the whole index).  The merge is keyed on wave commit
-    ids, not wave names."""
+    """After each refresh of an edited conversation's partition the
+    index decodes to the same (term, doc_id, tf) rows and lexicon as a
+    fresh build of the edited input, also when the refresh recreates a
+    wave under its old name (each refresh of the same conversation
+    recreates its ``p-…`` wave; with one partition that wave is the
+    whole index, so every refresh compacts).  The merge is keyed on
+    wave commit ids, not wave names.  After a compaction the posting
+    files equal the fresh build's."""
     from raysearch.build import build_index, rebuild_partition
     from raysearch.gen import conv_name
 
@@ -256,10 +278,14 @@ def test_refresh_after_input_edit_matches_fresh_build(
     conv = conv_name(7)
     for word in ("quokka", "wombat"):
         _append_to_first_turn(corpus, conv, word)
-        rebuild_partition(corpus, index, conv_id=conv)
+        meta = rebuild_partition(corpus, index, conv_id=conv)
+        assert (meta["delta_values"] > 0) == (n_partitions > 1)
         assert word in {r[0] for r in _lexicon_rows(index)}, word
-    fresh = str(tmp_path / "fresh")
-    build_index(corpus, fresh, mode="latin", n_partitions=n_partitions)
+        fresh = str(tmp_path / f"fresh-{word}")
+        build_index(corpus, fresh, mode="latin", n_partitions=n_partitions)
+        assert _lexicon_rows(index) == _lexicon_rows(fresh)
+        assert _decoded_postings(index) == _decoded_postings(fresh)
+    _compact(monkeypatch, corpus, index, conv_id=conv)
     assert _lexicon_rows(index) == _lexicon_rows(fresh)
     assert _postings_rows(index) == _postings_rows(fresh)
     from raysearch.search import IndexSearcher
@@ -430,14 +456,13 @@ def test_multi_partition_wave_is_rebuilt(two_indexes):
     shutil.copytree(full, old)
     waves = os.path.join(old, "waves")
     multi = os.path.join(waves, "w-00001-2")
-    for sub in ("segments", "doclens"):
-        os.makedirs(os.path.join(multi, sub))
+    os.makedirs(os.path.join(multi, "segments"))
     parts = []
     for pid in (1, 2):
         src = os.path.join(waves, f"p-{pid:05d}")
-        for sub in ("segments", "doclens"):
-            for f in os.listdir(os.path.join(src, sub)):
-                os.rename(os.path.join(src, sub, f), os.path.join(multi, sub, f))
+        for f in os.listdir(os.path.join(src, "segments")):
+            os.rename(os.path.join(src, "segments", f), os.path.join(multi, "segments", f))
+        os.rename(os.path.join(src, "doclens.arrow"), os.path.join(multi, f"doclens-{pid}.arrow"))
         with open(os.path.join(src, "manifest.json")) as f:
             parts.append(json.load(f))
         shutil.rmtree(src)

@@ -18,6 +18,7 @@ import os
 import shutil
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -61,9 +62,16 @@ def test_lazy_bucket_slice_is_one_read(built, monkeypatch):
 
     lazy = IndexSearcher(built[1], lazy_lexicon=True)
     calls = _count_reads(monkeypatch)
+    orig = pa.ipc.open_file
+
+    def counting(source, *args, **kwargs):
+        calls.append(os.path.basename(str(source)))
+        return orig(source, *args, **kwargs)
+
+    monkeypatch.setattr(pa.ipc, "open_file", counting)
     b = term_bucket(LEMMAS[10], lazy.buckets)
     entries = lazy._bucket_map(b)
-    assert calls == [f"lexicon-{b:04d}.parquet"]
+    assert calls == [f"lexicon-{b:04d}.arrow"]
     assert LEMMAS[10] in entries
     lazy._bucket_map(b)  # cached
     assert len(calls) == 1
@@ -76,8 +84,8 @@ def test_merged_doclens_cover_every_doc(built):
 
     merged = pq.read_table(os.path.join(built[1], "merged", "doclens.parquet"))
     waves = pa.concat_tables(
-        pq.read_table(p, columns=["doc_id", "doc_len"])
-        for p in glob.glob(os.path.join(built[1], "waves", "*", "doclens", "*.parquet"))
+        pa.ipc.open_file(p).read_all()
+        for p in glob.glob(os.path.join(built[1], "waves", "*", "doclens.arrow"))
     ).sort_by("doc_id")
     assert merged["doc_id"].to_numpy().tolist() == list(range(merged.num_rows))
     assert merged.equals(waves)
