@@ -11,7 +11,7 @@ Nothing in this package calls ``ray.init`` / ``ray.shutdown`` — the
 driver (or bench.py / the pytest session fixture) owns the Ray session.
 """
 
-__all__ = ["build_index", "IndexSearcher", "search", "index_stats"]
+__all__ = ["build_index", "IndexSearcher", "index_stats"]
 
 
 def __getattr__(name):  # lazy: keep `import raysearch.lex` ray-free
@@ -19,10 +19,10 @@ def __getattr__(name):  # lazy: keep `import raysearch.lex` ray-free
         from raysearch.build import build_index
 
         return build_index
-    if name in ("IndexSearcher", "search"):
-        import raysearch.search as _s
+    if name == "IndexSearcher":
+        from raysearch.search import IndexSearcher
 
-        return getattr(_s, name)
+        return IndexSearcher
     if name == "index_stats":
         from raysearch.stats_api import index_stats
 

@@ -38,7 +38,7 @@ layout (``INDEX_FORMAT``).  Each partition task also writes its turns' raw
 file (``docs.arrow``, ``DOC_BATCH_ROWS``-row record batches); the merge
 hard-links every wave's file into ``merged/docs/``, so results render
 from the index, a refresh copies no text, and a searcher's text comes
-from the same ``merged/`` swap as its scores.
+from the same generation as its scores.
 
 Deterministic doc_id: dense rank under stable (conv_id, turn_idx)
 order, realized WITHOUT a global sort — conv offsets are computed from
@@ -72,9 +72,12 @@ prefix is complete by invariant; resume skips partitions that have
 one, so a stopped build keeps every partition it finished, and
 evicting a partition is a rename plus a directory delete.  The merge is keyed on the commit ids
 of the waves it read, so it reruns whenever any wave was rewritten —
-even under the same wave name — and is idempotent (tmp + rename); this
-mirrors & replaces the reference's destructive re-init
-(IndexingServiceImpl.java:154-163, S8).
+even under the same wave name — and is idempotent; this mirrors &
+replaces the reference's destructive re-init
+(IndexingServiceImpl.java:154-163, S8).  Each merge writes a new
+generation directory and publishes it by swapping one symlink
+(:func:`_publish`; Lucene's commit point: a new ``segments_N`` never
+overwrites a file a reader holds).
 """
 
 from __future__ import annotations
@@ -100,6 +103,8 @@ from raysearch.lex import Lexer
 #: so the merge's unit of work matches the build's and a merge task
 #: (which concatenates a whole bucket) stays bounded on a large input
 BUCKET_INPUT_BYTES = 64 << 20
+#: one directory per merged generation; ``merged`` links to the published one
+GENERATIONS = "generations"
 #: posting layout version in ``merged/meta.json`` and every wave
 #: manifest; searchers refuse other indexes, the build recomputes other waves
 INDEX_FORMAT = 7
@@ -1153,12 +1158,12 @@ def build_index(
     ``read_batch_rows`` its parquet read batches.  The first build
     fixes the merge's bucket count (:data:`BUCKET_INPUT_BYTES`); a
     resume keeps the one in ``input_meta.json``.  Each generation is
-    published as ``merged/`` in one rename: postings, lexicon (+ its
-    per-bucket ``lexparts/``), doc lengths, ``convlex.parquet`` and
-    ``docs/`` (hard links to the waves' doc stores).  ``meta.json``
-    keeps a digest of the wave → commit map it was built from
-    (``waves_digest``, with ``n_waves``), and a build whose waves match
-    it returns at once.
+    written to ``generations/<name>/`` and published as ``merged``
+    (:func:`_publish`): postings, lexicon (+ its per-bucket
+    ``lexparts/``), doc lengths, ``convlex.parquet`` and ``docs/``
+    (hard links to the waves' doc stores).  ``meta.json`` keeps a
+    digest of the wave → commit map it was built from (``waves_digest``,
+    with ``n_waves``), and a build whose waves match it returns at once.
 
     Two tiers (an LSM tree of two levels, O'Neil et al. 1996): the full
     merge writes the base — one posting file per bucket — and records
@@ -1265,8 +1270,8 @@ def build_index(
         raise RuntimeError(
             f"{n_partitions - len(committed)} partitions failed to commit"
         )
-    merged_dir = os.path.join(out_dir, "merged")
-    meta_path = os.path.join(merged_dir, "meta.json")
+    prev_dir = published_generation(out_dir)
+    meta_path = os.path.join(prev_dir, "meta.json")
     prev = None
     if os.path.exists(meta_path):
         with open(meta_path) as f:
@@ -1275,23 +1280,22 @@ def build_index(
             prev = None
         elif prev.get("waves_digest") == _waves_digest(waves):
             return prev
-    # merge checkpoint: keep a partially-completed _tmp_merged (its
-    # bucket files are atomic) when it was built from the SAME wave
-    # commits in the same layout; run_merge then skips finished buckets.
-    # A delta generation writes its (base) merge inputs last, so a
-    # crashed one is never kept.
-    merged_tmp = os.path.join(out_dir, "_tmp_merged")
-    merge_ckpt = os.path.join(merged_tmp, "merge_inputs.json")
+    # a generation is named by the wave commits it merges: a full merge
+    # that crashed is resumed from its atomic bucket files (run_merge
+    # skips finished ones); a delta generation writes its (base) merge
+    # inputs last, so a crashed one is never kept.
+    gen = os.path.join(out_dir, GENERATIONS, _waves_digest(waves)[:16])
+    merge_ckpt = os.path.join(gen, "merge_inputs.json")
     merge_inputs = {"waves": waves, "format": INDEX_FORMAT}
     keep = False
     if os.path.exists(merge_ckpt):
         with open(merge_ckpt) as f:
             keep = json.load(f) == merge_inputs
-    plan = None if keep else _delta_plan(out_dir, prev, waves)
+    plan = None if keep else _delta_plan(out_dir, prev_dir, prev, waves)
     if not keep:
-        shutil.rmtree(merged_tmp, ignore_errors=True)
+        shutil.rmtree(gen, ignore_errors=True)
         for sub in ("postings", "lexparts", "docs", "delta"):
-            os.makedirs(os.path.join(merged_tmp, sub))
+            os.makedirs(os.path.join(gen, sub))
         if plan is None:
             _atomic_write_json(merge_ckpt, merge_inputs)
 
@@ -1299,9 +1303,9 @@ def build_index(
     if plan is None:
         run_merge(
             _segment_files(out_dir, waves),
-            os.path.join(merged_tmp, "postings"),
+            os.path.join(gen, "postings"),
             buckets,
-            lex_dir=os.path.join(merged_tmp, "lexparts"),
+            lex_dir=os.path.join(gen, "lexparts"),
         )
         stage_times["merge"] = round(time.monotonic() - t_m0, 3)
         # global lexicon = sorted concat of the per-bucket slices the
@@ -1310,45 +1314,42 @@ def build_index(
         lex = pa.concat_tables(
             [
                 pa.ipc.open_file(p).read_all()
-                for p in glob.glob(os.path.join(merged_tmp, "lexparts", "*.arrow"))
+                for p in glob.glob(os.path.join(gen, "lexparts", "*.arrow"))
             ]
             or [_LEXICON_SCHEMA.empty_table()]
         ).sort_by("term")
         base_values, delta, delta_values = int(pc.sum(lex["df"]).as_py() or 0), [], 0
     else:
         delta, base_inputs, delta_values = plan
-        # the base's files are the previous generation's, hard-linked
-        base_dir = os.path.join(merged_dir, "postings")
+        # the base's files are the published generation's, hard-linked
+        base_dir = os.path.join(prev_dir, "postings")
         for name in os.listdir(base_dir):
-            os.link(
-                os.path.join(base_dir, name),
-                os.path.join(merged_tmp, "postings", name),
-            )
+            os.link(os.path.join(base_dir, name), os.path.join(gen, "postings", name))
         delta_loc = ray.get(
             ray.remote(num_cpus=1)(_merge_delta_task).remote(
                 _segment_files(out_dir, delta),
-                os.path.join(merged_tmp, "delta", "postings.parquet"),
+                os.path.join(gen, "delta", "postings.parquet"),
             )
         )
         stage_times["merge"] = round(time.monotonic() - t_m0, 3)
-        lex = _refresh_lexicon(out_dir, merged_dir, waves, delta_loc, buckets)
-        _write_lexparts(lex, os.path.join(merged_tmp, "lexparts"))
+        lex = _refresh_lexicon(out_dir, prev_dir, waves, delta_loc, buckets)
+        _write_lexparts(lex, os.path.join(gen, "lexparts"))
         base_values = prev["base_values"]
-    _atomic_write_table(lex, os.path.join(merged_tmp, "lexicon.parquet"))
-    masked = _write_doclens(out_dir, waves, delta, n_docs, merged_tmp)
+    _atomic_write_table(lex, os.path.join(gen, "lexicon.parquet"))
+    masked = _write_doclens(out_dir, waves, delta, n_docs, gen)
     _atomic_write_table(
         conv_lemma_counts(
             _wave_table(out_dir, waves, "convlex.arrow"),
             _wave_table(out_dir, waves, "convterms.arrow"),
             offsets.num_rows,
         ),
-        os.path.join(merged_tmp, "convlex.parquet"),
+        os.path.join(gen, "convlex.parquet"),
     )
     # doc store: each wave's file, hard-linked (no text is copied, and
     # the text stays with the scores it was committed with when the
     # wave is later evicted); a kept checkpoint already holds some links
     for wname in waves:
-        dst = os.path.join(merged_tmp, "docs", wname + ".arrow")
+        dst = os.path.join(gen, "docs", wname + ".arrow")
         if not os.path.exists(dst):
             os.link(os.path.join(out_dir, "waves", wname, "docs.arrow"), dst)
     if plan is not None:
@@ -1372,15 +1373,44 @@ def build_index(
         "build_wall_s": round(time.monotonic() - t_start, 3),
         "stage_times": stage_times,
     }
-    _atomic_write_json(os.path.join(merged_tmp, "meta.json"), meta)
-    shutil.rmtree(merged_dir, ignore_errors=True)
-    os.replace(merged_tmp, merged_dir)
+    _atomic_write_json(os.path.join(gen, "meta.json"), meta)
+    _publish(out_dir, gen)
     return meta
 
 
 # ---------------------------------------------------------------------------
 # Merged-generation helpers: the delta tier and the wave statistics
 # ---------------------------------------------------------------------------
+
+
+def published_generation(index_dir: str) -> str:
+    """The directory ``index_dir``'s ``merged`` link names now (a
+    format-7 index's real ``merged/`` is its own generation)."""
+    return os.path.realpath(os.path.join(index_dir, "merged"))
+
+
+def _publish(out_dir: str, gen: str) -> None:
+    """Point the relative symlink ``merged`` at ``gen`` with one
+    ``os.replace``, so a reader finds the old or the new generation.
+    The replaced one stays for searchers open on it; every other one
+    goes, crash leftovers included.  A real ``merged/`` (format 7, or a
+    copy that dereferenced the link) is first moved under
+    ``generations/``, leaving ``merged`` briefly absent that once."""
+    link = os.path.join(out_dir, "merged")
+    gen_root = os.path.dirname(gen)
+    prev = published_generation(out_dir)
+    if not os.path.islink(link) and os.path.isdir(link):
+        prev = os.path.join(gen_root, uuid.uuid4().hex)
+        os.rename(link, prev)
+    tmp = link + ".tmp"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
+    os.symlink(os.path.relpath(gen, out_dir), tmp)
+    os.replace(tmp, link)
+    keep = {os.path.basename(gen), os.path.basename(prev)}
+    for name in os.listdir(gen_root):
+        if name not in keep:
+            shutil.rmtree(os.path.join(gen_root, name), ignore_errors=True)
 
 
 def _segment_files(out_dir: str, waves) -> list[str]:
@@ -1392,17 +1422,18 @@ def _segment_files(out_dir: str, waves) -> list[str]:
 
 
 def _delta_plan(
-    out_dir: str, prev: dict | None, waves: dict[str, str | None]
+    out_dir: str, prev_dir: str, prev: dict | None, waves: dict[str, str | None]
 ) -> tuple[list[str], dict, int] | None:
     """How a refresh publishes: (the waves whose commit differs from the
     base's merge inputs, those inputs, the changed waves' posting
-    values) when the previous generation can serve as the base and the
+    values) when the published generation (``prev_dir``, its meta
+    ``prev``) can serve as the base and the
     delta tier stays within ``DELTA_COMPACT_FRACTION`` of it; None when
     the full merge must run (no base, another partitioning, or a delta
     that has outgrown the base: compaction)."""
     if prev is None:
         return None
-    path = os.path.join(out_dir, "merged", "merge_inputs.json")
+    path = os.path.join(prev_dir, "merge_inputs.json")
     if not os.path.exists(path):
         return None
     with open(path) as f:
@@ -1432,7 +1463,7 @@ def _wave_table(out_dir: str, waves, name: str) -> pa.Table:
 
 
 def _refresh_lexicon(
-    out_dir: str, merged_dir: str, waves, delta_loc: pa.Table, buckets: int
+    out_dir: str, base_gen: str, waves, delta_loc: pa.Table, buckets: int
 ) -> pa.Table:
     """The lexicon of a delta generation: each term's df and cf summed
     over every wave's ``termstats`` (exact: a term whose last occurrence
@@ -1447,7 +1478,7 @@ def _refresh_lexicon(
         .rename_columns(["term", "df", "cf"])
     )
     base = pq.read_table(
-        os.path.join(merged_dir, "lexicon.parquet"),
+        os.path.join(base_gen, "lexicon.parquet"),
         columns=["term", "bucket", "rg", "row_lo", "row_hi"],
     )
     lex = stats.join(base, "term", join_type="left outer").join(
@@ -1486,7 +1517,7 @@ def _write_lexparts(lex: pa.Table, lex_dir: str) -> None:
 
 
 def _write_doclens(
-    out_dir: str, waves, delta: list[str], n_docs: int, merged_tmp: str
+    out_dir: str, waves, delta: list[str], n_docs: int, gen: str
 ) -> int:
     """Write the generation's doc lengths (the waves' per-partition
     files, once, in doc_id order) and, for a delta generation, the doc
@@ -1500,7 +1531,7 @@ def _write_doclens(
         )
     _atomic_write_table(  # doc_id is 0..n-1: delta-encoded it costs ~nothing
         doclens,
-        os.path.join(merged_tmp, "doclens.parquet"),
+        os.path.join(gen, "doclens.parquet"),
         use_dictionary=["doc_len"],
         column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
     )
@@ -1509,7 +1540,7 @@ def _write_doclens(
     masked = np.sort(_wave_table(out_dir, delta, "doclens.arrow")["doc_id"].to_numpy())
     _atomic_write_table(
         pa.table({"doc_id": pa.array(masked, pa.int64())}),
-        os.path.join(merged_tmp, "delta", "masked.parquet"),
+        os.path.join(gen, "delta", "masked.parquet"),
         use_dictionary=False,
         column_encoding={"doc_id": "DELTA_BINARY_PACKED"},
     )
@@ -1542,7 +1573,7 @@ def decoded_postings(index_dir: str) -> pa.Table:
     in (term, doc_id) order: the base bucket files' rows without the
     docs the delta tier masks, plus the delta file's rows — what every
     searcher reads, whatever the tiers hold."""
-    merged = os.path.join(index_dir, "merged")
+    merged = published_generation(index_dir)
 
     def exploded(paths: list[str]) -> pa.Table:
         parts = []

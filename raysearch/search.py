@@ -30,11 +30,10 @@ the first fetch; a doc is a ``searchsorted`` plus a record-batch slice,
 not a re-read of the input parquet.  The text is the one committed
 with the doc's scores, where the reference re-fetches the live page
 (SearchServiceImpl.java:82-94, M9): an input edit shows only after its
-partition is rebuilt.  A searcher reads one index generation: every
-file it opens after the open (posting files, doc store, lexicon
-slices) is checked against the ``merged/meta.json`` it opened with,
-and a refresh in between makes the read raise instead of mixing
-generations.
+partition is rebuilt.  A searcher reads one index generation: it
+resolves the ``merged`` link once, at open, and reads every later file
+(posting files, doc store, lexicon slices) from that generation's
+directory, which no build rewrites.
 
 Posting cache: one byte-bounded LRU keyed by term holds each decoded
 posting list together with its per-``BLOCK``-doc tf maxima, computed
@@ -64,8 +63,10 @@ import pyarrow.parquet as pq
 from raysearch.build import (
     DOC_BATCH_ROWS,
     DOC_STORE_SCHEMA,
+    GENERATIONS,
     INDEX_FORMAT,
     decode_postings,
+    published_generation,
     term_bucket,
 )
 from raysearch.lex import Lexer, validate_query
@@ -103,10 +104,16 @@ def _pylist(col: pa.ChunkedArray) -> list:
     return col.to_numpy(zero_copy_only=False).tolist()
 
 
-def _file_id(st: os.stat_result) -> tuple[int, int]:
-    """Identity of one written file: a rename into place or a rewrite
-    changes it."""
-    return st.st_ino, st.st_mtime_ns
+def _generation(path: str) -> tuple[str, str]:
+    """(index dir, generation dir) of an index, its ``merged`` link
+    resolved once, or of one of its generations (holds ``meta.json``)."""
+    if not os.path.exists(os.path.join(path, "meta.json")):
+        return path, published_generation(path)
+    gen = os.path.realpath(path)
+    root = os.path.dirname(gen)
+    if os.path.basename(root) == GENERATIONS:
+        root = os.path.dirname(root)
+    return root, gen
 
 
 def _lex_rows(lex: pa.Table) -> list[tuple[int, ...]]:
@@ -138,6 +145,9 @@ class IndexSearcher:
     """Holds lexicon (with posting locations) + doc-length table;
     stateless across queries, safe to use as a ``map_batches`` actor class.
 
+    It serves the generation (``generation``) that ``index_dir``'s
+    ``merged`` link named at open, or ``index_dir`` itself if it is one.
+
     ``doc_range=(lo, hi)`` builds a SHARD searcher that owns only that
     doc_id range: doc-length/norm arrays are sized to the range
     (predicate-pushdown reads), each decoded posting list is sliced to
@@ -154,11 +164,9 @@ class IndexSearcher:
         warm_top_terms: int = 0,
         lazy_lexicon: bool = False,
     ):
-        self.index_dir = index_dir
-        merged = os.path.join(index_dir, "merged")
-        self._meta_path = os.path.join(merged, "meta.json")
-        with open(self._meta_path) as f:
-            self._generation = _file_id(os.fstat(f.fileno()))
+        self.index_dir, self.generation = _generation(index_dir)
+        gen = self.generation
+        with open(os.path.join(gen, "meta.json")) as f:
             self.meta = json.load(f)
         if self.meta.get("format") != INDEX_FORMAT:
             raise ValueError(
@@ -171,8 +179,8 @@ class IndexSearcher:
         self.avg_doc_len = self.meta["avg_doc_len"]
         self.doc_lo, self.doc_hi = doc_range if doc_range else (0, self.n_docs)
         self.buckets = int(self.meta["buckets"])
-        self._post_dir = os.path.join(merged, "postings")
-        self._delta_path = os.path.join(merged, "delta", "postings.parquet")
+        self._post_dir = os.path.join(gen, "postings")
+        self._delta_path = os.path.join(gen, "delta", "postings.parquet")
 
         # Lexicon: a term's row is also its posting locator (bucket +
         # row group and row range).  Two regimes:
@@ -189,12 +197,12 @@ class IndexSearcher:
         self._lex_df = np.empty(0, dtype=np.int64)
         self._by_len: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         if self._lazy:
-            self._lexparts_dir = os.path.join(merged, "lexparts")
+            self._lexparts_dir = os.path.join(gen, "lexparts")
             self._bucket_cache: OrderedDict[int, dict[str, tuple]] = OrderedDict()
         else:
             # an index without a delta tier has only empty delta locators
             lex = pq.read_table(
-                os.path.join(merged, "lexicon.parquet"),
+                os.path.join(gen, "lexicon.parquet"),
                 columns=_LEX_COLUMNS if self.meta["delta_docs"] else _LEX_COLUMNS[:6],
             )
             self._lex_terms = _pylist(lex["term"])
@@ -214,7 +222,7 @@ class IndexSearcher:
         filters = None
         if doc_range:
             filters = [("doc_id", ">=", self.doc_lo), ("doc_id", "<", self.doc_hi)]
-        doclens = os.path.join(merged, "doclens.parquet")
+        doclens = os.path.join(gen, "doclens.parquet")
         self.doc_lens = pq.read_table(doclens, columns=["doc_len"], filters=filters)[
             "doc_len"
         ].to_numpy()
@@ -223,7 +231,7 @@ class IndexSearcher:
         # base's postings of these docs are stale, the delta's are not
         self._masked = None
         if self.meta["delta_docs"]:
-            ids = pq.ParquetFile(os.path.join(merged, "delta", "masked.parquet"))
+            ids = pq.ParquetFile(os.path.join(gen, "delta", "masked.parquet"))
             ids = ids.read()["doc_id"].to_numpy()  # sorted
             lo, hi = np.searchsorted(ids, [self.doc_lo, self.doc_hi])
             self._masked = np.zeros(self.doc_hi - self.doc_lo, dtype=bool)
@@ -237,20 +245,12 @@ class IndexSearcher:
                 self.fetch_postings(self._lex_terms[int(i)])
 
         # conv scope ranges (J4 analog) + doc→(conv, turn) inverse
-        offsets = pq.read_table(os.path.join(index_dir, "conv_offsets.parquet"))
+        offsets = pq.read_table(os.path.join(self.index_dir, "conv_offsets.parquet"))
         self._conv_ids = _pylist(offsets["conv_id"])
         self._conv_offsets = offsets["offset"].to_numpy()
         self._conv_turns = offsets["n_turns"].to_numpy()
         self._conv_index = {c: i for i, c in enumerate(self._conv_ids)}
         self._docs: tuple[list, np.ndarray, np.ndarray] | None = None
-
-    def _check_generation(self) -> None:
-        """Raise when ``merged/`` was replaced since this searcher
-        opened: a file opened after the swap is the new generation's,
-        while the searcher's lexicon, doc lengths and conv offsets are
-        the old one's.  Called after each lazy open."""
-        if _file_id(os.stat(self._meta_path)) != self._generation:
-            raise ValueError("index was replaced; reopen the searcher")
 
     # -- lexicon access (lazy per-bucket slices vs full arrays) ------------
 
@@ -266,7 +266,6 @@ class IndexSearcher:
         if os.path.exists(lex_path):
             lt = ipc.open_file(lex_path).read_all()
             out = dict(zip(_pylist(lt["term"]), _lex_rows(lt)))
-        self._check_generation()
         self._bucket_cache[b] = out
         while len(self._bucket_cache) > LAZY_BUCKETS:
             self._bucket_cache.popitem(last=False)
@@ -289,9 +288,7 @@ class IndexSearcher:
                 if b == DELTA
                 else os.path.join(self._post_dir, f"bucket-{b:04d}.parquet")
             )
-            pf = pq.ParquetFile(path)
-            self._check_generation()
-            self._pf_cache[b] = pf
+            pf = self._pf_cache[b] = pq.ParquetFile(path)
         # the two columns of a row group (whole terms, ~POSTING_RG_VALUES
         # values) are small chunks: Arrow's thread pool costs more than
         # it saves on them
@@ -518,10 +515,9 @@ class IndexSearcher:
         the files are memory-mapped, so only the doc_id columns are
         read here."""
         if self._docs is None:
-            docs_dir = os.path.join(self.index_dir, "merged", "docs")
+            docs_dir = os.path.join(self.generation, "docs")
             paths = sorted(glob.glob(os.path.join(docs_dir, "*.arrow")))
             readers = [ipc.open_file(pa.memory_map(p)) for p in paths]
-            self._check_generation()
             ids = [r.read_all()["doc_id"].to_numpy() for r in readers]
             starts = np.cumsum([0] + [len(i) for i in ids])
             row_of = np.full(self.n_docs, -1, dtype=np.int64)
@@ -586,10 +582,9 @@ class IndexSearcher:
         if self._by_len is None:
             if not self._lex_terms:
                 lex = pq.read_table(
-                    os.path.join(self.index_dir, "merged", "lexicon.parquet"),
+                    os.path.join(self.generation, "lexicon.parquet"),
                     columns=["term", "df"],
                 )
-                self._check_generation()
                 self._lex_terms = _pylist(lex["term"])
                 self._lex_df = lex["df"].to_numpy()
             lens = np.array([len(t) for t in self._lex_terms], dtype=np.int64)
@@ -668,34 +663,6 @@ class IndexSearcher:
         return {"result": True, "count": total, "data": data}
 
 
-def search(
-    index_dir: str,
-    query: str,
-    k: int = 10,
-    scope: str | None = None,
-    scorer: str = "bm25",
-) -> dict:
-    """One-shot convenience wrapper (constructs a searcher per call —
-    for repeated queries hold an IndexSearcher or use batch_search)."""
-    return IndexSearcher(index_dir).search_response(query, k=k, scope=scope, scorer=scorer)
-
-
-class _ShardSearch:
-    """Ray-actor payload: one doc-range shard of the index."""
-
-    def __init__(self, index_dir: str, doc_range: tuple[int, int]):
-        # lazy lexicon: shard actors hold NO vocab-scale state — per-
-        # bucket lexicon/locator slices are point-read + LRU-cached
-        self.s = IndexSearcher(index_dir, doc_range=doc_range, lazy_lexicon=True)
-
-    def search(self, query: str, k: int, scope, scorer: str):
-        ids, scores, total = self.s.search(query, k=k, scope=scope, scorer=scorer)
-        return ids, scores, total
-
-    def search_or(self, query: str, k: int):
-        return self.s.search_or(query, k=k)
-
-
 class ShardedSearcher:
     """Distributed query path: the doc space is split into N contiguous
     ranges, one shard actor per range (each holds ONLY its range's
@@ -717,12 +684,15 @@ class ShardedSearcher:
     def __init__(self, index_dir: str, n_shards: int = 4):
         import ray
 
-        with open(os.path.join(index_dir, "merged", "meta.json")) as f:
+        # every shard opens the generation published now, however late
+        # its actor starts; a lazy lexicon keeps no vocab-scale state
+        _, gen = _generation(index_dir)
+        with open(os.path.join(gen, "meta.json")) as f:
             n_docs = json.load(f)["n_docs"]
         bounds = np.linspace(0, n_docs, n_shards + 1).astype(int)
-        actor = ray.remote(num_cpus=1)(_ShardSearch)
+        actor = ray.remote(num_cpus=1)(IndexSearcher)
         self.shards = [
-            actor.remote(index_dir, (int(bounds[i]), int(bounds[i + 1])))
+            actor.remote(gen, (int(bounds[i]), int(bounds[i + 1])), lazy_lexicon=True)
             for i in range(n_shards)
         ]
         self.n_shards = n_shards

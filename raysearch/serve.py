@@ -27,8 +27,8 @@ API (controllers/ApiController.java:28-52):
   the reference returns empty for unknown lemmas; round 5).
 
 The server process itself never calls ``ray.init``: queries are served
-in-process from an :class:`IndexSearcher` (reloaded when the merged
-index changes on disk), and build/rebuild run as ``python -m raysearch``
+in-process from an :class:`IndexSearcher` (reopened when the ``merged``
+link names a new generation), and build/rebuild run as ``python -m raysearch``
 subprocesses that own their Ray session — the serve process is the
 ``ray job submit`` driver box, not a Ray worker.
 
@@ -156,47 +156,42 @@ class EngineServer:
         self._lock = threading.Lock()
         self._last_error: str | None = None
         self._searcher = None
-        self._searcher_mtime: float | None = None
+        self._conv_lemmas_cache: tuple[str, np.ndarray] | None = None
 
     # -- searcher lifecycle -------------------------------------------------
 
-    def _meta_path(self) -> str:
-        return os.path.join(self.index_dir, "merged", "meta.json")
-
     def get_searcher(self):
-        """Serve from one IndexSearcher; reload when the merged index
-        was replaced on disk (atomic rename ⇒ mtime change)."""
+        """Serve from one IndexSearcher; reopen it when the ``merged``
+        link names another generation than the one it serves."""
+        from raysearch.build import published_generation
         from raysearch.search import IndexSearcher
 
-        mp = self._meta_path()
-        if not os.path.exists(mp):
+        gen = published_generation(self.index_dir)
+        if not os.path.exists(os.path.join(gen, "meta.json")):
             return None
-        mtime = os.path.getmtime(mp)
         with self._lock:
-            if self._searcher is None or mtime != self._searcher_mtime:
+            if self._searcher is None or self._searcher.generation != gen:
                 self._searcher = IndexSearcher(self.index_dir)
-                self._searcher_mtime = mtime
             return self._searcher
 
     def _build_running(self) -> bool:
         return self._proc is not None and self._proc.poll() is None
 
-    def _conv_lemmas(self, n_convs: int) -> np.ndarray:
+    def _conv_lemmas(self, s) -> np.ndarray:
         """Distinct-lemma count per conversation (DetailedStatisticsItem
-        lemma analog) — the sparse ``convlex.parquet`` each merged
-        generation writes from its waves' statistics (exact also for a
-        conversation that straddles partitions).  Cached per
-        merged-index mtime."""
+        lemma analog) — the sparse ``convlex.parquet`` of searcher
+        ``s``'s generation, which every generation writes from its
+        waves' statistics (exact also for a conversation that
+        straddles partitions).  Cached per generation."""
         import pyarrow.parquet as pq
 
-        mtime = self._searcher_mtime
-        cached = getattr(self, "_conv_lemmas_cache", None)
-        if cached is not None and cached[0] == mtime:
+        cached = self._conv_lemmas_cache
+        if cached is not None and cached[0] == s.generation:
             return cached[1]
-        out = np.zeros(n_convs, dtype=np.int64)
-        t = pq.read_table(os.path.join(self.index_dir, "merged", "convlex.parquet"))
+        out = np.zeros(len(s._conv_ids), dtype=np.int64)
+        t = pq.read_table(os.path.join(s.generation, "convlex.parquet"))
         out[t["conv_idx"].to_numpy()] = t["lemmas"].to_numpy()
-        self._conv_lemmas_cache = (mtime, out)
+        self._conv_lemmas_cache = (s.generation, out)
         return out
 
     # -- routes -------------------------------------------------------------
@@ -220,7 +215,8 @@ class EngineServer:
         detailed = []
         s = self.get_searcher()
         if s is not None:
-            status_time = int(os.path.getmtime(self._meta_path()) * 1000)
+            meta = os.path.join(s.generation, "meta.json")
+            status_time = int(os.path.getmtime(meta) * 1000)
             offs = s._conv_offsets
             turns = s._conv_turns
             # per-conv token totals: one reduceat over the doc-length
@@ -230,7 +226,7 @@ class EngineServer:
                 if len(offs)
                 else np.empty(0, np.int64)
             )
-            lem = self._conv_lemmas(len(s._conv_ids))
+            lem = self._conv_lemmas(s)
             for i, conv in enumerate(s._conv_ids[: self.detail_limit]):
                 detailed.append(
                     {
@@ -371,9 +367,8 @@ def make_handler(engine: EngineServer):
             self.wfile.write(body)
 
         def do_GET(self):
-            # any escape (malformed params, transient FileNotFoundError
-            # while a build swaps merged/) must still produce a
-            # structured JSON error, like the reference API's
+            # any escape (malformed params, a failed read) must still
+            # produce a structured JSON error, like the reference API's
             # result/error envelope
             try:
                 u = urlparse(self.path)

@@ -29,8 +29,11 @@ def index_stats(index_dir: str) -> dict:
         wave = os.path.basename(os.path.dirname(mpath))
         if wave.startswith("_tmp_"):
             continue
-        with open(mpath) as f:
-            manifest = json.load(f)
+        try:
+            with open(mpath) as f:
+                manifest = json.load(f)
+        except FileNotFoundError:  # evicted since the glob: uncommitted
+            continue
         for pid, stats in manifest["per_partition"].items():
             per_partition[pid] = {**stats, "wave": wave}
     committed = len(per_partition)

@@ -2,8 +2,9 @@
 since the base into one delta posting file and masks their docs in the
 base.  These tests hold the refreshed index to the oracle and to fresh
 builds — a conversation split across partitions, a crash before the
-delta generation is published, and random edit sequences that cross
-the compaction threshold."""
+delta generation is published, random edit sequences that cross the
+compaction threshold, and searches in another process while refreshes
+publish generation after generation."""
 
 import glob
 import os
@@ -139,60 +140,241 @@ def test_split_conversation_refresh(ray_session, small_corpus, tmp_path):
 
 @pytest.mark.parametrize("crash", ["before_publish", "between_swap_steps"])
 def test_refresh_crash_resumes(ray_session, tiny_corpus, tmp_path, monkeypatch, crash):
-    """A refresh that dies while its delta generation sits in
-    ``_tmp_merged/`` (before the swap, or after ``merged/`` was removed
-    and before the rename) leaves an index that the next
-    ``build_index(resume=True)`` publishes with the logical postings
-    and lexicon of a clean build of the edited input."""
+    """A refresh that dies before its delta generation is published —
+    while writing it, or once it and its new ``merged`` link are
+    written but before the link is swapped in — leaves the previous
+    generation serving.  The next ``build_index(resume=True)`` merges
+    against that generation and publishes the logical postings and
+    lexicon of a clean build of the edited input; a generation orphaned
+    by a crash is gone after the next publish of other wave commits."""
     import raysearch.build as build
     from raysearch.gen import conv_name
+    from raysearch.search import IndexSearcher
 
     corpus = str(tmp_path / "corpus")
     shutil.copytree(tiny_corpus, corpus)
     index = str(tmp_path / "index")
-    before = build.build_index(corpus, index, mode="latin", n_partitions=4)
-    _set_text(corpus, conv_name(7), 0, lambda t: t + " quokka")
+    build.build_index(corpus, index, mode="latin", n_partitions=4)
     merged = os.path.join(index, "merged")
-    tmp = os.path.join(index, "_tmp_merged")
+    gens = os.path.join(index, "generations")
 
     class Crash(Exception):
         pass
 
-    with monkeypatch.context() as m:
-        if crash == "before_publish":
-            def crash_in(*args, **kwargs):
-                raise Crash
-
-            m.setattr(build, "conv_lemma_counts", crash_in)
-        else:
-            replace = os.replace
-
-            def crash_in(src, dst):
-                if os.path.abspath(dst) == os.path.abspath(merged):
+    def crashed_refresh(word: str) -> str:
+        """Edit conversation 7, crash its refresh; returns the orphan."""
+        published, kept = os.path.realpath(merged), set(os.listdir(gens))
+        digest = IndexSearcher(index).meta["waves_digest"]
+        _set_text(corpus, conv_name(7), 0, lambda t: f"{t} {word}")
+        with monkeypatch.context() as m:
+            if crash == "before_publish":
+                def crash_in(*args, **kwargs):
                     raise Crash
-                return replace(src, dst)
 
-            m.setattr(os, "replace", crash_in)
-        with pytest.raises(Crash):
-            build.rebuild_partition(corpus, index, conv_id=conv_name(7))
-    assert os.path.isfile(os.path.join(tmp, "delta", "postings.parquet"))
-    assert os.path.isfile(os.path.join(tmp, "delta", "masked.parquet"))
-    if crash == "before_publish":  # the previous generation still serves
-        from raysearch.search import IndexSearcher
+                m.setattr(build, "conv_lemma_counts", crash_in)
+            else:
+                replace = os.replace
 
-        assert IndexSearcher(index).meta["waves_digest"] == before["waves_digest"]
-        assert "quokka" not in dict((t, df) for t, df, _ in _lexicon(index))
-    else:
-        assert not os.path.exists(merged)
+                def crash_in(src, dst):
+                    if os.path.abspath(dst) == os.path.abspath(merged):
+                        raise Crash
+                    return replace(src, dst)
 
-    meta = build.build_index(corpus, index, mode="latin", n_partitions=4)
-    # with merged/ gone there is no base: the resume runs the full merge
-    assert (meta["delta_values"] > 0) == (crash == "before_publish")
-    assert not os.path.exists(tmp)
-    clean = str(tmp_path / "clean")
-    build.build_index(corpus, clean, mode="latin", n_partitions=4)
-    assert _lexicon(index) == _lexicon(clean)
-    assert build.decoded_postings(index).equals(build.decoded_postings(clean))
+                m.setattr(os, "replace", crash_in)
+            with pytest.raises(Crash):
+                build.rebuild_partition(corpus, index, conv_id=conv_name(7))
+        (orphan,) = set(os.listdir(gens)) - kept
+        orphan = os.path.join(gens, orphan)
+        assert os.path.isfile(os.path.join(orphan, "delta", "postings.parquet"))
+        assert os.path.isfile(os.path.join(orphan, "delta", "masked.parquet"))
+        assert os.path.isfile(os.path.join(orphan, "meta.json")) == (crash != "before_publish")
+        s = IndexSearcher(index)  # the previous generation still serves
+        assert s.generation == os.path.realpath(merged) == published
+        assert s.meta["waves_digest"] == digest
+        assert word not in dict((t, df) for t, df, _ in _lexicon(index))
+        assert not len(s.search(word)[0])
+        return orphan
+
+    def assert_clean(meta) -> None:
+        assert meta["delta_values"] > 0  # the published generation was the base
+        clean = str(tmp_path / "clean")
+        shutil.rmtree(clean, ignore_errors=True)
+        build.build_index(corpus, clean, mode="latin", n_partitions=4)
+        assert _lexicon(index) == _lexicon(clean)
+        assert build.decoded_postings(index).equals(build.decoded_postings(clean))
+
+    base = os.path.realpath(merged)
+    orphan = crashed_refresh("quokka")
+    # the resume merges the same wave commits: the orphan's name, rebuilt
+    assert_clean(build.build_index(corpus, index, mode="latin", n_partitions=4))
+    assert os.path.realpath(merged) == orphan
+    assert set(os.listdir(gens)) == {os.path.basename(base), os.path.basename(orphan)}
+    # an orphan of wave commits no later build merges goes at the next publish
+    base = os.path.realpath(merged)
+    orphan = crashed_refresh("wombat")
+    _set_text(corpus, conv_name(7), 1, lambda t: f"{t} numbat")
+    assert_clean(build.rebuild_partition(corpus, index, conv_id=conv_name(7)))
+    assert not os.path.exists(orphan)
+    assert set(os.listdir(gens)) == {
+        os.path.basename(base), os.path.basename(os.path.realpath(merged))
+    }
+
+
+def test_sharded_searcher_pins_its_generation(ray_session, tiny_corpus, tmp_path):
+    """A ShardedSearcher opened just before a refresh answers from the
+    generation published when it opened: every shard opens that
+    generation's directory, however late its actor starts, so the
+    merged ranking (doc ids and float64 scores, bm25 and reference, AND
+    and OR) equals that of a searcher opened before the refresh, and
+    no shard mixes in the new generation's df or ``avg_doc_len``."""
+    import ray
+
+    from raysearch.build import build_index, rebuild_partition
+    from raysearch.gen import conv_name
+    from raysearch.search import IndexSearcher, ShardedSearcher
+
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(tiny_corpus, corpus)
+    index = str(tmp_path / "index")
+    build_index(corpus, index, mode="latin", n_partitions=4)
+    queries = [LEMMAS[10], f"{LEMMAS[5]} {LEMMAS[40]}", f"{LEMMAS[3]} {LEMMAS[25]}"]
+    before = IndexSearcher(index)
+    want = {
+        (q, scorer): before.search(q, k=10, scorer=scorer)
+        for q in queries
+        for scorer in ("bm25", "reference")
+    }
+    want_or = {q: before.search_or(q, k=10) for q in queries}
+    sharded = ShardedSearcher(index, n_shards=3)
+    _set_text(corpus, conv_name(7), 0, lambda t: f"{t} {LEMMAS[10]} {LEMMAS[5]} {LEMMAS[3]}")
+    rebuild_partition(corpus, index, conv_id=conv_name(7))
+    try:
+        for (q, scorer), (ids, scores, total) in want.items():
+            got = sharded.search(q, k=10, scorer=scorer)
+            assert got[0].tolist() == ids.tolist(), (q, scorer)
+            assert got[1].tolist() == scores.tolist(), (q, scorer)
+            assert got[2] == total, (q, scorer)
+            if scorer == "bm25":  # the reference scorer reads no df
+                now = IndexSearcher(index).search(q, k=10)
+                assert now[1].tolist() != scores.tolist(), "the refresh changed no score"
+        for q, want_q in want_or.items():
+            _assert_rank_identical(sharded.search_or(q, k=10), want_q, ("or", q))
+    finally:
+        for shard in sharded.shards:
+            ray.kill(shard)
+
+
+#: the concurrent reader's loop: a fresh searcher per query, each
+#: response recorded with the generation it came from (or the error)
+_READER = """
+import json, os, sys
+from raysearch.search import IndexSearcher
+
+index, out, stop, queries = sys.argv[1], sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+rows, i = [], 0
+while not os.path.exists(stop):
+    q, mode = queries[i % len(queries)]
+    i += 1
+    try:
+        s = IndexSearcher(index)
+        rows.append([os.path.basename(s.generation), q, mode, s.search_response(q, k=5, mode=mode)])
+    except Exception as e:
+        rows.append([None, q, mode, repr(e)])
+    if i == 1:
+        open(out + ".ready", "w").close()
+with open(out, "w") as f:
+    json.dump(rows, f)
+"""
+
+
+def test_searches_in_another_process_during_refreshes(ray_session, tiny_corpus, tmp_path):
+    """While this process runs 20 refreshes (delta merges and
+    compactions), another opens a fresh searcher per query.  Every
+    response it gets is error-free, whole and from one generation: it
+    equals the response of a searcher opened alone on that generation
+    (doc ids, float64 scores and snippet text).  Each generation also
+    matches the oracle (bm25, reference, scoped and OR), and after
+    every publish ``generations/`` holds exactly the published
+    generation and the one it replaced."""
+    import json
+    import subprocess
+    import sys
+    import time
+
+    from raysearch.build import build_index, rebuild_partition
+    from raysearch.gen import conv_name
+    from raysearch.search import IndexSearcher
+
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(tiny_corpus, corpus)
+    index = str(tmp_path / "index")
+    build_index(corpus, index, mode="latin", n_partitions=4)
+    queries = [
+        ("quokka", "and"), (LEMMAS[10], "and"), (f"{LEMMAS[5]} {LEMMAS[40]}", "and"),
+        (f"quokka {LEMMAS[3]}", "or"),
+    ]
+    expected: dict[str, dict] = {}
+
+    def record() -> str:
+        s = IndexSearcher(index)
+        gen = os.path.basename(s.generation)
+        expected[gen] = {
+            (q, mode): json.loads(json.dumps(s.search_response(q, k=5, mode=mode)))
+            for q, mode in queries
+        }
+        oracle = Oracle(corpus, mode="latin")
+        for q, _ in queries:
+            for scorer in ("bm25", "reference"):
+                _assert_rank_identical(
+                    s.search(q, k=5, scorer=scorer), oracle.search(q, k=5, scorer=scorer), q
+                )
+            scope = conv_name(7)
+            _assert_rank_identical(
+                s.search(q, k=5, scope=scope), oracle.search(q, k=5, scope=scope), q
+            )
+            _assert_or_matches_brute_force(s, oracle, q, k=5)
+        return gen
+
+    published = [record()]
+    out, stop = str(tmp_path / "reader.json"), str(tmp_path / "stop")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    reader = subprocess.Popen(
+        [sys.executable, "-c", _READER, index, out, stop, json.dumps(queries)],
+        cwd=repo,
+        env={**os.environ, "PYTHONPATH": repo},
+    )
+    kinds = []
+    try:
+        deadline = time.monotonic() + 120
+        while not os.path.exists(out + ".ready"):
+            assert reader.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        for i in range(20):
+            conv = conv_name((7 * i) % 20)
+            word = "quokka" if i % 3 else LEMMAS[5]
+            _set_text(corpus, conv, 0, lambda t, w=word: f"{t} {w}")
+            meta = rebuild_partition(corpus, index, conv_id=conv)
+            kinds.append("delta" if meta["delta_values"] else "compacted")
+            published.append(record())
+            gens = set(os.listdir(os.path.join(index, "generations")))
+            assert gens == set(published[-2:]), i
+    finally:
+        open(stop, "w").close()
+        try:
+            reader.wait(timeout=120)
+        finally:
+            reader.kill()
+    assert reader.returncode == 0
+    assert "delta" in kinds and "compacted" in kinds, kinds
+    with open(out) as f:
+        rows = json.load(f)
+    errors = [r for r in rows if r[0] is None]
+    assert not errors, errors[:3]
+    seen = set()
+    for gen, q, mode, resp in rows:
+        assert resp == expected[gen][(q, mode)], (gen, q, mode)
+        seen.add(gen)
+    assert len(seen) >= 3, (len(rows), len(seen))
 
 
 #: the property test's corpus: six files of two conversations each, one

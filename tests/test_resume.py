@@ -45,17 +45,24 @@ def _decoded_postings(index_dir):
     return list(zip(*(t[c].to_pylist() for c in t.column_names)))
 
 
+def _unpublish(index_dir):
+    """Remove the published index: the ``merged`` link and every
+    generation (the state before a first build's merge)."""
+    os.remove(os.path.join(index_dir, "merged"))
+    shutil.rmtree(os.path.join(index_dir, "generations"))
+
+
 def test_resume_after_lost_wave(two_indexes):
     from raysearch.build import build_index
 
     corpus, full, tmp = two_indexes
     # clone the index dir, destroy one wave + the merged index
     broken = str(tmp / "broken")
-    shutil.copytree(full, broken)
+    shutil.copytree(full, broken, symlinks=True)
     waves = sorted(glob.glob(os.path.join(broken, "waves", "*")))
     assert len(waves) == 4
     shutil.rmtree(waves[2])
-    shutil.rmtree(os.path.join(broken, "merged"))
+    _unpublish(broken)
     # record mtimes of surviving waves: resume must not recompute them
     mtimes = {w: os.path.getmtime(w) for w in waves if os.path.isdir(w)}
     build_index(corpus, broken, mode="latin", n_partitions=4)
@@ -70,11 +77,11 @@ def test_crashed_wave_tmp_is_cleaned(two_indexes):
 
     corpus, full, tmp = two_indexes
     broken = str(tmp / "crashed")
-    shutil.copytree(full, broken)
+    shutil.copytree(full, broken, symlinks=True)
     # simulate a crash: a wave dir present WITHOUT manifest.json
     waves = sorted(glob.glob(os.path.join(broken, "waves", "*")))
     os.remove(os.path.join(waves[1], "manifest.json"))
-    shutil.rmtree(os.path.join(broken, "merged"))
+    _unpublish(broken)
     build_index(corpus, broken, mode="latin", n_partitions=4)
     assert _postings_rows(broken) == _postings_rows(full)
 
@@ -177,23 +184,22 @@ def test_evict_drops_partition_rows(two_indexes):
 
 
 def test_merge_resumes_from_partial_tmp(two_indexes):
-    """A crashed merge leaves _tmp_merged with some atomic bucket
-    files; resume must keep them (same wave set) and only produce the
-    missing buckets."""
+    """A crashed merge leaves an unpublished generation with some
+    atomic bucket files; resume must keep them (same wave set), only
+    produce the missing buckets and publish that generation."""
     import time
 
     from raysearch.build import build_index
 
     corpus, full, tmp = two_indexes
     broken = str(tmp / "merge_crash")
-    shutil.copytree(full, broken)
-    # simulate the crash: merged/ becomes the in-progress _tmp_merged
-    # with half its bucket files missing
-    os.rename(os.path.join(broken, "merged"), os.path.join(broken, "_tmp_merged"))
-    os.remove(os.path.join(broken, "_tmp_merged", "meta.json"))
-    bucket_files = sorted(
-        glob.glob(os.path.join(broken, "_tmp_merged", "postings", "*.parquet"))
-    )
+    shutil.copytree(full, broken, symlinks=True)
+    # simulate the crash: the generation is unpublished, without its
+    # meta.json and with half its bucket files missing
+    gen = os.path.realpath(os.path.join(broken, "merged"))
+    os.remove(os.path.join(broken, "merged"))
+    os.remove(os.path.join(gen, "meta.json"))
+    bucket_files = sorted(glob.glob(os.path.join(gen, "postings", "*.parquet")))
     assert len(bucket_files) > 2
     for f in bucket_files[::2]:
         os.remove(f)
@@ -202,9 +208,9 @@ def test_merge_resumes_from_partial_tmp(two_indexes):
     }
     time.sleep(0.05)
     build_index(corpus, broken, mode="latin", n_partitions=4)
+    assert os.path.realpath(os.path.join(broken, "merged")) == gen
     for f, m in survivors.items():
-        final = f.replace("_tmp_merged", "merged")
-        assert os.path.getmtime(final) == m, "completed bucket was redone"
+        assert os.path.getmtime(f) == m, "completed bucket was redone"
     assert _postings_rows(broken) == _postings_rows(full)
     assert _lexicon_rows(broken) == _lexicon_rows(full)
 

@@ -5,7 +5,7 @@
 * a shard's doc lengths and cached posting lists are the matching
   slices of the full searcher's, and cached lists own their memory;
 * a result's text is the committed snapshot, not the live input, a
-  searcher opened before a refresh refuses the new generation's files,
+  searcher opened before a refresh keeps serving its own generation,
   and a warm response reads no parquet file;
 * ``suggest`` ranks exactly like a scan of the whole lexicon;
 * ``trending_terms`` keys do not overflow on a large batch vocabulary.
@@ -222,12 +222,15 @@ def test_result_text_is_the_committed_snapshot(ray_session, tiny_corpus, tmp_pat
     assert row["snippet"] != hit["snippet"]
 
 
-def test_searcher_refuses_a_replaced_index(ray_session, tiny_corpus, tmp_path):
-    """A searcher opened before a refresh never mixes generations: its
-    first lazy open after the ``merged/`` swap (doc store, posting
-    bucket file, lexicon slice) raises instead of returning the new
-    generation's text or postings, and a searcher opened afterwards
-    serves the refreshed turn."""
+def test_searcher_serves_its_generation_across_a_refresh(
+    ray_session, tiny_corpus, tmp_path
+):
+    """A searcher opened before a refresh keeps serving the generation
+    it opened: ``search``, ``fetch_docs`` and a lazy-lexicon ``search``
+    return its pre-refresh doc ids, float64 scores and text, although
+    their first reads of the posting files, doc store and lexicon
+    slices come after the ``merged`` link moved on.  A searcher opened
+    after the refresh serves the edit."""
     from raysearch.build import build_index, rebuild_partition
     from raysearch.gen import conv_name
     from raysearch.search import IndexSearcher
@@ -239,18 +242,26 @@ def test_searcher_refuses_a_replaced_index(ray_session, tiny_corpus, tmp_path):
     eager = IndexSearcher(index)
     lazy = IndexSearcher(index, lazy_lexicon=True)
     doc = eager.conv_range(conv_name(0))[0]
-    _edit_turn(corpus, conv_name(0), 0, "EDITED quokka")
+    queries = [LEMMAS[10], f"{LEMMAS[5]} {LEMMAS[40]}", "quokka"]
+    # the pre-refresh answers, read in full before the refresh
+    ref = IndexSearcher(index)
+    want = {q: ref.search(q) for q in queries}
+    want_text = ref.fetch_docs([doc])["text"][0].as_py()
+    _edit_turn(corpus, conv_name(0), 0, f"EDITED quokka {LEMMAS[10]}")
     rebuild_partition(corpus, index, conv_id=conv_name(0))
-    replaced = "index was replaced; reopen the searcher"
-    with pytest.raises(ValueError, match=replaced):
-        eager.fetch_docs([doc])
-    with pytest.raises(ValueError, match=replaced):
-        eager.search(LEMMAS[10])
-    with pytest.raises(ValueError, match=replaced):
-        lazy.search(LEMMAS[10])
+    assert eager.fetch_docs([doc])["text"][0].as_py() == want_text
+    for q in queries:
+        for s in (eager, lazy):
+            ids, scores, total = s.search(q)
+            assert ids.tolist() == want[q][0].tolist(), q
+            assert scores.tolist() == want[q][1].tolist(), q
+            assert total == want[q][2], q
+    assert not len(want["quokka"][0])
     fresh = IndexSearcher(index)
-    assert fresh.fetch_docs([doc])["text"][0].as_py() == "EDITED quokka"
+    assert fresh.generation != eager.generation == lazy.generation
+    assert fresh.fetch_docs([doc])["text"][0].as_py() == f"EDITED quokka {LEMMAS[10]}"
     assert fresh.search("quokka")[0].tolist() == [doc]
+    assert fresh.search(LEMMAS[10])[1].tolist() != want[LEMMAS[10]][1].tolist()
 
 
 def test_warm_search_response_reads_no_parquet(built, monkeypatch):

@@ -112,6 +112,44 @@ def test_index_conv_rebuild(server):
     assert after["statistics"]["total"]["indexing"] is False
 
 
+def test_routes_answer_while_a_conversation_reindexes(server):
+    """While ``/api/indexConv`` refreshes conversations in one thread,
+    ``/api/search`` (AND and OR) and ``/api/statistics`` in another
+    always answer from a published generation: never "index not
+    built", never an error envelope."""
+    from raysearch.gen import conv_name
+
+    engine, port, _ = server
+    q = urllib.parse.quote(f"{LEMMAS[10]} {LEMMAS[100]}")
+    paths = [
+        f"/api/search?query={q}&limit=5",
+        f"/api/search?query={q}&limit=5&mode=or",
+        "/api/statistics",
+    ]
+    stop, answered, bad = threading.Event(), [], []
+
+    def poll():
+        while not stop.is_set():
+            path = paths[len(answered) % len(paths)]
+            resp = _get(port, path)
+            answered.append(path)
+            if resp.get("result") is not True:
+                bad.append((path, resp))
+
+    before = engine.get_searcher().generation
+    t = threading.Thread(target=poll, daemon=True)
+    t.start()
+    try:
+        for conv in (conv_name(5), conv_name(15)):
+            assert _post(port, f"/api/indexConv?conv_id={conv}") == {"result": True}
+    finally:
+        stop.set()
+        t.join(timeout=60)
+    assert not bad, bad[:3]
+    assert len(answered) >= len(paths)
+    assert engine.get_searcher().generation != before
+
+
 def test_start_indexing_lifecycle(ray_session, tiny_corpus, tmp_path_factory):
     index = str(tmp_path_factory.mktemp("serveidx2") / "idx")
     engine = EngineServer(index, input_dir=tiny_corpus, num_cpus=4)
