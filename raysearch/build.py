@@ -275,7 +275,7 @@ class TokenizerActor:
     (``new LemmaSearch()``, services/RecursiveSearch.java:68); a worker
     builds this once and reuses it for every batch of every partition
     it processes.  Per batch (zero-copy Arrow in): vectorized tokenize
-    (lex.Lexer.token_parent_pairs), per-doc tf aggregation
+    (lex.Lexer.token_parent_codes), per-doc tf aggregation
     (LemmaSearch.java:50-53 semantics), and doc_id assignment from the
     broadcast conv-offset table.
     """
@@ -1089,11 +1089,6 @@ def partitions_of(out_dir: str, conv_id: str) -> list[int]:
     if not pids:
         raise KeyError(f"no input fragment covers conv_id {conv_id!r}")
     return pids
-
-
-def partition_of(out_dir: str, conv_id: str) -> int:
-    """First covering partition (see :func:`partitions_of`)."""
-    return partitions_of(out_dir, conv_id)[0]
 
 
 def evict_partition(out_dir: str, partition_id: int) -> str | None:

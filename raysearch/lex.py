@@ -279,15 +279,6 @@ class Lexer:
         keep = codes >= 0
         return parent[keep], codes[keep], np.array(uniq_lemmas, dtype=object)
 
-    def token_parent_pairs(
-        self, texts: pa.ChunkedArray | pa.Array
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Compatibility wrapper over :meth:`token_parent_codes`:
-        returns ``(parent_idx, lemmas)`` with the per-token lemma
-        strings materialized (object array)."""
-        parent, codes, uniq = self.token_parent_codes(texts)
-        return parent, uniq[codes] if len(codes) else np.empty(0, dtype=object)
-
 
 # ---------------------------------------------------------------------------
 # HTML strip (jsoup Document.text() analog) — M1 in SURVEY §2.2.

@@ -46,10 +46,10 @@ first-class curation signals here:
 
 All stream: per-batch partials feed one or two small hash
 aggregates, and work over a conversation's ordered turns runs as a
-whole-block Arrow pass (:func:`_key_blocks`): after ``sort(conv_id)``
-one call per block handles all of its conversations with group
-offsets, segment reductions and shifted masks — no per-group
-pandas ``map_groups``.
+whole-block Arrow pass (:func:`raysearch.util._key_blocks`): after
+``sort(conv_id)`` one call per block handles all of its conversations
+with group offsets, segment reductions and shifted masks — no
+per-group pandas ``map_groups``.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from raysearch.util import _group_ids, _groups, _key_blocks, _ts_us
 
 #: per-worker lexer cache (the build.py ST1 discipline: construct
 #: stateful tokenizers once per process, not once per batch)
@@ -88,12 +90,6 @@ def _is_role(b: pa.Table, role: str) -> np.ndarray:
     return m.to_numpy(zero_copy_only=False)
 
 
-def _ts_us(ts) -> np.ndarray:
-    """Timestamps as int64 epoch microseconds."""
-    us = pc.cast(pc.cast(ts, pa.timestamp("us")), pa.int64())
-    return us.to_numpy(zero_copy_only=False)
-
-
 def _turn_tokens(b: pa.Table):
     """Each turn's ``(assistant tokens, tokens)``: the share's addends."""
     toks = _simple_tokens(b["text"])
@@ -106,34 +102,6 @@ def _share_band(at: np.ndarray, tt: np.ndarray, lo_bp: int, hi_bp: int):
     lo_bp ≤ share_bp ≤ hi_bp band over conversations with tokens."""
     share = np.where(tt > 0, (at * 10000) // np.maximum(tt, 1), 0)
     return share, (tt > 0) & (share >= lo_bp) & (share <= hi_bp)
-
-
-def _key_blocks(ds, key: str, fn):
-    """Apply ``fn`` to each block of ``ds.sort(key)`` as one Arrow
-    table.  The sort range-partitions on ``key``, so no group spans two
-    blocks — the guarantee ``groupby(key).map_groups`` rests on under
-    the default sort shuffle — but ``fn`` runs once per block, not once
-    per group.  (``Dataset.repartition(keys=…)`` needs the hash-shuffle
-    strategy, a global ``DataContext`` setting.)"""
-    return ds.sort(key).map_batches(
-        fn, batch_size=None, batch_format="pyarrow"
-    )
-
-
-def _groups(b: pa.Table, keys: list[str]):
-    """``b`` sorted by ``keys``, and the int64 row offsets at which
-    ``keys[0]`` changes: one start per group."""
-    b = b.take(pc.sort_indices(b, sort_keys=[(k, "ascending") for k in keys]))
-    col = b[keys[0]].combine_chunks()
-    if len(col) == 0:
-        return b, np.zeros(0, np.int64)
-    change = pc.not_equal(col[1:], col[:-1]).to_numpy(zero_copy_only=False)
-    return b, np.flatnonzero(np.concatenate(([True], change)))
-
-
-def _group_ids(starts: np.ndarray, n: int) -> np.ndarray:
-    """Group number of each of ``n`` rows, given the group starts."""
-    return np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
 
 
 def _tail_pairs(b: pa.Table, starts: np.ndarray, k: int | None = None):

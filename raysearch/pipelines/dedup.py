@@ -6,11 +6,12 @@ reference only hints at with its exact URL/page dedup, D1/D2 in SURVEY
 
 * exact_dedup         — md5(text) → groupby(hash) → keep min doc_id.
 * minhash_lsh_pairs   — word-shingle MinHash signatures (vectorized
-  universal hashing), banded LSH → candidate pairs via one groupby →
+  universal hashing), banded LSH → candidate pairs via one key-block
+  pass over the band buckets →
   exact shingle-Jaccard verification as a distributed hash join (no
   driver materialization).  The canonical near-dup path.
 * jaccard_pairs_exact — exact all-pairs word-shingle Jaccard via a
-  groupby(shingle) co-occurrence count.  Quadratic in per-shingle df:
+  per-shingle co-occurrence count.  Quadratic in per-shingle df:
   this is the VERIFICATION/oracle operator (SQL-expressible, used by
   the driver gate and the minhash_recall measurement), not the scale
   path — minhash_lsh_pairs is.
@@ -26,6 +27,10 @@ reference only hints at with its exact URL/page dedup, D1/D2 in SURVEY
 All hashing is seeded/deterministic (no builtin ``hash``); signatures
 are computed vectorized per batch; the wide steps are groupby /
 hash-join shuffles over signature or id rows, never over raw text.
+Per-bucket pair emission is a key-block pass
+(:func:`raysearch.util._key_blocks`, :func:`_bucket_pairs`): after a
+sort by bucket, one vectorized call per block enumerates the pairs of
+all of its buckets.
 
 Skew guard: LSH band buckets follow the corpus duplicate distribution —
 boilerplate-heavy corpora produce giant near-identical buckets.  Pair
@@ -46,7 +51,7 @@ import pandas as pd
 import pyarrow as pa
 
 from raysearch.lex import Lexer
-from raysearch.util import copartition_attach
+from raysearch.util import _group_ids, _groups, _key_blocks, copartition_attach
 
 MERSENNE = (1 << 61) - 1
 
@@ -81,17 +86,38 @@ def _minhash_params(n_perm: int, seed: int = 7) -> tuple[np.ndarray, np.ndarray]
     return cached
 
 
-def _emit_pairs_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pair emission over sorted-unique ids with the hot-
-    bucket star fallback (module docstring)."""
-    n = len(ids)
-    if n < 2:
-        e = np.empty(0, dtype=ids.dtype)
-        return e, e
-    if n > MAX_BUCKET_IDS:
-        return np.full(n - 1, ids[0], dtype=ids.dtype), ids[1:]
-    ii, jj = np.triu_indices(n, k=1)
-    return ids[ii], ids[jj]
+def _bucket_pairs(b: pa.Table, keys: list[str], id_col: str,
+                  star_above: int | None = None):
+    """``b`` sorted by ``keys + [id_col]`` with repeated (key, id) rows
+    dropped, and the row pairs ``(i, j)``, ``i < j``, of every key
+    group: all of them, or — for a group of more than ``star_above``
+    ids — the star edges from its first (min-id) row (the module
+    docstring's skew guard).  Pair order is each group's
+    ``np.triu_indices`` order."""
+    b, starts = _groups(b, keys + [id_col], len(keys) + 1)
+    b, starts = _groups(b.take(starts), keys, len(keys))
+    n = b.num_rows
+    gid = _group_ids(starts, n)
+    size = np.diff(np.append(starts, n))[gid]
+    pos = np.arange(n) - starts[gid]
+    k = size - pos - 1  # partners after each row in its group
+    if star_above is not None:
+        k[(size > star_above) & (pos > 0)] = 0
+    ai = np.repeat(np.arange(n), k)
+    bi = ai + 1 + np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    return b, ai, bi
+
+
+def _key_pairs(ds, keys: list[str], star_above: int | None = None):
+    """``(doc_a, doc_b)``, ``doc_a < doc_b``: every two docs sharing a
+    key (:func:`_bucket_pairs`), in one key-block pass."""
+
+    def emit(b: pa.Table) -> pa.Table:
+        b, ai, bi = _bucket_pairs(b, keys, "doc_id", star_above)
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"doc_a": ids[ai], "doc_b": ids[bi]})
+
+    return _key_blocks(ds, keys, emit)
 
 
 #: dup-bucket key universes above this count fall back to the fully
@@ -104,25 +130,23 @@ def _dup_bucket_prefilter(sigs, key_fn):
     """Prune an LSH band-row Dataset to rows whose bucket has ≥2
     members BEFORE the per-bucket pair emission (round 5).
 
-    ``groupby(bucket).map_groups(emit)`` invokes a pandas UDF once per
-    bucket, and in a near-dup workload almost every bucket is a
-    singleton that emits nothing — at sf0.1 that was ~80k UDF calls for
-    256 surviving pairs (the round-4 ``minhash_pairs`` 2× bench
-    regression was dominated by it).  Instead: one vectorized
-    ``groupby(key).Count`` (Arrow hash aggregate, no per-group Python),
-    a distributed ``n ≥ 2`` filter so only DUP keys reach the driver,
-    then a broadcast ``searchsorted`` membership filter over the band
-    rows.  The per-group UDF afterwards touches only real candidate
-    buckets.
+    In a near-dup workload almost every bucket is a singleton that
+    emits nothing (at sf0.1, ~80k buckets for 256 surviving pairs).
+    The pair emission (:func:`_key_pairs`) sorts every band row it
+    is given; this prunes them first: one vectorized
+    ``groupby(key).Count`` (Arrow hash aggregate, no per-group
+    Python), a distributed ``n ≥ 2`` filter so only DUP keys reach the
+    driver, then a broadcast ``searchsorted`` membership filter over
+    the band rows.
 
     ``key_fn(batch) -> np.uint64[n]`` maps each row to its bucket key
     (collisions across buckets are harmless: they only ADD rows to the
-    exact per-bucket groupby downstream, never drop a dup bucket —
+    exact per-bucket pass downstream, never drop a dup bucket —
     counts per merged key are a superset of counts per true key).
 
     Returns the filtered Dataset, or ``None`` when the dup-key universe
-    exceeds ``DUP_KEY_LIMIT`` (caller falls back to the full
-    ``map_groups`` plan — correct at any scale, just slower)."""
+    exceeds ``DUP_KEY_LIMIT`` (caller sorts every band row — correct
+    at any scale, just more to move)."""
     import ray
     from ray.data.aggregate import Count
 
@@ -480,9 +504,9 @@ def minhash_candidates_from_shingles(sh_ds, n_perm: int = 64, bands: int = 16):
         batch_format="pyarrow",
     )
     pre = _dup_bucket_prefilter(sigs, _band_hash_key)
-    pairs = (sigs if pre is None else pre).groupby(
-        ["band", "band_hash"]
-    ).map_groups(_pairs_from_buckets, batch_format="pandas")
+    pairs = _key_pairs(
+        sigs if pre is None else pre, ["band", "band_hash"], MAX_BUCKET_IDS
+    )
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="n_bands"))
 
 
@@ -596,20 +620,6 @@ def _simhash_task(batch: pa.Table):
 # ---------------------------------------------------------------------------
 
 
-def _pairs_from_buckets(group: pd.DataFrame) -> pd.DataFrame:
-    ids = np.unique(group["doc_id"].to_numpy())
-    a, b = _emit_pairs_ids(ids)
-    # dtype pinned: an EMPTY group would otherwise yield float64
-    # columns, and Ray's schema unification promotes int64→double
-    # depending on block arrival order (partitioning-dependent output)
-    return pd.DataFrame(
-        {
-            "doc_a": pd.Series(a, dtype="int64"),
-            "doc_b": pd.Series(b, dtype="int64"),
-        }
-    )
-
-
 def minhash_candidates(ds, n_perm: int = 64, bands: int = 16, shingle: int = 3):
     """documents → candidate near-dup pairs (doc_a < doc_b), deduped;
     hot band-buckets emit star edges (module docstring skew guard)."""
@@ -619,9 +629,9 @@ def minhash_candidates(ds, n_perm: int = 64, bands: int = 16, shingle: int = 3):
         batch_format="pyarrow",
     )
     pre = _dup_bucket_prefilter(sigs, _band_hash_key)
-    pairs = (sigs if pre is None else pre).groupby(
-        ["band", "band_hash"]
-    ).map_groups(_pairs_from_buckets, batch_format="pandas")
+    pairs = _key_pairs(
+        sigs if pre is None else pre, ["band", "band_hash"], MAX_BUCKET_IDS
+    )
     from ray.data.aggregate import Count
 
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="n_bands"))
@@ -779,7 +789,7 @@ def minhash_lsh_pairs(
        ``BROADCAST_ID_LIMIT`` (no shuffle of the corpus-sized shingle
        stream at all), else via a ``left_semi`` hash join;
     4. two inner hash-merge attaches (:func:`~raysearch.util.
-       copartition_attach` — union + one groupby per attach; Ray
+       copartition_attach` — union + one sort per attach; Ray
        2.49's ``Dataset.join`` crashes on partitions that receive no
        blocks from one side, see the helper's docstring) bring in each
        pair's two sets;
@@ -789,7 +799,7 @@ def minhash_lsh_pairs(
     Only id pairs and candidate shingle sets shuffle; raw text never
     leaves the tokenize stage and nothing unbounded lands on the
     driver.  ``join_partitions`` is retained for API compatibility;
-    the merge exchange is sized by Ray's groupby shuffle."""
+    the merge exchange is sized by Ray's sort shuffle."""
     import ray
 
     if shingle_ds is None:
@@ -969,8 +979,9 @@ def jaccard_pairs_exact(ds, threshold: float = 0.6, shingle: int = 3):
     """EXACT all-pairs word-shingle Jaccard ≥ threshold.
 
     Plan: distinct (doc_id, shingle) rows → set sizes →
-    groupby(shingle) emits co-occurring doc pairs (all pairs — no star
-    fallback, exactness is the point) → groupby(pair) counts the
+    a key-block pass over sort(shingle) emits co-occurring doc pairs
+    (all pairs — no star fallback, exactness is the point) →
+    groupby(pair) counts the
     intersection → |A∩B| / (|A|+|B|−|A∩B|).
 
     Quadratic in per-shingle document frequency: this is the
@@ -1000,27 +1011,8 @@ def _exact_jaccard_from_shingles(tok, threshold: float):
         (sizes["doc_id"].to_numpy(np.int64), sizes["n"].to_numpy(np.int64))
     )
 
-    def emit(group: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(group["doc_id"].to_numpy())
-        if len(ids) < 2:
-            # dtype pinned — see _pairs_from_buckets
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series([], dtype="int64"),
-                    "doc_b": pd.Series([], dtype="int64"),
-                }
-            )
-        ii, jj = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame(
-            {
-                "doc_a": pd.Series(ids[ii], dtype="int64"),
-                "doc_b": pd.Series(ids[jj], dtype="int64"),
-            }
-        )
-
     inter = (
-        tok.groupby("shingle")
-        .map_groups(emit, batch_format="pandas")
+        _key_pairs(tok, ["shingle"])
         .groupby(["doc_a", "doc_b"])
         .aggregate(Count(alias_name="n_common"))
     )
@@ -1183,23 +1175,9 @@ def _prefix_candidates(sh, threshold: float):
              "doc_id": pa.array(ids[p_s[keep]], pa.int64())}
         )
 
-    def emit(group: pd.DataFrame) -> pd.DataFrame:
-        ids = np.unique(group["doc_id"].to_numpy())
-        if len(ids) < 2:
-            return pd.DataFrame(
-                {"doc_a": pd.Series([], dtype="int64"),
-                 "doc_b": pd.Series([], dtype="int64")}
-            )
-        ii, jj = np.triu_indices(len(ids), k=1)
-        return pd.DataFrame(
-            {"doc_a": pd.Series(ids[ii], dtype="int64"),
-             "doc_b": pd.Series(ids[jj], dtype="int64")}
-        )
-
     return (
-        sh.map_batches(prefix_rows, batch_format="pyarrow")
-        .groupby("shingle")
-        .map_groups(emit, batch_format="pandas")
+        _key_pairs(sh.map_batches(prefix_rows, batch_format="pyarrow"),
+                   ["shingle"])
         .groupby(["doc_a", "doc_b"])
         .aggregate(Count(alias_name="_n"))
         .select_columns(["doc_a", "doc_b"])
@@ -1301,28 +1279,14 @@ def simhash_pairs(ds, max_hamming: int = 3):
     Pair generation is vectorized (triu indices + table-lookup popcount)
     with the star fallback on hot buckets — no per-pair Python loop."""
 
-    def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        sub = group.drop_duplicates("doc_id").sort_values("doc_id")
-        ids = sub["doc_id"].to_numpy()
-        sims = sub["simhash"].to_numpy().astype(np.uint64)
-        n = len(ids)
-        if n < 2:
-            # dtype pinned — see _pairs_from_buckets
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series([], dtype="int64"),
-                    "doc_b": pd.Series([], dtype="int64"),
-                    "hamming": pd.Series([], dtype="int64"),
-                }
-            )
-        if n > MAX_BUCKET_IDS:
-            ai = np.zeros(n - 1, dtype=np.int64)
-            bi = np.arange(1, n, dtype=np.int64)
-        else:
-            ai, bi = np.triu_indices(n, k=1)
+    def pairs(b: pa.Table) -> pa.Table:
+        b, ai, bi = _bucket_pairs(b, ["band", "band_key"], "doc_id",
+                                  MAX_BUCKET_IDS)
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        sims = b["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
         dist = _popcount64(sims[ai] ^ sims[bi])
         keep = dist <= max_hamming
-        return pd.DataFrame(
+        return pa.table(
             {"doc_a": ids[ai[keep]], "doc_b": ids[bi[keep]], "hamming": dist[keep]}
         )
 
@@ -1331,9 +1295,7 @@ def simhash_pairs(ds, max_hamming: int = 3):
     # and the prefilter's extra count-shuffle is pure overhead
     # (measured +2 s at sf0.1 for zero rows pruned at scale).
     sigs = ds.map_batches(_simhash_task, batch_format="pyarrow")
-    cand = sigs.groupby(["band", "band_key"]).map_groups(
-        pairs, batch_format="pandas"
-    )
+    cand = _key_blocks(sigs, ["band", "band_key"], pairs)
     from ray.data.aggregate import Min
 
     # groupby output block order is not pinned across runs — sort the
@@ -1439,12 +1401,7 @@ def embedding_near_dup(
 
     from raysearch.util import round_half_away
 
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        sub = group.drop_duplicates("vec_id")
-        emb = np.stack([np.asarray(v, dtype=np.float64) for v in sub["embedding"]])
-        ids = sub["vec_id"].to_numpy()
-        order = np.argsort(ids)
-        ids, emb = ids[order], emb[order]
+    def verify_bucket(ids: np.ndarray, emb: np.ndarray):
         norms = np.linalg.norm(emb, axis=1)
         norms[norms == 0] = 1.0
         unit = emb / norms[:, None]
@@ -1458,13 +1415,7 @@ def embedding_near_dup(
             # mega-bucket are sacrificed, like the star candidates.
             sim0 = unit @ unit[0]
             keep0 = np.flatnonzero(sim0[1:] >= threshold) + 1
-            return pd.DataFrame(
-                {
-                    "vec_a": np.full(len(keep0), ids[0]),
-                    "vec_b": ids[keep0],
-                    "cosine": round_half_away(sim0[keep0], 4),
-                }
-            )
+            return [np.full(len(keep0), ids[0])], [ids[keep0]], [sim0[keep0]]
         out_a, out_b, out_c = [], [], []
         for c0 in range(0, n, _VERIFY_CHUNK):
             c1 = min(n, c0 + _VERIFY_CHUNK)
@@ -1474,26 +1425,27 @@ def embedding_near_dup(
             out_a.append(ids[ii[keep] + c0])
             out_b.append(ids[jj[keep]])
             out_c.append(sim[ii[keep], jj[keep]])
-        if not out_a:
-            # dtype pinned — see _pairs_from_buckets
-            return pd.DataFrame(
-                {
-                    "vec_a": pd.Series([], dtype="int64"),
-                    "vec_b": pd.Series([], dtype="int64"),
-                    "cosine": pd.Series([], dtype="float64"),
-                }
-            )
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        c = np.concatenate(out_c)
-        return pd.DataFrame(
-            {"vec_a": a, "vec_b": b, "cosine": round_half_away(c, 4)}
+        return out_a, out_b, out_c
+
+    def verify(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["bucket", "vec_id"], 2)
+        b, starts = _groups(b.take(starts), ["bucket"])
+        ids = b["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        vecs = b["embedding"].to_numpy(zero_copy_only=False)
+        out = ([np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)])
+        for s, e in zip(starts, np.append(starts[1:], len(ids))):
+            if e - s > 1:
+                emb = np.stack(vecs[s:e]).astype(np.float64)
+                part = verify_bucket(ids[s:e], emb)
+                for o, p in zip(out, part):
+                    o.extend(p)
+        va, vb, cos = (np.concatenate(o) for o in out)
+        return pa.table(
+            {"vec_a": va, "vec_b": vb, "cosine": round_half_away(cos, 4)}
         )
 
-    pairs = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pandas")
+    pairs = _key_blocks(
+        ds.map_batches(bucketize, batch_format="pyarrow"), "bucket", verify
     )
     from ray.data.aggregate import Max
 
@@ -1856,50 +1808,36 @@ def edit_distance_pairs(ds, max_dist: int = 30):
         )
         return pa.concat_tables([lo, hi])
 
-    def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "doc_a": pd.Series([], dtype="int64"),
-                "doc_b": pd.Series([], dtype="int64"),
-                "dist": pd.Series([], dtype="int64"),
-            }
-        )
-        sub = group.drop_duplicates("doc_id").sort_values("doc_id")
-        if len(sub) < 2:
-            return empty
-        g = int(sub["bucket"].iloc[0])
-        ids = sub["doc_id"].to_numpy()
-        texts = sub["text"].tolist()
-        n = sub["n"].to_numpy()
-        ai, bi = np.triu_indices(len(ids), k=1)
+    def pairs(b: pa.Table) -> pa.Table:
+        b, ai, bi = _bucket_pairs(b, ["bucket"], "doc_id")
+        ids = b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        n = b["n"].to_numpy(zero_copy_only=False)
+        g = b["bucket"].to_numpy(zero_copy_only=False)
         # length prefilter + canonical-bucket dedup (emit once, in
         # the max of the two base buckets)
         keep = (np.abs(n[ai] - n[bi]) <= d) & (
-            np.maximum(n[ai] // d, n[bi] // d) == g
+            np.maximum(n[ai] // d, n[bi] // d) == g[ai]
         )
         ai, bi = ai[keep], bi[keep]
-        if not len(ai):
-            return empty
-        hists = _char_hists(texts)
-        l1 = np.abs(hists[ai] - hists[bi]).sum(axis=1)
-        keep = l1 <= 2 * d
+        texts = b["text"].to_pylist()
+        # histograms of the candidates' docs only, not the whole block
+        used, inv = np.unique(np.concatenate([ai, bi]), return_inverse=True)
+        h = _char_hists([texts[i] for i in used])
+        keep = np.abs(h[inv[:len(ai)]] - h[inv[len(ai):]]).sum(axis=1) <= 2 * d
         ai, bi = ai[keep], bi[keep]
-        rows = []
-        for x, y in zip(ai, bi):
-            dist = _lev_capped(texts[x], texts[y], d)
-            if dist <= d:
-                rows.append((int(ids[x]), int(ids[y]), dist))
-        if not rows:
-            return empty
-        out = pd.DataFrame(rows, columns=["doc_a", "doc_b", "dist"])
-        return out.astype({"doc_a": "int64", "doc_b": "int64", "dist": "int64"})
+        dist = np.array(
+            [_lev_capped(texts[x], texts[y], d) for x, y in zip(ai, bi)],
+            np.int64,
+        )
+        keep = dist <= d
+        return pa.table(
+            {"doc_a": ids[ai[keep]], "doc_b": ids[bi[keep]],
+             "dist": dist[keep]}
+        )
 
-    return (
-        ds.map_batches(to_buckets, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
-        .sort(["doc_a", "doc_b"])
-    )
+    return _key_blocks(
+        ds.map_batches(to_buckets, batch_format="pyarrow"), "bucket", pairs
+    ).sort(["doc_a", "doc_b"])
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ user-facing operator, two SMALL exchanges + one bucket-local pass):
 3. exclusive cumsum over the sorted bucket sums (driver-side: one int
    per bucket — millions of buckets per 10¹² docs, broadcast via
    ``ray.put``);
-4. per-bucket ``map_groups``: sort the bucket's docs by doc_id, local
-   exclusive cumsum + the bucket's base offset.
+4. one key-block pass after ``sort(bucket)``: each block sorts its
+   docs by (bucket, doc_id); a doc's offset is its bucket's base plus
+   the block cumsum minus the cumsum at the bucket's first doc.
 
 Token counts use the whitespace rule (``\\S+``) shared with
 ``textstats.token_counts`` so the SQL oracle replays it exactly with
@@ -30,9 +31,10 @@ Token counts use the whitespace rule (``\\S+``) shared with
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from raysearch.util import _group_ids, _groups, _key_blocks
 
 WS_TOKEN_PATTERN = r"\S+"
 
@@ -67,28 +69,27 @@ def pack_offsets(ds, seq_len: int = 2048, *, bucket_size: int = 100_000):
     bases = np.cumsum(totals) - totals
     base_ref = ray.put((bucket_ids, bases))
 
-    def bucket_offsets(g: pd.DataFrame) -> pd.DataFrame:
+    def bucket_offsets(b: pa.Table) -> pa.Table:
         bucket_ids, bases = ray.get(base_ref)
-        g = g.sort_values("doc_id", kind="mergesort").reset_index(drop=True)
-        n = g.n_tokens.to_numpy()
-        pos = np.searchsorted(bucket_ids, int(g.bucket.iloc[0]))
-        start = int(bases[pos]) + (np.cumsum(n) - n)
+        b, starts = _groups(b, ["bucket", "doc_id"])
+        n = b["n_tokens"].to_numpy(zero_copy_only=False)
+        gid = _group_ids(starts, len(n))
+        # exclusive prefix sum restarted at each bucket + its base
+        excl = np.cumsum(n) - n
+        base = bases[np.searchsorted(bucket_ids, b["bucket"].to_numpy())]
+        start = base + excl - excl[starts][gid]
         last_tok = start + np.maximum(n, 1) - 1  # zero-width span for empty docs
-        return pd.DataFrame(
+        return pa.table(
             {
-                "doc_id": g.doc_id,
-                "n_tokens": n,
-                "start_off": start,
-                "chunk_first": start // seq_len,
-                "chunk_last": last_tok // seq_len,
+                "doc_id": b["doc_id"],
+                "n_tokens": pa.array(n, pa.int64()),
+                "start_off": pa.array(start, pa.int64()),
+                "chunk_first": pa.array(start // seq_len, pa.int64()),
+                "chunk_last": pa.array(last_tok // seq_len, pa.int64()),
             }
         )
 
-    return (
-        counted.groupby("bucket")
-        .map_groups(bucket_offsets, batch_format="pandas")
-        .sort("doc_id")
-    )
+    return _key_blocks(counted, "bucket", bucket_offsets).sort("doc_id")
 
 
 def chunk_manifest(ds, seq_len: int = 2048, *, bucket_size: int = 100_000):

@@ -24,7 +24,13 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from raysearch.util import round_half_away
+from raysearch.util import (
+    _group_ids,
+    _groups,
+    _key_blocks,
+    _ts_us,
+    round_half_away,
+)
 
 
 def revenue_by_flag(lineitem):
@@ -120,11 +126,13 @@ def sessionize(events, gap_minutes: int = 30, salt_unit: str = "day"):
     ``groupby(user_id)`` whose hot group was a single bot user's whole
     history):
 
-    1. ``groupby((user_id, time-bucket))`` sessionizes each bucket's
-       events locally into PARTIAL sessions (start, end, count,
-       unrounded sum) — the hot unit is one user-bucket, bounded by a
-       user's event rate × ``salt_unit``, not their lifetime;
-    2. ``groupby(user_id)`` merges partial-session SUMMARIES: sessions
+    1. a key-block pass after ``sort((user_id, time-bucket))``
+       sessionizes each bucket's events locally into PARTIAL sessions
+       (start, end, count, unrounded sum) — the hot unit is one
+       user-bucket, bounded by a user's event rate × ``salt_unit``,
+       not their lifetime;
+    2. a key-block pass after ``sort(user_id)`` merges partial-session
+       SUMMARIES: sessions
        are disjoint, start-sorted intervals, so the chain rule is one
        vectorized diff (merge adjacent partials when the inter-bucket
        gap ≤ the threshold) — per-user state is O(sessions + buckets),
@@ -148,58 +156,62 @@ def sessionize(events, gap_minutes: int = 30, salt_unit: str = "day"):
             }
         )
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        ts = g["ts"].to_numpy()
-        gap = np.diff(ts).astype("timedelta64[us]").astype(np.int64)
-        brk = np.concatenate(([0], (gap > gap_us).astype(np.int64)))
-        sid = np.cumsum(brk)
-        out = (
-            g.assign(_sid=sid)
-            .groupby("_sid", sort=True)
-            .agg(
-                session_start=("ts", "min"),
-                session_end=("ts", "max"),
-                n_events=("event_id", "size"),
-                sum_value=("value", "sum"),  # unrounded partial
-            )
-            .reset_index(drop=True)
-        )
-        out.insert(0, "user_id", g["user_id"].iloc[0])
-        return out
+    def sessions(t: pa.Table, starts: np.ndarray, lo, hi):
+        """Session starts of a block sorted by (key, time): a group
+        start, or a row whose ``lo`` is more than the gap after the
+        previous row's ``hi``."""
+        brk = np.ones(t.num_rows, bool)
+        brk[1:] = _ts_us(t[lo])[1:] - _ts_us(t[hi])[:-1] > gap_us
+        brk[starts] = True
+        return np.flatnonzero(brk)
 
-    def merge_user(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("session_start")
-        starts = g["session_start"].to_numpy()
-        ends = g["session_end"].to_numpy()
+    def per_bucket(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["user_id", "bucket", "ts", "event_id"], 2)
+        s = sessions(b, starts, "ts", "ts")
+        ends = np.append(s[1:], b.num_rows)
+        value = pc.fill_null(b["value"], 0).to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "user_id": b["user_id"].take(s),
+                "session_start": b["ts"].take(s),
+                "session_end": b["ts"].take(ends - 1),
+                "n_events": ends - s,
+                "sum_value": np.add.reduceat(value, s) if len(s) else value,
+            }
+        )
+
+    def merge_user(b: pa.Table) -> pa.Table:
         # partials are disjoint intervals in start order, so the
-        # predecessor's end IS ends[i-1]; merge when the gap closes
-        gap = (starts[1:] - ends[:-1]).astype("timedelta64[us]").astype(np.int64)
-        brk = np.concatenate(([0], (gap > gap_us).astype(np.int64)))
-        sid = np.cumsum(brk)
-        out = (
-            g.assign(session_id=sid)
-            .groupby("session_id", sort=True)
-            .agg(
-                session_start=("session_start", "min"),
-                session_end=("session_end", "max"),
-                n_events=("n_events", "sum"),
-                sum_value=("sum_value", "sum"),
-            )
-            .reset_index()
+        # predecessor's end IS the previous row's; merge when the gap
+        # closes
+        b, starts = _groups(b, ["user_id", "session_start"])
+        s = sessions(b, starts, "session_start", "session_end")
+        first = np.searchsorted(s, starts)  # each user's first session
+        ends = np.append(s[1:], b.num_rows)
+        n = b["n_events"].to_numpy()
+        value = b["sum_value"].to_numpy()
+        return pa.table(
+            {
+                "user_id": b["user_id"].take(s),
+                "session_id": np.arange(len(s)) - np.repeat(
+                    first, np.diff(np.append(first, len(s)))
+                ),
+                "session_start": b["session_start"].take(s),
+                "session_end": b["session_end"].take(ends - 1),
+                "n_events": np.add.reduceat(n, s) if len(s) else n,
+                "sum_value": round_half_away(
+                    np.add.reduceat(value, s) if len(s) else value, 4
+                ),
+            }
         )
-        out.insert(0, "user_id", g["user_id"].iloc[0])
-        out["sum_value"] = round_half_away(out["sum_value"].to_numpy(), 4)
-        return out
 
-    return (
+    partials = _key_blocks(
         events.select_columns(["user_id", "ts", "event_id", "value"])
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby(["user_id", "bucket"])
-        .map_groups(per_bucket, batch_format="pandas")
-        .groupby("user_id")
-        .map_groups(merge_user, batch_format="pandas")
+        .map_batches(add_bucket, batch_format="pyarrow"),
+        ["user_id", "bucket"],
+        per_bucket,
     )
+    return _key_blocks(partials, "user_id", merge_user)
 
 
 def asof_last_event(events, match_type: str = "error", salt_unit: str = "day"):
@@ -215,27 +227,28 @@ def asof_last_event(events, match_type: str = "error", salt_unit: str = "day"):
     1. small aggregates (partial-combined, so only distinct
        (user, bucket) partials shuffle): per-user-bucket Max match ts
        (``summaries``) and the distinct bucket timeline (``needed``);
-    2. a per-user ``map_groups`` prefix-max over the union of the two
-       → one CARRY row per (user, bucket) whose strictly-earlier
+    2. a per-user prefix-max over the union of the two (one key-block
+       pass after ``sort(user_id)``, one segmented cumulative max per
+       block) → one CARRY row per (user, bucket) whose strictly-earlier
        buckets contain a match, emitted as a PSEUDO MATCH EVENT
        ``(event_id=-1, ts=carry_ts, is_match=True)`` — carry_ts lies
        in an earlier bucket, so it sorts strictly before every real
        event of the bucket;
-    3. ONE event-scale ``groupby((user_id, bucket))`` over
-       events ∪ carry computes the in-bucket as-of with the carry
-       already in sort position (shift + ffill), then drops the
-       pseudo-rows.
+    3. ONE event-scale key-block pass over events ∪ carry, sorted by
+       (user_id, bucket), computes the in-bucket as-of with the carry
+       already in sort position (a running last-match index), then
+       drops the pseudo-rows.
 
     The carry attach is therefore a co-partitioned hash merge
-    expressed as a groupby — the same exchange a hash join would do,
+    expressed as a sort — the same exchange a hash join would do,
     without Ray Data's join operator (whose aggregator actors
     mis-handle partitions that receive no right-side blocks at small
-    scale).  No stage holds per-user state on the driver; the
-    per-user ``map_groups`` in step 2 sees O(buckets-per-user)
-    summary rows, never events.  ``match_type`` is compared with
-    ``pc.equal`` inside ``map_batches`` (not interpolated into a
-    filter expression).  Real ``event_id`` values are assumed
-    non-negative (−1 marks carry rows)."""
+    scale).  No stage holds per-user state on the driver; step 2
+    sees O(buckets-per-user) summary rows, never events.
+    ``match_type`` is compared with ``pc.equal`` inside
+    ``map_batches`` (not interpolated into a filter expression).  Real
+    ``event_id`` values are assumed non-negative (−1 marks carry
+    rows)."""
     from ray.data.aggregate import Count, Max
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -284,53 +297,71 @@ def asof_last_event(events, match_type: str = "error", salt_unit: str = "day"):
         summaries.map_batches(as_timeline_row, batch_format="pyarrow")
     )
 
-    def prefix_carry(g: pd.DataFrame) -> pa.Table:
-        # per bucket: max last_match (needed rows contribute NaT);
-        # carry for bucket i = max over STRICTLY earlier buckets.
-        # Prefix-max in int64 space: NaT == INT64_MIN loses to any
-        # real timestamp, so maximum.accumulate propagates across
-        # match-free buckets (pandas cummax does not reliably skip
-        # NaT on datetime columns).
-        per = g.groupby("bucket", sort=True)["last_match"].max().reset_index()
-        lm = per["last_match"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        nat = np.iinfo(np.int64).min
-        pref = np.maximum.accumulate(np.concatenate(([nat], lm[:-1])))
-        idx = np.flatnonzero(pref != nat)
-        uid_arr = pa.Array.from_pandas(g["user_id"])
+    nat = np.iinfo(np.int64).min
+
+    def prefix_carry(b: pa.Table) -> pa.Table:
+        # per (user, bucket): max last_match (needed rows are null);
+        # carry for bucket i = max over the user's STRICTLY earlier
+        # buckets.  One cumulative max over the whole block: dense
+        # ranks (0 = no match) offset by the user's index never let a
+        # value cross into the next user, whose offset is larger.
+        b, bstarts = _groups(b, ["user_id", "bucket"], 2)
+        lm = pc.fill_null(pc.cast(b["last_match"], pa.int64()), nat)
+        lm = lm.to_numpy()
+        per = np.maximum.reduceat(lm, bstarts) if len(lm) else lm
+        user = b["user_id"].to_numpy()[bstarts]
+        first = np.ones(len(per), bool)
+        first[1:] = user[1:] != user[:-1]
+        uniq, rank = np.unique(per, return_inverse=True)
+        rank = rank + (uniq[0] != nat if len(uniq) else 0)  # NaT → 0
+        base = np.cumsum(first) * (len(uniq) + 1)
+        pref = np.maximum.accumulate(rank + base) - base
+        prev = np.zeros(len(per), np.int64)
+        prev[1:] = pref[:-1]
+        prev[first] = 0  # nothing before a user's first bucket
+        idx = np.flatnonzero(prev > 0)
+        carry = np.concatenate(([nat], uniq[uniq != nat]))[prev[idx]]
         return pa.table(
             {
-                "user_id": pa.array([g["user_id"].iloc[0]] * len(idx), uid_arr.type),
-                "bucket": pa.array(per["bucket"].to_numpy()[idx], pa.int64()),
-                "ts": pa.array(
-                    pref[idx].view("datetime64[us]"), pa.timestamp("us")
-                ),
+                "user_id": b["user_id"].take(bstarts[idx]),
+                "bucket": b["bucket"].take(bstarts[idx]),
+                "ts": pa.array(carry, pa.int64()).cast(pa.timestamp("us")),
                 "event_id": pa.array(np.full(len(idx), -1, dtype=np.int64)),
                 "is_match": pa.array(np.ones(len(idx), dtype=bool)),
             }
         )
 
-    carry = timeline.groupby("user_id").map_groups(prefix_carry, batch_format="pandas")
+    carry = _key_blocks(timeline, "user_id", prefix_carry)
 
     # --- the single event-scale exchange ----------------------------------
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])  # carry row sorts first
-        is_m = g["is_match"].to_numpy()
-        ts = g["ts"].to_numpy()
-        prev = pd.Series(np.where(is_m, ts, np.datetime64("NaT"))).shift(1).ffill()
-        real = (g["event_id"].to_numpy() >= 0)
-        return pd.DataFrame(
+    def per_bucket(b: pa.Table) -> pa.Table:
+        # carry row sorts first: its ts lies in an earlier bucket
+        b, starts = _groups(b, ["user_id", "bucket", "ts", "event_id"], 2)
+        n = b.num_rows
+        pos = np.arange(n)
+        # each row's latest match strictly before it, in its group
+        last = np.maximum.accumulate(
+            np.where(pc.fill_null(b["is_match"], False).to_numpy(), pos, -1)
+        )
+        before = np.full(n, -1)
+        before[1:] = last[:-1]
+        before[before < starts[_group_ids(starts, n)]] = -1
+        real = b["event_id"].to_numpy() >= 0
+        prev = b["ts"].take(np.maximum(before, 0))
+        prev = prev.to_numpy(zero_copy_only=False)
+        return pa.table(
             {
-                "event_id": g["event_id"].to_numpy()[real],
-                "user_id": g["user_id"].to_numpy()[real],
-                "ts": ts[real],
-                "prev_match_ts": prev.to_numpy().astype("datetime64[us]")[real],
+                "event_id": b["event_id"].filter(real),
+                "user_id": b["user_id"].filter(real),
+                "ts": b["ts"].filter(real),
+                "prev_match_ts": pa.array(
+                    prev[real], pa.timestamp("us"), mask=(before < 0)[real]
+                ),
             }
         )
 
-    return (
-        bucketed.union(carry)
-        .groupby(["user_id", "bucket"])
-        .map_groups(per_bucket, batch_format="pandas")
+    return _key_blocks(
+        bucketed.union(carry), ["user_id", "bucket"], per_bucket
     )
 
 
@@ -489,19 +520,19 @@ def funnel_counts(events, steps: list[str]):
     recurrence: t_k = min ts of step_k with ts > t_{k-1}).
 
     Plan: filter to the step types at the READ (pushdown; the stream
-    shrinks before anything moves) → ``groupby(user_id).map_groups``
-    with a vectorized per-user scan (per-step sorted time arrays +
-    ``np.searchsorted``, O(events·log + k) per user) → per-user
-    reached-level rows → a ≤ k-row count fold.  Skew note: a hot user
-    (bot) costs one group's sort — for adversarial skew the same
+    shrinks before anything moves) → one key-block pass after
+    ``sort(user_id)``: k vectorized steps over each block's users (a
+    per-user ``np.minimum.at`` of the step's times after the user's
+    previous step) → per-user reached-level rows → a ≤ k-row count
+    fold.  Skew note: a hot user (bot) lands in one block — for
+    adversarial skew the same
     recurrence decomposes into k aggregate+join passes (t_k =
     ``groupby(user).Min`` after a copartition join of t_{k-1}), all
-    shuffle-bounded by distinct users; the map_groups form is the
+    shuffle-bounded by distinct users; the key-block form is the
     right default while per-user step events fit a worker heap."""
     from ray.data.aggregate import Count
 
     k = len(steps)
-    step_idx = {s: i for i, s in enumerate(steps)}
     step_set = pa.array(steps, pa.string())
 
     events = events.map_batches(
@@ -509,27 +540,24 @@ def funnel_counts(events, steps: list[str]):
         batch_format="pyarrow",
     )
 
-    def reach(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("ts", kind="mergesort")
-        ts = g["ts"].to_numpy()
-        si = g["event_type"].map(step_idx).to_numpy()
-        level = 0
-        t = None
+    def reach(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["user_id"])
+        gid = _group_ids(starts, b.num_rows)
+        ts = _ts_us(b["ts"])
+        si = pc.index_in(b["event_type"], value_set=step_set)
+        si = si.to_numpy(zero_copy_only=False)
+        # t: each user's time of the last step reached (max: stuck)
+        t = np.full(len(starts), np.iinfo(np.int64).min)
+        level = np.zeros(len(starts), np.int64)
         for i in range(k):
-            arr = ts[si == i]
-            if t is not None:
-                pos = np.searchsorted(arr, t, side="right")
-                arr = arr[pos:]
-            if not len(arr):
-                break
-            t = arr[0]
-            level += 1
-        return pd.DataFrame({"level": [np.int64(level)]})
+            hit = (si == i) & (ts > t[gid])
+            nxt = np.full(len(starts), np.iinfo(np.int64).max)
+            np.minimum.at(nxt, gid[hit], ts[hit])
+            level += nxt < np.iinfo(np.int64).max
+            t = nxt
+        return pa.table({"level": level})
 
-    levels = (
-        events.groupby("user_id")
-        .map_groups(reach, batch_format="pandas")
-    )
+    levels = _key_blocks(events, "user_id", reach)
 
     def explode(b: pa.Table) -> pa.Table:
         lv = b["level"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -746,7 +774,7 @@ def event_pairs(events):
     if len(vocab) > 63:
         raise ValueError(
             f"event_pairs bitmask path supports <= 63 types, got "
-            f"{len(vocab)}; use a map_groups per-user path for open "
+            f"{len(vocab)}; use a per-user key-block pass for open "
             f"type vocabularies"
         )
     bit = {t: i for i, t in enumerate(vocab)}
@@ -1203,39 +1231,39 @@ def order_gaps(orders):
     (ts-sorted, o_orderkey tie-break).  All integers — no float mean
     to cross engines; a consumer derives mean = sum/n exactly.
 
-    Plan: one ``groupby(o_custkey)`` (the funnel_counts precedent for
-    per-entity ordered scans; per-group work is a vectorized sort +
-    diff, state bounded by a customer's order count — same skew note
-    as funnel_counts).  Output ``(o_custkey, n_gaps, sum_gap_us,
-    min_gap_us, max_gap_us)`` sorted."""
+    Plan: one key-block pass after ``sort(o_custkey)`` (the
+    funnel_counts precedent for per-entity ordered scans): each block
+    sorts by (customer, date, orderkey), diffs neighbouring rows of a
+    customer and folds the gaps with one Arrow ``group_by`` — state
+    bounded by a block, same skew note as funnel_counts.  Output
+    ``(o_custkey, n_gaps, sum_gap_us, min_gap_us, max_gap_us)``
+    sorted."""
 
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_orderdate", "o_orderkey"], kind="mergesort")
-        ts = g["o_orderdate"].to_numpy()
-        if len(ts) < 2:
-            return pd.DataFrame(
-                columns=[
-                    "o_custkey", "n_gaps", "sum_gap_us",
-                    "min_gap_us", "max_gap_us",
-                ]
-            ).astype(np.int64)
-        d = np.diff(ts).astype("timedelta64[us]").astype(np.int64)
-        return pd.DataFrame(
+    def gaps(b: pa.Table) -> pa.Table:
+        b, starts = _groups(b, ["o_custkey", "o_orderdate", "o_orderkey"])
+        ts = _ts_us(b["o_orderdate"])
+        later = np.ones(len(ts), bool)
+        later[starts] = False  # rows with a predecessor in their group
+        d = pa.table({"g": _group_ids(starts, len(ts))[later],
+                      "d": np.diff(ts, prepend=0)[later]})
+        agg = d.group_by("g", use_threads=False).aggregate(
+            [("d", "count"), ("d", "sum"), ("d", "min"), ("d", "max")]
+        )
+        return pa.table(
             {
-                "o_custkey": [np.int64(g["o_custkey"].iloc[0])],
-                "n_gaps": [np.int64(len(d))],
-                "sum_gap_us": [np.int64(d.sum())],
-                "min_gap_us": [np.int64(d.min())],
-                "max_gap_us": [np.int64(d.max())],
+                "o_custkey": b["o_custkey"].take(starts[agg["g"].to_numpy()]),
+                "n_gaps": agg["d_count"],
+                "sum_gap_us": agg["d_sum"],
+                "min_gap_us": agg["d_min"],
+                "max_gap_us": agg["d_max"],
             }
         )
 
-    return (
-        orders.select_columns(["o_custkey", "o_orderkey", "o_orderdate"])
-        .groupby("o_custkey")
-        .map_groups(gaps, batch_format="pandas")
-        .sort("o_custkey")
-    )
+    return _key_blocks(
+        orders.select_columns(["o_custkey", "o_orderkey", "o_orderdate"]),
+        "o_custkey",
+        gaps,
+    ).sort("o_custkey")
 
 
 def order_gaps_sql() -> str:

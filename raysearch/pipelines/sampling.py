@@ -28,9 +28,10 @@ engine↔oracle comparison use integers only (no float boundary rows).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from raysearch.util import _group_head, _key_blocks
 
 #: Fibonacci-hash multiplier (2⁶⁴/φ, odd — a bijection mod 2⁶⁴) and an
 #: arbitrary odd offset so id 0 is not a fixed point.
@@ -94,29 +95,21 @@ def group_topn(ds, *, group_col: str, order_col: str, n: int,
     block-local top-n row under the same comparator).
 
     Output: ``(group_col, id_col, order_col, rk)`` with ``rk`` 1-based
-    within the group.  The only all-to-all is over candidate rows
-    (≤ blocks × groups × n)."""
-    asc = [True, not descending, True]
-    cols = [group_col, order_col, id_col]
+    within the group.  Each block keeps its per-group top ``n``
+    (:func:`raysearch.util._group_head`); the only all-to-all is the
+    key-block pass over those candidate rows (≤ blocks × groups × n),
+    which selects again.  Rows whose ``group_col`` is null are dropped
+    before it (Ray 2.49's sort raises on a null in a string key)."""
+    order = "descending" if descending else "ascending"
+    keys = [group_col, (order_col, order), id_col]
 
-    def partial(b: pa.Table) -> pa.Table:
-        df = b.select(cols).to_pandas()
-        df = df.sort_values(cols, ascending=asc, kind="mergesort")
-        return pa.Table.from_pandas(df.groupby(group_col, sort=False).head(n),
-                                    preserve_index=False)
+    def top(b: pa.Table) -> pa.Table:
+        b, rk = _group_head(b.filter(pc.is_valid(b[group_col])), keys, n)
+        return pa.table({group_col: b[group_col], id_col: b[id_col],
+                         order_col: b[order_col], "rk": rk})
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([order_col, id_col],
-                          ascending=[not descending, True], kind="mergesort").head(n)
-        g = g.reset_index(drop=True)
-        g["rk"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[[group_col, id_col, order_col, "rk"]]
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(final, batch_format="pandas")
-    )
+    return _key_blocks(ds.map_batches(top, batch_format="pyarrow"), group_col,
+                       top)
 
 
 def split_dataset(ds, fractions: dict[str, float], *, id_col: str = "doc_id"):
@@ -305,32 +298,29 @@ def group_sample_k(ds, k: int, *, group_col: str = "lang",
 
     Plan shape = :func:`group_topn` under the hash order: per-block
     per-group partial bottom-``k`` (each block emits ≤ groups×k rows),
-    then one SMALL ``groupby(group).map_groups`` over candidates —
-    the corpus is never shuffled.  Output ``(group_col, rk, id_col)``
-    with ``rk`` 1-based within the group; sorted by (group, rk) to pin
-    the row order for value-hash comparison."""
-    cols = [group_col, id_col]
+    then the same selection in one key-block pass over the candidates
+    (:func:`raysearch.util._key_blocks`) — the corpus is never
+    shuffled.  Output ``(group_col, rk, id_col)`` with ``rk`` 1-based
+    within the group; sorted by (group, rk) to pin the row order for
+    value-hash comparison.  Rows with a null group are dropped, as in
+    :func:`group_topn`."""
+
+    def bottom_k(b: pa.Table) -> pa.Table:
+        b, rk = _group_head(b, [group_col, "_key"], k)
+        return pa.table({group_col: b[group_col], "rk": rk,
+                         id_col: b[id_col], "_key": b["_key"]})
 
     def partial(b: pa.Table) -> pa.Table:
+        b = b.filter(pc.is_valid(b[group_col]))
         ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
         key = ids * np.uint64(HASH_MUL) + np.uint64(HASH_ADD)
-        df = b.select(cols).to_pandas()
-        df["_key"] = key
-        df = df.sort_values([group_col, "_key"], kind="mergesort")
-        return pa.Table.from_pandas(
-            df.groupby(group_col, sort=False).head(k), preserve_index=False
-        )
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("_key", kind="mergesort").head(k)
-        g = g.reset_index(drop=True)
-        g["rk"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[[group_col, "rk", id_col]]
+        return bottom_k(b.select([group_col, id_col]).append_column(
+            "_key", pa.array(key, pa.uint64())))
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .map_groups(final, batch_format="pandas")
+        _key_blocks(ds.map_batches(partial, batch_format="pyarrow"),
+                    group_col, bottom_k)
+        .drop_columns(["_key"])
         .sort([group_col, "rk"])
     )
 

@@ -12,8 +12,10 @@ adversarial key distributions), rows within a bucket sorted by key,
 one file per bucket with a fixed name — so a completed tree is
 byte-stable under re-runs and a resumed run cannot duplicate rows.
 
-Scale notes: one ``groupby(bucket)`` shuffle is the partitioning the
-output layout demands anyway; a bucket's rows gather in ONE task, so
+Scale notes: one ``sort(bucket)`` shuffle is the partitioning the
+output layout demands anyway; a bucket's rows gather in ONE block,
+whose task writes all of its buckets straight from Arrow (column
+types reach the file unchanged), so
 size ``n_buckets`` ≈ data_bytes / target_file_bytes (docstring of
 :func:`write_resumable`).  Marker writes are driver-side renames —
 O(n_buckets) tiny files, after the distributed write completes.
@@ -29,6 +31,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from raysearch.util import _groups, _key_blocks
 
 
 def _bucket_dir(out_dir: str, b: int) -> str:
@@ -85,26 +89,27 @@ def write_resumable(ds, out_dir: str, key_col: str, n_buckets: int = 64):
         t = t.filter(pa.array(keep))
         return t.append_column("bucket", pa.array(b[keep], pa.int64()))
 
-    def write_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        b = int(g["bucket"].iloc[0])
-        g = g.drop(columns=["bucket"]).sort_values(key_col, kind="mergesort")
-        d = _bucket_dir(out_dir, b)
-        os.makedirs(d, exist_ok=True)
-        tmp = os.path.join(d, "part-0.parquet.tmp")
-        pq.write_table(
-            pa.Table.from_pandas(g, preserve_index=False), tmp
-        )
-        os.replace(tmp, os.path.join(d, "part-0.parquet"))
-        return pd.DataFrame(
-            {"bucket": [np.int64(b)], "n_rows": [np.int64(len(g))]}
+    def write_buckets(t: pa.Table) -> pa.Table:
+        t, starts = _groups(t, ["bucket", key_col])
+        ends = np.append(starts[1:], t.num_rows)
+        buckets = t["bucket"].to_numpy(zero_copy_only=False)[starts]
+        t = t.drop(["bucket"])
+        for b, s, e in zip(buckets, starts, ends):
+            d = _bucket_dir(out_dir, b)
+            os.makedirs(d, exist_ok=True)
+            tmp = os.path.join(d, "part-0.parquet.tmp")
+            pq.write_table(t.slice(s, e - s), tmp)
+            os.replace(tmp, os.path.join(d, "part-0.parquet"))
+        return pa.table(
+            {"bucket": pa.array(buckets, pa.int64()),
+             "n_rows": pa.array(ends - starts, pa.int64())}
         )
 
-    written = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(write_bucket, batch_format="pandas")
-        .to_pandas()  # ≤ n_buckets rows
-    )
+    written = _key_blocks(
+        ds.map_batches(add_bucket, batch_format="pyarrow"),
+        "bucket",
+        write_buckets,
+    ).to_pandas()  # ≤ n_buckets rows
     counts = dict(
         zip(
             written["bucket"].astype(int),

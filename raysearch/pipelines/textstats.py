@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from raysearch.lex import Lexer
-from raysearch.util import round_half_away
+from raysearch.util import _group_head, _key_blocks, round_half_away
 
 #: fixed stop list for quality metrics — mirrored verbatim in oracle SQL
 QUALITY_STOPWORDS = ("the", "a", "of", "and", "or", "in", "on", "to")
@@ -40,8 +40,8 @@ class _TokenizeBatch:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        parent, terms = self.lexer.token_parent_pairs(batch["text"])
-        if not len(terms):
+        parent, codes, uniq = self.lexer.token_parent_codes(batch["text"])
+        if not len(codes):
             return pa.table(
                 {
                     "doc_id": pa.array([], pa.int64()),
@@ -49,7 +49,6 @@ class _TokenizeBatch:
                     "tf": pa.array([], pa.int64()),
                 }
             )
-        codes, uniq = pd.factorize(terms)
         key = parent.astype(np.int64) * len(uniq) + codes
         ukeys, counts = np.unique(key, return_counts=True)
         rows = ukeys // len(uniq)
@@ -801,23 +800,20 @@ def lang_id_ngram(
     omitted (the SQL oracle's inner join agrees).
 
     Scale shape: training-id selection is a metadata-only pass
-    (doc_id + lang columns, one tiny per-lang groupby); profile
-    construction touches only train_n×n_langs docs and the resulting
-    profiles (n_langs × M packed int64) are ray.put-broadcast into a
-    vectorized ``map_batches`` classify stage — no shuffle over the
-    corpus, no driver-side structure that grows with it."""
+    (doc_id + lang columns, one key-block pass after ``sort(lang)``);
+    profile construction touches only train_n×n_langs docs and the
+    resulting profiles (n_langs × M packed int64) are ray.put-broadcast
+    into a vectorized ``map_batches`` classify stage — no shuffle over
+    the corpus, no driver-side structure that grows with it."""
     import ray
 
     # ---- phase 1: smallest train_n doc_ids per language (no text) ----
-    def _take_ids(group: pd.DataFrame) -> pd.DataFrame:
-        return group.nsmallest(train_n, "doc_id")[["doc_id", "lang"]]
+    def _take_ids(b: pa.Table) -> pa.Table:
+        return _group_head(b, ["lang", "doc_id"], train_n)[0]
 
-    train_ids = (
-        ds.select_columns(["doc_id", "lang"])
-        .groupby("lang")
-        .map_groups(_take_ids, batch_format="pandas")
-        .to_pandas()
-    )
+    train_ids = _key_blocks(
+        ds.select_columns(["doc_id", "lang"]), "lang", _take_ids
+    ).to_pandas()
     id_set = set(train_ids["doc_id"].tolist())
     lang_of = dict(zip(train_ids["doc_id"], train_ids["lang"]))
 
@@ -2010,8 +2006,8 @@ def keyterms_topk(ds, n: int = 3):
       per-doc top-``n`` with one vectorized lexsort — the big table is
       never shuffled at all;
     * above the limit: :func:`raysearch.util.copartition_attach` joins
-      df onto the (doc_id, term, tf) rows by term, then a
-      ``groupby(doc_id).map_groups`` window takes the per-doc head —
+      df onto the (doc_id, term, tf) rows by term, then a key-block
+      pass after ``sort(doc_id)`` takes the per-doc head —
       both exchanges bounded by Σ per-doc distinct terms, the
       postings_tf/A1 bound; the vocabulary never reaches the driver.
 
@@ -2112,20 +2108,13 @@ def keyterms_topk(ds, n: int = 3):
         {"df": i64},
     )
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["tf", "df", "term"], ascending=[False, True, True],
-            kind="mergesort",
-        ).head(n)
-        g = g.reset_index(drop=True)
-        g["rk"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["doc_id", "rk", "term", "tf", "df"]]
+    def final(b: pa.Table) -> pa.Table:
+        keys = ["doc_id", ("tf", "descending"), "df", "term"]
+        b, rk = _group_head(b, keys, n)
+        return pa.table({"doc_id": b["doc_id"], "rk": rk, "term": b["term"],
+                         "tf": b["tf"], "df": b["df"]})
 
-    return (
-        joined.groupby("doc_id")
-        .map_groups(final, batch_format="pandas")
-        .sort(["doc_id", "rk"])
-    )
+    return _key_blocks(joined, "doc_id", final).sort(["doc_id", "rk"])
 
 
 def lang_bigrams(ds, k: int = 10):

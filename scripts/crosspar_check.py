@@ -58,6 +58,20 @@ DEFAULT_QUERIES = [
     "tool_latency",
     "conv_similarity_pairs",
     "conv_curation",
+    # key-block passes (raysearch.util._key_blocks) outside convstats
+    "group_topn",
+    "events_sessionize",
+    "events_asof_join",
+    "funnel_counts",
+    "order_gaps",
+    "keyterms_topk",
+    "lang_id_ngram",
+    "pack_offsets",
+    "jaccard_pairs_exact",
+    "prefix_jaccard_pairs",
+    "ngram_jaccard_pairs",
+    "resumable_sink",
+    "lang_mismatch",
 ]
 
 

@@ -1,4 +1,4 @@
-"""Whole-conversation block passes (``convstats._key_blocks``):
+"""Whole-conversation block passes (``raysearch.util._key_blocks``):
 ``conv_curation``, ``conv_dedup``, ``sft_pairs``, ``conv_truncate``,
 ``assistant_share``, ``turn_gap_stats``, ``tool_latency``,
 ``role_transitions``, ``role_run_stats`` and ``tool_ngrams`` against

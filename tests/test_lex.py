@@ -104,9 +104,11 @@ def test_vectorized_batch_equals_scalar():
             "   ",
             "x2 ёж foo-bar",
         ]
-        parent, lemmas = lexer.token_parent_pairs(pa.array(texts, pa.string()))
+        parent, codes, uniq = lexer.token_parent_codes(
+            pa.array(texts, pa.string())
+        )
         got: dict[int, list[str]] = {}
-        for p, l in zip(parent.tolist(), lemmas.tolist()):
+        for p, l in zip(parent.tolist(), uniq[codes].tolist()):
             got.setdefault(p, []).append(l)
         for i, text in enumerate(texts):
             assert got.get(i, []) == lexer.tokenize(text), (mode, i)

@@ -141,14 +141,14 @@ def test_rebuild_partition_restores_index(two_indexes, monkeypatch):
 
 
 def test_rebuild_partition_by_conv_id(two_indexes, monkeypatch):
-    from raysearch.build import partition_of, rebuild_partition
+    from raysearch.build import partitions_of, rebuild_partition
     from raysearch.gen import conv_name
 
     corpus, full, tmp = two_indexes
     redo = str(tmp / "redo_conv")
     shutil.copytree(full, redo)
-    pid = partition_of(redo, conv_name(7))
-    assert 0 <= pid < 4
+    pids = partitions_of(redo, conv_name(7))
+    assert pids and all(0 <= p < 4 for p in pids)
     assert rebuild_partition(corpus, redo, conv_id=conv_name(7))["delta_values"] > 0
     assert _decoded_postings(redo) == _decoded_postings(full)
     _compact(monkeypatch, corpus, redo, conv_id=conv_name(7))

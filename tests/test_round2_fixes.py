@@ -120,15 +120,15 @@ def test_batch_scalar_lowercase_identity():
     text = "boiling 373K exactly"
     for mode in ("latin", "simple"):
         lexer = Lexer(mode)
-        parent, lemmas = lexer.token_parent_pairs(pa.array([text]))
-        batch_tokens = sorted(lemmas.tolist())
+        parent, codes, uniq = lexer.token_parent_codes(pa.array([text]))
+        batch_tokens = sorted(uniq[codes].tolist())
         scalar_tokens = sorted(lexer.tokenize(text))
         assert batch_tokens == scalar_tokens
 
 
 def test_partitions_of_straddling_conv(tmp_path):
     """A conv covered by files in two partitions must report both."""
-    from raysearch.build import partition_of, partitions_of
+    from raysearch.build import partitions_of
 
     out = tmp_path / "idx"
     out.mkdir()
@@ -155,7 +155,6 @@ def test_partitions_of_straddling_conv(tmp_path):
     with open(out / "input_meta.json", "w") as f:
         json.dump(meta, f)
     assert partitions_of(str(out), "conv-009") == [0, 1]
-    assert partition_of(str(out), "conv-009") == 0
     with pytest.raises(KeyError):
         partitions_of(str(out), "conv-999")
 
