@@ -814,12 +814,12 @@ def _q_transcripts_bm25(sf_dir: str):
 
 
 def _q_transcripts_bm25_or(sf_dir: str):
-    """OR-mode (disjunctive) block-max WAND top-k over the fixture
-    queries (round 5, final block) — the driver-checked row for the
-    search_or path (previously pytest-only): every returned score is
-    exactly computed after pruning, so the disjunctive SQL twin
-    (same BM25 expression, candidates = docs with ANY surviving
-    term) must value-match.  Driver-side loop over the fixture
+    """OR-mode (disjunctive) top-k over the fixture queries (round 5,
+    final block) — the driver-checked row for the search_or path
+    (previously pytest-only): it scores the exact union of the query
+    terms' postings, so the disjunctive SQL twin (same BM25
+    expression, candidates = docs with ANY kept term) must
+    value-match.  Driver-side loop over the fixture
     queries — bounded at queries × k rows."""
     import pandas as pd
 
@@ -2885,10 +2885,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # via transcripts_bm25_sql and bm25_topk above the cap (oracle
         # retained below the cap).
         # round 5 (final): transcripts_bm25_or admitted above the cap
-        # (new gate row — the disjunctive block-max WAND path
-        # search_or, previously pytest-only, now value-checked against
-        # a same-scorer SQL twin whose candidates are docs with ANY
-        # surviving term); assistant_share demoted — its token count
+        # (new gate row — the disjunctive path search_or, previously
+        # pytest-only, now value-checked against a same-scorer SQL
+        # twin whose candidates are docs with ANY kept term);
+        # assistant_share demoted — its token count
         # and integer basis-point band (convstats._simple_tokens /
         # _share_band) are the ones conv_curation's block pass applies
         # above the cap (oracle + pytest + crosspar retained).

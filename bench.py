@@ -77,7 +77,7 @@ def _build(corpus: str, out: str) -> dict:
 
 def _query_bench(index_dir: str, n_queries: int = 200) -> dict:
     """Warm single-searcher per-query latency (p50/p95) + conjunctive
-    and OR-mode (block-max WAND) throughput."""
+    and OR-mode (exact-union) throughput."""
     import numpy as np
 
     from raysearch.search import IndexSearcher

@@ -25,6 +25,9 @@ Reference semantics reproduced (cites into /root/reference):
   relevance = Σ tf over query lemmas; relevance = abs / max(abs).
 * BM25 scorer — the north-star primary: k1=1.2, b=0.75,
   idf = ln((N - df + 0.5)/(df + 0.5) + 1).
+* OR mode (no reference analog) — BM25 over the exact union of the
+  query lemmas' postings, the same per-term contribution summed over
+  the terms a doc holds.
 * result order — score desc then doc_id asc (pinned tie-break; the
   reference leaves ties to HashMap order, SearchServiceImpl.java:59,70).
 """
@@ -207,3 +210,29 @@ def search_postings(
     )
     top_ids, top_scores = rank_results(cand, scores, k)
     return top_ids, top_scores, int(cand.size)
+
+
+def search_postings_or(
+    postings: list[TermPostings],
+    n_docs: int,
+    doc_norms: np.ndarray,
+    k: int = 10,
+    doc_offset: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Disjunctive (OR-mode) BM25 top-k over the exact union of the
+    postings (rarest-first order): each doc's score is the sum of the
+    contributions of the terms it holds, added term by term in the
+    given order.  ``doc_norms`` is :func:`precompute_norms` output
+    indexed by ``doc_id - doc_offset`` (a shard's range)."""
+    if not postings:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    lists = [p.doc_ids for p in postings]
+    docs = lists[0] if len(lists) == 1 else np.unique(np.concatenate(lists))
+    norm = doc_norms[docs - doc_offset]
+    scores = np.zeros(docs.size, dtype=np.float64)
+    for p in postings:
+        at = np.searchsorted(docs, p.doc_ids)
+        idf = bm25_idf(p.df, n_docs)
+        tf = p.tfs.astype(np.float64)
+        scores[at] += idf * (tf * (BM25_K1 + 1.0)) / (tf + norm[at])
+    return rank_results(docs, scores, k)

@@ -36,14 +36,10 @@ resolves the ``merged`` link once, at open, and reads every later file
 directory, which no build rewrites.
 
 Posting cache: one byte-bounded LRU keyed by term holds each decoded
-posting list together with its per-``BLOCK``-doc tf maxima, computed
-once at fetch from the decoded tfs (``np.maximum.reduceat``), so the
-bounds are exact however the stored rows cut the list.  For conjunctive
-top-k the searcher scores the exact candidate set (reference semantics
-demand it — the candidate count is part of the response,
-SearchServiceImpl.java:66); the block maxima give ``max_score`` upper
-bounds used by the disjunctive (OR-mode) WAND path ``search_or`` to
-skip blocks that cannot reach the current heap threshold.
+posting list.  Both modes score exact sets (reference semantics demand
+it for AND — the candidate count is part of the response,
+SearchServiceImpl.java:66): conjunctive ``search`` the intersection,
+disjunctive ``search_or`` the union of the query terms' lists.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ import itertools
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
@@ -71,19 +66,15 @@ from raysearch.build import (
 )
 from raysearch.lex import Lexer, validate_query
 from raysearch.scoring import (
-    BM25_B,
-    BM25_K1,
     TermPostings,
-    bm25_idf,
     order_query_terms,
     precompute_norms,
-    rank_results,
     search_postings,
+    search_postings_or,
 )
 from raysearch.snippet import build_snippet
 
-BLOCK = 128  # docs per block-max entry
-TERM_CACHE_BYTES = 1 << 30  # decoded postings + block maxima per searcher
+TERM_CACHE_BYTES = 1 << 30  # decoded doc ids + tfs per searcher
 LAZY_BUCKETS = 64  # per-bucket lexicon slices a lazy searcher keeps
 
 
@@ -127,18 +118,6 @@ def _lex_rows(lex: pa.Table) -> list[tuple[int, ...]]:
             )
         )
     )
-
-
-@dataclass
-class CachedPostings(TermPostings):
-    """A term-cache entry: the decoded posting list plus the tf maximum
-    of each ``BLOCK``-doc block of it."""
-
-    block_max: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return self.doc_ids.nbytes + self.tfs.nbytes + self.block_max.nbytes
 
 
 class IndexSearcher:
@@ -213,7 +192,7 @@ class IndexSearcher:
         # term LRU: repeated queries share terms (Zipf), so decoded
         # postings are kept hot.  Byte-bounded so a searcher over a huge
         # index stays within its actor heap.
-        self._term_cache: OrderedDict[str, CachedPostings] = OrderedDict()
+        self._term_cache: OrderedDict[str, TermPostings] = OrderedDict()
         self._term_cache_bytes = 0
 
         # doc lengths (BM25 length normalization) for the owned range
@@ -256,7 +235,8 @@ class IndexSearcher:
 
     def _bucket_map(self, b: int) -> dict[str, tuple]:
         """term → lexicon row (see ``_lex_rows``) for one bucket,
-        LRU-cached."""
+        LRU-cached.  A bucket without a slice holds no term, but only
+        while the generation is there: a retired one raises."""
         hit = self._bucket_cache.get(b)
         if hit is not None:
             self._bucket_cache.move_to_end(b)
@@ -266,6 +246,8 @@ class IndexSearcher:
         if os.path.exists(lex_path):
             lt = ipc.open_file(lex_path).read_all()
             out = dict(zip(_pylist(lt["term"]), _lex_rows(lt)))
+        elif not os.path.isdir(self.generation):
+            raise FileNotFoundError(f"index generation {self.generation} was retired")
         self._bucket_cache[b] = out
         while len(self._bucket_cache) > LAZY_BUCKETS:
             self._bucket_cache.popitem(last=False)
@@ -308,11 +290,11 @@ class IndexSearcher:
             doc_ids, tfs = doc_ids[lo:hi], tfs[lo:hi]
         return doc_ids, tfs
 
-    def fetch_postings(self, term: str) -> CachedPostings | None:
+    def fetch_postings(self, term: str) -> TermPostings | None:
         """The term's decoded posting list (in this searcher's doc
-        range) with its block maxima, through the term LRU: its base
-        rows without the masked docs, with its delta rows inserted in
-        doc order (base and delta docs are disjoint)."""
+        range), through the term LRU: its base rows without the masked
+        docs, with its delta rows inserted in doc order (base and delta
+        docs are disjoint)."""
         entry = self._lookup(term)
         if entry is None:
             return None
@@ -341,14 +323,12 @@ class IndexSearcher:
             return None
         # copies: a view of the slice would pin the whole row group's
         # buffers, which the cache's byte count would not see
-        doc_ids, tfs = doc_ids.copy(), tfs.copy()
-        block_max = np.maximum.reduceat(tfs, np.arange(0, len(tfs), BLOCK))
-        out = CachedPostings(term, df, doc_ids, tfs, block_max.astype(np.float64))
+        out = TermPostings(term, df, doc_ids.copy(), tfs.copy())
         self._term_cache[term] = out
-        self._term_cache_bytes += out.nbytes
+        self._term_cache_bytes += doc_ids.nbytes + tfs.nbytes
         while self._term_cache_bytes > TERM_CACHE_BYTES and self._term_cache:
             _, old = self._term_cache.popitem(last=False)
-            self._term_cache_bytes -= old.nbytes
+            self._term_cache_bytes -= old.doc_ids.nbytes + old.tfs.nbytes
         return out
 
     # -- query plan (J5 + K1/K2 analog) -----------------------------------
@@ -412,90 +392,18 @@ class IndexSearcher:
             doc_offset=self.doc_lo,
         )
 
-    # -- disjunctive block-max WAND top-k ----------------------------------
-
-    def _score_union(self, docs: np.ndarray, infos) -> np.ndarray:
-        """Exact OR-mode BM25 scores for the given (sorted, in-range)
-        doc set: Σ over matching terms, vectorized membership via
-        searchsorted into each decoded posting list."""
-        scores = np.zeros(len(docs), dtype=np.float64)
-        norm = self.doc_norms[docs - self.doc_lo]
-        for p, idf in infos:
-            pos = np.minimum(np.searchsorted(p.doc_ids, docs), len(p.doc_ids) - 1)
-            hit = p.doc_ids[pos] == docs
-            tf = np.where(hit, p.tfs[pos], 0).astype(np.float64)
-            scores += np.where(
-                hit, idf * (tf * (BM25_K1 + 1.0)) / (tf + norm), 0.0
-            )
-        return scores
+    # -- disjunctive top-k ---------------------------------------------------
 
     def search_or(self, query: str, k: int = 10) -> tuple[np.ndarray, np.ndarray]:
-        """OR-semantics BM25 top-k with vectorized block-max pruning.
-
-        Per-term, per-``BLOCK``-doc tf maxima bound each block's
-        best possible contribution (dl→0 normalization).  A threshold θ
-        is seeded by exactly scoring each term's single best block;
-        then a block b of term t is pruned when
-        ``ub_t[b] < θ − Σ_{t'≠t} max(ub_t')`` — any doc all of whose
-        blocks are pruned satisfies bound(doc) < θ (its own block's
-        inequality already absorbs every other term's maximum), so the
-        union of surviving blocks' docs is a superset of the true
-        top-k.  Surviving docs are scored exactly; every returned score
-        is fully computed."""
-        terms = self.query_terms(query)
-        empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        if not terms:
-            return empty
-        infos = []
-        for t in terms:
-            p = self.fetch_postings(t)
-            if p is None:
-                continue
-            infos.append((p, bm25_idf(p.df, self.n_docs)))
-        if not infos:
-            return empty
-
-        # per-term block upper bounds
-        ubs = [
-            idf * (BM25_K1 + 1.0) * p.block_max
-            / (p.block_max + BM25_K1 * (1.0 - BM25_B))
-            for p, idf in infos
+        """OR-semantics BM25 top-k over the exact union of the query
+        terms' postings in this searcher's doc range
+        (``scoring.search_postings_or``)."""
+        postings = [
+            p for p in map(self.fetch_postings, self.query_terms(query)) if p is not None
         ]
-        max_ub = np.array([u.max() if len(u) else 0.0 for u in ubs])
-
-        # θ seed: exact scores of each term's best block's docs
-        seed = []
-        for (p, _idf), u in zip(infos, ubs):
-            if not len(u):
-                continue
-            b = int(np.argmax(u))
-            seed.append(p.doc_ids[b * BLOCK : (b + 1) * BLOCK])
-        seed_docs = np.unique(np.concatenate(seed)) if seed else np.empty(0, np.int64)
-        # A seed of fewer than k docs (a shard's lists hold only its
-        # range's docs) only means no θ bound is available, NOT that
-        # there are fewer matches; fall through with θ=-inf so every
-        # block survives and is scored exactly.
-        if len(seed_docs) >= k:
-            seed_scores = self._score_union(seed_docs, infos)
-            theta = float(-np.partition(-seed_scores, k - 1)[k - 1])
-        else:
-            theta = -np.inf
-
-        # prune: block b of term t survives iff ub + Σ other maxima ≥ θ
-        surv = []
-        for ti, ((p, _idf), u) in enumerate(zip(infos, ubs)):
-            rest = float(max_ub.sum() - max_ub[ti])
-            keep = np.flatnonzero(u >= theta - rest)
-            if len(keep) == len(u):
-                surv.append(p.doc_ids)
-                continue
-            for b in keep:
-                surv.append(p.doc_ids[b * BLOCK : (b + 1) * BLOCK])
-        docs = np.unique(np.concatenate(surv)) if surv else np.empty(0, np.int64)
-        if not len(docs):
-            return empty
-        scores = self._score_union(docs, infos)
-        return rank_results(docs, scores, k)
+        return search_postings_or(
+            postings, self.n_docs, self.doc_norms, k=k, doc_offset=self.doc_lo
+        )
 
     # -- doc fetch (M9 analog: a slice of the committed doc store) --------
 
@@ -623,11 +531,13 @@ class IndexSearcher:
         err = validate_query(query, self.mode)
         if err:
             return {"result": False, "error": err}
+        if k < 0 or offset < 0:
+            return {"result": False, "error": "limit and offset must not be negative"}
         if mode == "or":
-            # disjunctive block-max WAND path: BM25 only, whole index.
-            # ``count`` is the number of RETURNED rows: WAND prunes
-            # without materializing the full candidate union, so an
-            # exact total would defeat the pruning (documented).
+            # disjunctive path: BM25 only, whole index.  ``count`` is
+            # the number of RETURNED rows, not the union's size: the
+            # benchmark's reference answers, the serve check and the
+            # ``transcripts_bm25_or`` gate row all pin that count.
             if scope:
                 return {
                     "result": False,

@@ -20,8 +20,9 @@ API (controllers/ApiController.java:28-52):
   IndexingServiceImpl.java:137-152, including the out-of-scope error).
 * ``GET  /api/search?query=&offset=&limit=&site=&mode=`` → top-k
   search (``site`` = conv scope, SearchServiceImpl.java:33-54;
-  ``mode=or`` switches to the disjunctive block-max WAND path —
-  no reference analog, round 5).
+  ``mode=or`` switches to disjunctive BM25 over the exact union of
+  the query terms' postings — no reference analog, round 5; a
+  negative ``offset`` or ``limit`` is an error).
 * ``GET  /api/suggest?term=&limit=`` → did-you-mean lexicon
   candidates for a misspelled query word (no reference analog —
   the reference returns empty for unknown lemmas; round 5).

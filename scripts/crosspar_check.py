@@ -72,6 +72,9 @@ DEFAULT_QUERIES = [
     "ngram_jaccard_pairs",
     "resumable_sink",
     "lang_mismatch",
+    # the OR-mode and sharded search rows
+    "transcripts_bm25_or",
+    "transcripts_bm25_sharded",
 ]
 
 

@@ -5,8 +5,9 @@
 * a shard's doc lengths and cached posting lists are the matching
   slices of the full searcher's, and cached lists own their memory;
 * a result's text is the committed snapshot, not the live input, a
-  searcher opened before a refresh keeps serving its own generation,
-  and a warm response reads no parquet file;
+  searcher opened before a refresh keeps serving its own generation
+  (and raises once a second refresh retires it), and a warm response
+  reads no parquet file;
 * ``suggest`` ranks exactly like a scan of the whole lexicon;
 * ``trending_terms`` keys do not overflow on a large batch vocabulary.
 """
@@ -146,10 +147,10 @@ def test_term_cache_owns_its_arrays(built):
         entries = list(searcher._term_cache.values())
         assert len(entries) > 100
         for e in entries:
-            for arr in (e.doc_ids, e.tfs, e.block_max):
+            for arr in (e.doc_ids, e.tfs):
                 assert arr.flags.owndata, e.term
         assert searcher._term_cache_bytes == sum(
-            e.doc_ids.nbytes + e.tfs.nbytes + e.block_max.nbytes for e in entries
+            e.doc_ids.nbytes + e.tfs.nbytes for e in entries
         )
 
 
@@ -262,6 +263,38 @@ def test_searcher_serves_its_generation_across_a_refresh(
     assert fresh.fetch_docs([doc])["text"][0].as_py() == f"EDITED quokka {LEMMAS[10]}"
     assert fresh.search("quokka")[0].tolist() == [doc]
     assert fresh.search(LEMMAS[10])[1].tolist() != want[LEMMAS[10]][1].tolist()
+
+
+def test_searcher_on_a_retired_generation_raises(ray_session, tiny_corpus, tmp_path):
+    """Two refreshes retire (delete) the generation an open searcher
+    serves.  Its next cold lookup raises ``FileNotFoundError`` naming
+    that generation, for a lazy-lexicon searcher (whose lexicon slices
+    are gone) as for an eager one (whose posting files are gone): it
+    never answers as if the query's terms were absent."""
+    from raysearch.build import build_index, rebuild_partition
+    from raysearch.gen import conv_name
+    from raysearch.search import IndexSearcher
+
+    corpus = str(tmp_path / "corpus")
+    shutil.copytree(tiny_corpus, corpus)
+    index = str(tmp_path / "idx")
+    build_index(corpus, index, mode="latin", n_partitions=4)
+    eager = IndexSearcher(index)
+    lazy = IndexSearcher(index, lazy_lexicon=True)
+    queries = [LEMMAS[i] for i in (2, 7, 15, 30, 60)]
+    fresh = IndexSearcher(index)
+    assert all(len(fresh.search(q)[0]) for q in queries)
+    for i, conv in enumerate((conv_name(1), conv_name(9))):
+        _edit_turn(corpus, conv, 0, f"quokka {i} {LEMMAS[10]}")
+        rebuild_partition(corpus, index, conv_id=conv)
+    assert not os.path.isdir(lazy.generation)
+    name = os.path.basename(lazy.generation)
+    for q in queries:
+        for s in (lazy, eager):
+            with pytest.raises(FileNotFoundError, match=name):
+                s.search(q)
+        with pytest.raises(FileNotFoundError, match=name):
+            lazy.search_or(q)
 
 
 def test_warm_search_response_reads_no_parquet(built, monkeypatch):

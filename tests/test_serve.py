@@ -223,8 +223,23 @@ def test_or_mode_with_site_rejected(server):
     assert _get(port, f"/api/search?query={q}&limit=5&mode=or")["result"] is True
 
 
+def test_search_rejects_negative_limit_and_offset(server):
+    """A negative ``limit`` or ``offset`` on ``/api/search`` is a
+    structured error in AND and OR mode alike, never a slice of the
+    ranking (a negative limit once returned every candidate)."""
+    _, port, _ = server
+    q = urllib.parse.quote(f"{LEMMAS[5]} {LEMMAS[10]}")
+    for mode in ("and", "or"):
+        for params in ("limit=-1", "offset=-3", "limit=-2&offset=-1"):
+            got = _get(port, f"/api/search?query={q}&mode={mode}&{params}")
+            assert got["result"] is False and "negative" in got["error"], (mode, params)
+            assert "data" not in got
+        ok = _get(port, f"/api/search?query={q}&mode={mode}&limit=3&offset=2")
+        assert ok["result"] is True and len(ok["data"]) == 3
+
+
 def test_or_mode_and_suggest_routes(server):
-    """mode=or returns the WAND disjunctive ranking (superset-or-equal
+    """mode=or returns the disjunctive ranking (superset-or-equal
     of the AND results for a multi-term query, equal for one term);
     /api/suggest returns lexicon candidates ranked (d, df desc, term)
     and errors structurally on an empty term."""
