@@ -2257,9 +2257,8 @@ def _q_minhash_recall(sf_dir: str):
     """LSH near-dup pairs vs the exact all-pairs shingle-Jaccard set at
     the same threshold: recall + precision in one row.  Precision is
     1.0 by construction — verification is exact AND over the identical
-    domain (round 3: the LSH verification path drops the <k-token
-    short-doc fallback shingle, so both operators see exactly the
-    docs-with->=k-tokens universe)."""
+    domain (docs with <k tokens have no shingles on either side, so
+    both operators see exactly the docs-with->=k-tokens universe)."""
     import pandas as pd
 
     from raysearch.pipelines.dedup import jaccard_pairs_exact, minhash_lsh_pairs

@@ -94,8 +94,7 @@ class _FusedFirstPass:
             max_stop_ratio=self.max_stop_ratio,
         )
         sh_parent, sh = shingle_hashes_from_codes(
-            self._memo, parent, codes, uniq, n, self.shingle,
-            short_doc_fallback=False,
+            self._memo, parent, codes, uniq, self.shingle
         )
         blobs = pack_shingle_blobs(n, sh_parent, sh)
         keep = pa.array(mask)

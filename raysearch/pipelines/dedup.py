@@ -5,11 +5,12 @@ reference only hints at with its exact URL/page dedup, D1/D2 in SURVEY
 §2.7 — here generalized to content dedup at corpus scale):
 
 * exact_dedup         — md5(text) → groupby(hash) → keep min doc_id.
-* minhash_lsh_pairs   — word-shingle MinHash signatures (vectorized
-  universal hashing), banded LSH → candidate pairs via one key-block
-  pass over the band buckets →
-  exact shingle-Jaccard verification as a distributed hash join (no
-  driver materialization).  The canonical near-dup path.
+* minhash_lsh_pairs   — per-doc word-shingle hash sets → MinHash
+  signatures (vectorized universal hashing), banded LSH → candidate
+  pairs in ONE exchange (a key-block pass over the sorted band rows) →
+  exact shingle-Jaccard verification against a broadcast CSR of the
+  candidate sets, or as distributed hash-merge attaches when they are
+  too big to broadcast.  The canonical near-dup path.
 * jaccard_pairs_exact — exact all-pairs word-shingle Jaccard via a
   per-shingle co-occurrence count.  Quadratic in per-shingle df:
   this is the VERIFICATION/oracle operator (SQL-expressible, used by
@@ -51,7 +52,13 @@ import pandas as pd
 import pyarrow as pa
 
 from raysearch.lex import Lexer
-from raysearch.util import _group_ids, _groups, _key_blocks, copartition_attach
+from raysearch.util import (
+    _group_ids,
+    _groups,
+    _key_blocks,
+    copartition_attach,
+    round_half_away,
+)
 
 MERSENNE = (1 << 61) - 1
 
@@ -120,87 +127,6 @@ def _key_pairs(ds, keys: list[str], star_above: int | None = None):
     return _key_blocks(ds, keys, emit)
 
 
-#: dup-bucket key universes above this count fall back to the fully
-#: distributed per-group plan instead of a driver broadcast (uint64
-#: keys ≈ 400 MB object at the cap)
-DUP_KEY_LIMIT = 50_000_000
-
-
-def _dup_bucket_prefilter(sigs, key_fn):
-    """Prune an LSH band-row Dataset to rows whose bucket has ≥2
-    members BEFORE the per-bucket pair emission (round 5).
-
-    In a near-dup workload almost every bucket is a singleton that
-    emits nothing (at sf0.1, ~80k buckets for 256 surviving pairs).
-    The pair emission (:func:`_key_pairs`) sorts every band row it
-    is given; this prunes them first: one vectorized
-    ``groupby(key).Count`` (Arrow hash aggregate, no per-group
-    Python), a distributed ``n ≥ 2`` filter so only DUP keys reach the
-    driver, then a broadcast ``searchsorted`` membership filter over
-    the band rows.
-
-    ``key_fn(batch) -> np.uint64[n]`` maps each row to its bucket key
-    (collisions across buckets are harmless: they only ADD rows to the
-    exact per-bucket pass downstream, never drop a dup bucket —
-    counts per merged key are a superset of counts per true key).
-
-    Returns the filtered Dataset, or ``None`` when the dup-key universe
-    exceeds ``DUP_KEY_LIMIT`` (caller sorts every band row — correct
-    at any scale, just more to move)."""
-    import ray
-    from ray.data.aggregate import Count
-
-    def add_key(b: pa.Table) -> pa.Table:
-        # int64 VIEW of the uint64 key: Ray's groupby pickles uint64
-        # keys into an object extension column (no zero-copy pandas
-        # dtype), while int64 stays a native Arrow column; membership
-        # below is view-consistent on both sides.
-        k = np.ascontiguousarray(key_fn(b), dtype=np.uint64).view(np.int64)
-        return b.append_column("_bkey", pa.array(k, pa.int64()))
-
-    keyed = sigs.map_batches(add_key, batch_format="pyarrow").materialize()
-    counts = keyed.groupby("_bkey").aggregate(Count(alias_name="_n"))
-
-    def dup_only(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return b.filter(pc.greater_equal(b["_n"], 2)).select(["_bkey"])
-
-    vals: list[np.ndarray] = []
-    n_hot = 0
-    for b in counts.map_batches(dup_only, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow", batch_size=None
-    ):
-        v = b["_bkey"].to_numpy(zero_copy_only=False)
-        n_hot += len(v)
-        if n_hot > DUP_KEY_LIMIT:
-            return None
-        vals.append(v)
-    hot = (
-        np.unique(np.concatenate(vals)) if vals else np.empty(0, np.int64)
-    )
-    hot_ref = ray.put(hot)
-
-    def member(b: pa.Table) -> pa.Table:
-        w = ray.get(hot_ref)
-        v = b["_bkey"].to_numpy(zero_copy_only=False)
-        if len(w) and len(v):
-            pos = np.searchsorted(w, v)
-            pos[pos >= len(w)] = len(w) - 1
-            keep = w[pos] == v
-        else:
-            keep = np.zeros(len(v), bool)
-        return b.drop_columns(["_bkey"]).filter(pa.array(keep))
-
-    return keyed.map_batches(member, batch_format="pyarrow")
-
-
-def _band_hash_key(b: pa.Table) -> np.ndarray:
-    """MinHash bucket key: band_hash alone (its init mixes the band in,
-    so it already separates bands up to 64-bit collisions)."""
-    return b["band_hash"].to_numpy(zero_copy_only=False)
-
-
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
@@ -244,7 +170,6 @@ def exact_dedup(ds):
 
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_MIX3 = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix_step(acc: np.ndarray, nxt: np.ndarray) -> np.ndarray:
@@ -265,97 +190,31 @@ def _uniq_token_hashes(memo: dict, uniq: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shingle_hash_arrays(
-    lexer: Lexer, memo: dict, batch: pa.Table, k: int,
-    short_doc_fallback: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One uint64 hash per word-k-shingle of each row: returns
-    ``(sh_parent, sh)`` with sh_parent the owning batch-row index
-    (nondecreasing).  Rolling k-gram integer mixing over per-UNIQUE-
-    token stable hashes — no per-shingle string building.  With
-    ``short_doc_fallback`` (signature path), docs with 1..k-1 tokens
-    contribute ONE shingle over all their tokens so they can still be
-    banded; without it (verification path) they contribute none —
-    matching :func:`jaccard_pairs_exact`'s domain, which excludes
-    <k-token docs.  Empty docs contribute none either way."""
-    parent, codes, uniq = lexer.token_parent_codes(batch["text"])
-    return shingle_hashes_from_codes(
-        memo, parent, codes, uniq, batch.num_rows, k,
-        short_doc_fallback=short_doc_fallback,
-    )
-
-
 def shingle_hashes_from_codes(
     memo: dict,
     parent: np.ndarray,
     codes: np.ndarray,
     uniq: np.ndarray,
-    nrows: int,
     k: int,
-    short_doc_fallback: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Core of :func:`_shingle_hash_arrays` operating on an already-
-    tokenized batch (``token_parent_codes`` output) — lets a fused
-    stage tokenize ONCE and derive both text metrics and shingle
-    hashes from the same token stream (curation first pass)."""
-    if not len(codes):
+    """One uint64 hash per word-k-shingle of each row of a tokenized
+    batch (``Lexer.token_parent_codes`` output): returns ``(sh_parent,
+    sh)`` with sh_parent the owning batch-row index (nondecreasing).
+    Rolling k-gram integer mixing over per-UNIQUE-token stable hashes —
+    no per-shingle string building.  Docs with fewer than k tokens
+    contribute none, matching :func:`jaccard_pairs_exact`'s domain.
+    Taking the token stream lets a fused stage tokenize ONCE and derive
+    both text metrics and shingle hashes from it (curation first
+    pass)."""
+    if len(codes) < k:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64)
     th = _uniq_token_hashes(memo, uniq)[codes]
-    n = len(th)
-    row_starts = np.searchsorted(parent, np.arange(nrows))
-    row_counts = np.diff(np.concatenate((row_starts, [n])))
-
-    if n >= k:
-        m = n - k + 1
-        sh = np.zeros(m, dtype=np.uint64)
-        for j in range(k):
-            sh = _mix_step(sh, th[j : j + m])
-        valid = parent[:m] == parent[k - 1 :]
-        sh_parent = parent[:m][valid]
-        sh = sh[valid]
-    else:
-        sh = np.empty(0, dtype=np.uint64)
-        sh_parent = np.empty(0, dtype=np.int64)
-    short_rows = (
-        np.flatnonzero((row_counts > 0) & (row_counts < k))
-        if short_doc_fallback
-        else np.empty(0, dtype=np.int64)
-    )
-    if len(short_rows):
-        extra = []
-        for r in short_rows:
-            s, c = row_starts[r], row_counts[r]
-            acc = np.zeros(1, dtype=np.uint64)
-            for j in range(int(c)):
-                acc = _mix_step(acc, th[s + j : s + j + 1])
-            extra.append(acc[0])
-        sh = np.concatenate((sh, np.array(extra, dtype=np.uint64)))
-        sh_parent = np.concatenate((sh_parent, short_rows))
-        order = np.argsort(sh_parent, kind="stable")
-        sh, sh_parent = sh[order], sh_parent[order]
-    return sh_parent.astype(np.int64, copy=False), sh
-
-
-class _MinHashSigs:
-    """Per-batch: word shingles → n_perm MinHash values → banded rows
-    (doc_id, band, band_hash).  Fully vectorized: shingle hashes from
-    :func:`_shingle_hash_arrays`, permutations as one
-    (n_shingle × n_perm) broadcast, per-doc minima via
-    np.minimum.reduceat, band keys by vectorized mixing."""
-
-    def __init__(self, n_perm: int = 64, bands: int = 16, shingle: int = 3):
-        self.lexer = Lexer("simple")
-        self.n_perm, self.bands, self.shingle = n_perm, bands, shingle
-        self.rows_per_band = n_perm // bands
-        self.a, self.b = _minhash_params(n_perm)
-        self._tok_hash_memo: dict[str, int] = {}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        sh_parent, sh = _shingle_hash_arrays(
-            self.lexer, self._tok_hash_memo, batch, self.shingle
-        )
-        return _band_rows(doc_ids, sh_parent, sh, self.n_perm, self.bands)
+    m = len(th) - k + 1
+    sh = np.zeros(m, dtype=np.uint64)
+    for j in range(k):
+        sh = _mix_step(sh, th[j : j + m])
+    valid = parent[:m] == parent[k - 1 :]
+    return parent[:m][valid].astype(np.int64, copy=False), sh[valid]
 
 
 def _band_rows(
@@ -366,11 +225,13 @@ def _band_rows(
     bands: int,
 ) -> pa.Table:
     """(per-shingle parent idx, uint64 shingle hash) → banded LSH rows
-    (doc_id, band, band_hash).  MinHash minima are duplicate-
-    insensitive, so multiset and sorted-unique shingle streams produce
-    identical signatures — this core serves both the text path
-    (:class:`_MinHashSigs`) and the precomputed-blob path
-    (:func:`_minhash_blob_task`)."""
+    (doc_id, band, band_hash) of the docs with at least one shingle:
+    n_perm MinHash values per doc as one (n_shingle × n_perm)
+    broadcast, per-doc minima via ``np.minimum.reduceat``, band keys by
+    vectorized mixing (each band's init mixes the band in).  It bands
+    the sorted-unique shingle sets of :func:`_minhash_blob_task`;
+    minima are duplicate-insensitive, so a multiset stream would give
+    the same signatures."""
     if not len(sh):
         return pa.table(
             {
@@ -421,11 +282,12 @@ class _ShingleSets:
         self._memo: dict[str, int] = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # no short-doc fallback: the verification domain must equal
-        # jaccard_pairs_exact's (docs with >= k tokens), so the recall
-        # row's precision really is 1.0 by construction
-        sh_parent, sh = _shingle_hash_arrays(
-            self.lexer, self._memo, batch, self.shingle, short_doc_fallback=False
+        # docs with < k tokens get empty sets: the verification domain
+        # must equal jaccard_pairs_exact's, so the recall row's
+        # precision really is 1.0 by construction
+        parent, codes, uniq = self.lexer.token_parent_codes(batch["text"])
+        sh_parent, sh = shingle_hashes_from_codes(
+            self._memo, parent, codes, uniq, self.shingle
         )
         arr = pack_shingle_blobs(batch.num_rows, sh_parent, sh)
         return pa.table({"doc_id": batch["doc_id"], "shingles": arr})
@@ -491,11 +353,15 @@ def _minhash_blob_task(batch: pa.Table, *, n_perm: int, bands: int) -> pa.Table:
 
 
 def minhash_candidates_from_shingles(sh_ds, n_perm: int = 64, bands: int = 16):
-    """Candidate pairs from a precomputed (doc_id, shingles) Dataset —
-    same bucket-groupby plan as :func:`minhash_candidates` but with no
-    tokenize stage.  Docs with <k tokens have empty blobs and emit no
-    bands; they can never pass exact verification (union == 0 ⇒ not a
-    pair), so dropping them here does not change the verified output."""
+    """(doc_id, shingles) Dataset → candidate pairs ``(doc_a, doc_b,
+    n_bands)``, doc_a < doc_b, in one exchange over the band rows:
+    MinHash band rows (:func:`_band_rows`) → one key-block pass over
+    ``sort(band, band_hash)`` emitting each bucket's pairs (star edges
+    above ``MAX_BUCKET_IDS``, the module docstring's skew guard) →
+    ``groupby(pair).Count``.  Docs with <k tokens have empty blobs and
+    emit no bands; they can never pass exact verification (union == 0
+    ⇒ not a pair), so dropping them here does not change the verified
+    output."""
     from ray.data.aggregate import Count
 
     sigs = sh_ds.map_batches(
@@ -503,10 +369,7 @@ def minhash_candidates_from_shingles(sh_ds, n_perm: int = 64, bands: int = 16):
         fn_kwargs={"n_perm": n_perm, "bands": bands},
         batch_format="pyarrow",
     )
-    pre = _dup_bucket_prefilter(sigs, _band_hash_key)
-    pairs = _key_pairs(
-        sigs if pre is None else pre, ["band", "band_hash"], MAX_BUCKET_IDS
-    )
+    pairs = _key_pairs(sigs, ["band", "band_hash"], MAX_BUCKET_IDS)
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="n_bands"))
 
 
@@ -592,14 +455,6 @@ def contamination_flags(
 _SIG_CACHE: dict[tuple | str, object] = {}
 
 
-def _minhash_task(batch: pa.Table, *, n_perm: int, bands: int, shingle: int):
-    key = ("minhash", n_perm, bands, shingle)
-    inst = _SIG_CACHE.get(key)
-    if inst is None:
-        inst = _SIG_CACHE[key] = _MinHashSigs(n_perm, bands, shingle)
-    return inst(batch)
-
-
 def _shingle_set_task(batch: pa.Table, *, shingle: int):
     key = ("shingles", shingle)
     inst = _SIG_CACHE.get(key)
@@ -618,23 +473,6 @@ def _simhash_task(batch: pa.Table):
 # ---------------------------------------------------------------------------
 # MinHash + LSH
 # ---------------------------------------------------------------------------
-
-
-def minhash_candidates(ds, n_perm: int = 64, bands: int = 16, shingle: int = 3):
-    """documents → candidate near-dup pairs (doc_a < doc_b), deduped;
-    hot band-buckets emit star edges (module docstring skew guard)."""
-    sigs = ds.map_batches(
-        _minhash_task,
-        fn_kwargs={"n_perm": n_perm, "bands": bands, "shingle": shingle},
-        batch_format="pyarrow",
-    )
-    pre = _dup_bucket_prefilter(sigs, _band_hash_key)
-    pairs = _key_pairs(
-        sigs if pre is None else pre, ["band", "band_hash"], MAX_BUCKET_IDS
-    )
-    from ray.data.aggregate import Count
-
-    return pairs.groupby(["doc_a", "doc_b"]).aggregate(Count(alias_name="n_bands"))
 
 
 def _jaccard(sa: set, sb: set) -> float:
@@ -721,42 +559,47 @@ def _collect_blob_csr(blob_ds):
     return ids[order], out_off, vals[idx]
 
 
+def _jaccard_verified(batch: pa.Table, set_pairs, threshold: float) -> pa.Table:
+    """``(doc_a, doc_b, jaccard)`` rows of the candidate pairs in
+    ``batch`` whose exact Jaccard reaches ``threshold``, rounded half
+    away to 4 places; ``set_pairs`` yields each row's two sorted-unique
+    shingle-hash sets.  The one kernel of both verify plans."""
+    jac = np.empty(batch.num_rows, dtype=np.float64)
+    for i, (sa, sb) in enumerate(set_pairs):
+        inter = len(np.intersect1d(sa, sb, assume_unique=True))
+        union = len(sa) + len(sb) - inter
+        # union == 0 ⇔ both docs have < k tokens — outside the
+        # exact operator's domain, never a verified pair
+        jac[i] = (inter / union) if union else 0.0
+    keep = jac >= threshold
+    return pa.table(
+        {
+            "doc_a": batch["doc_a"].filter(pa.array(keep)),
+            "doc_b": batch["doc_b"].filter(pa.array(keep)),
+            "jaccard": pa.array(round_half_away(jac[keep], 4), pa.float64()),
+        }
+    )
+
+
 def _verify_pairs_broadcast(cands, csr, threshold: float):
     """Exact-Jaccard verification of (doc_a, doc_b) candidates against
     a broadcast CSR of candidate shingle sets — one streaming map, no
     shuffle; output order pinned like the attach path."""
     import ray
 
-    from raysearch.util import round_half_away
-
     csr_ref = ray.put(csr)
 
     def verify(batch: pa.Table) -> pa.Table:
         ids_s, off, vals = ray.get(csr_ref)
-        da = batch["doc_a"].to_numpy(zero_copy_only=False)
-        db = batch["doc_b"].to_numpy(zero_copy_only=False)
-        n = len(da)
-        jac = np.empty(n, dtype=np.float64)
-        ia = np.searchsorted(ids_s, da)
-        ib = np.searchsorted(ids_s, db)
-        for i in range(n):
-            a, b = int(ia[i]), int(ib[i])
-            sa = vals[off[a] : off[a + 1]]
-            sb = vals[off[b] : off[b + 1]]
-            inter = len(np.intersect1d(sa, sb, assume_unique=True))
-            union = len(sa) + len(sb) - inter
-            # union == 0 ⇔ both docs have < k tokens — outside the
-            # exact operator's domain, never a verified pair
-            jac[i] = (inter / union) if union else 0.0
-        keep = jac >= threshold
-        return pa.table(
-            {
-                "doc_a": batch["doc_a"].filter(pa.array(keep)),
-                "doc_b": batch["doc_b"].filter(pa.array(keep)),
-                "jaccard": pa.array(
-                    round_half_away(jac[keep], 4), pa.float64()
-                ),
-            }
+        ia = np.searchsorted(ids_s, batch["doc_a"].to_numpy(zero_copy_only=False))
+        ib = np.searchsorted(ids_s, batch["doc_b"].to_numpy(zero_copy_only=False))
+        return _jaccard_verified(
+            batch,
+            (
+                (vals[off[a] : off[a + 1]], vals[off[b] : off[b + 1]])
+                for a, b in zip(ia.tolist(), ib.tolist())
+            ),
+            threshold,
         )
 
     return cands.map_batches(verify, batch_format="pyarrow").sort(
@@ -765,13 +608,12 @@ def _verify_pairs_broadcast(cands, csr, threshold: float):
 
 
 def minhash_lsh_pairs(
-    ds, threshold: float = 0.6, join_partitions: int = 8, *,
+    ds, threshold: float = 0.6, *,
     shingle_ds=None, shingle: int = 3, n_perm: int = 64, bands: int = 16,
 ):
     """Candidates → exact shingle-Jaccard ≥ threshold, fully distributed.
 
-    Single-tokenize plan (round-4 rework; round 3 tokenized the corpus
-    twice — once for signatures, once for verification sets):
+    Single-tokenize plan:
 
     1. ONE streaming pass computes per-doc sorted-unique 64-bit
        shingle-hash sets (:class:`_ShingleSets`), materialized (~8 B
@@ -779,29 +621,29 @@ def minhash_lsh_pairs(
        store spills if needed).  Callers that already hold such a
        Dataset (the curation pipeline's fused first pass) hand it in
        via ``shingle_ds`` and no text is read here at all;
-    2. MinHash signatures + banded LSH candidates are derived FROM the
-       blobs (:func:`minhash_candidates_from_shingles` — minima are
-       duplicate-insensitive, so set-based signatures equal the
-       multiset ones), yielding (doc_a, doc_b) id pairs (materialized —
-       ids only, the smallest dataset in the job);
+    2. MinHash band rows are derived FROM the blobs and turned into
+       (doc_a, doc_b) id pairs by ONE exchange, a key-block pass over
+       ``sort(band, band_hash)``
+       (:func:`minhash_candidates_from_shingles`; materialized — ids
+       only, the smallest dataset in the job);
     3. the blob Dataset is pruned to candidate docs — via a BROADCAST
-       id set inside the same map when the candidate count is ≤
+       id set inside one map when the candidate count is ≤
        ``BROADCAST_ID_LIMIT`` (no shuffle of the corpus-sized shingle
-       stream at all), else via a ``left_semi`` hash join;
-    4. two inner hash-merge attaches (:func:`~raysearch.util.
-       copartition_attach` — union + one sort per attach; Ray
-       2.49's ``Dataset.join`` crashes on partitions that receive no
-       blocks from one side, see the helper's docstring) bring in each
-       pair's two sets;
-    5. a vectorized map computes exact Jaccard over the hash sets and
-       filters ≥ threshold.
+       stream at all), else via a distributed semi-join;
+    4. each pair meets its two sets — through one map against a
+       broadcast CSR of the candidate sets when they fit
+       ``VERIFY_BROADCAST_BYTES``, else through two inner hash-merge
+       attaches (:func:`~raysearch.util.copartition_attach` — union +
+       one sort per attach; Ray 2.49's ``Dataset.join`` crashes on
+       partitions that receive no blocks from one side, see the
+       helper's docstring);
+    5. :func:`_jaccard_verified` computes exact Jaccard over the hash
+       sets and keeps pairs ≥ threshold; the result is sorted by
+       (doc_a, doc_b).
 
-    Only id pairs and candidate shingle sets shuffle; raw text never
-    leaves the tokenize stage and nothing unbounded lands on the
-    driver.  ``join_partitions`` is retained for API compatibility;
-    the merge exchange is sized by Ray's sort shuffle."""
-    import ray
-
+    Only id pairs, band rows and candidate shingle sets shuffle; raw
+    text never leaves the tokenize stage and nothing unbounded lands
+    on the driver."""
     if shingle_ds is None:
         sh = ds.map_batches(
             _shingle_set_task,
@@ -822,8 +664,6 @@ def _verify_candidate_pairs(sh, cands, threshold: float):
     tail of :func:`minhash_lsh_pairs` (steps 3–5 of its plan, see its
     docstring for the broadcast / semi-join / attach dispatch) and
     :func:`prefix_jaccard_pairs`."""
-    import ray
-
     n_cands = cands.count()
     if n_cands == 0:
         return _empty_pairs_ds()
@@ -903,27 +743,11 @@ def _verify_candidate_pairs(sh, cands, threshold: float):
         payload={"sh_b": pa.binary()},
     )
 
-    from raysearch.util import round_half_away
-
     def verify(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        sets_a = _blob_col_to_sets(batch["sh_a"])
-        sets_b = _blob_col_to_sets(batch["sh_b"])
-        jac = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            sa, sb = sets_a[i], sets_b[i]
-            inter = len(np.intersect1d(sa, sb, assume_unique=True))
-            union = len(sa) + len(sb) - inter
-            # union == 0 ⇔ both docs have < k tokens — outside the
-            # exact operator's domain, never a verified pair
-            jac[i] = (inter / union) if union else 0.0
-        keep = jac >= threshold
-        return pa.table(
-            {
-                "doc_a": batch["doc_a"].filter(pa.array(keep)),
-                "doc_b": batch["doc_b"].filter(pa.array(keep)),
-                "jaccard": pa.array(round_half_away(jac[keep], 4), pa.float64()),
-            }
+        return _jaccard_verified(
+            batch,
+            zip(_blob_col_to_sets(batch["sh_a"]), _blob_col_to_sets(batch["sh_b"])),
+            threshold,
         )
 
     # pinned output order: pair sets are tiny relative to the corpus
@@ -941,8 +765,7 @@ def _verify_candidate_pairs(sh, cands, threshold: float):
 class _DistinctShingleStrings:
     """Per-batch: (doc_id, text) → distinct (doc_id, shingle-STRING)
     rows of full word-k-shingles (docs with <k tokens contribute none —
-    matches the SQL oracle's definition; the minhash path's short-doc
-    special case is deliberately absent here)."""
+    the SQL oracle's definition, shared by the hashed shingle sets)."""
 
     def __init__(self, shingle: int = 3):
         self.lexer = Lexer("simple")
@@ -1016,8 +839,6 @@ def _exact_jaccard_from_shingles(tok, threshold: float):
         .groupby(["doc_a", "doc_b"])
         .aggregate(Count(alias_name="n_common"))
     )
-
-    from raysearch.util import round_half_away
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
         ids, n = ray.get(sizes_ref)
@@ -1290,10 +1111,6 @@ def simhash_pairs(ds, max_hamming: int = 3):
             {"doc_a": ids[ai[keep]], "doc_b": ids[bi[keep]], "hamming": dist[keep]}
         )
 
-    # NOTE: no _dup_bucket_prefilter here — simhash band keys are only
-    # 16 bits, so beyond ~65k docs per band every bucket has ≥2 members
-    # and the prefilter's extra count-shuffle is pure overhead
-    # (measured +2 s at sf0.1 for zero rows pruned at scale).
     sigs = ds.map_batches(_simhash_task, batch_format="pyarrow")
     cand = _key_blocks(sigs, ["band", "band_key"], pairs)
     from ray.data.aggregate import Min
@@ -1398,8 +1215,6 @@ def embedding_near_dup(
                 "embedding": batch["embedding"].take(pa.array(idx)),
             }
         )
-
-    from raysearch.util import round_half_away
 
     def verify_bucket(ids: np.ndarray, emb: np.ndarray):
         norms = np.linalg.norm(emb, axis=1)

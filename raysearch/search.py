@@ -600,7 +600,9 @@ class ShardedSearcher:
         with open(os.path.join(gen, "meta.json")) as f:
             n_docs = json.load(f)["n_docs"]
         bounds = np.linspace(0, n_docs, n_shards + 1).astype(int)
-        actor = ray.remote(num_cpus=1)(IndexSearcher)
+        # Ray's default actor needs a CPU to schedule and none to run,
+        # so more shards than cluster CPUs still all start
+        actor = ray.remote(IndexSearcher)
         self.shards = [
             actor.remote(gen, (int(bounds[i]), int(bounds[i + 1])), lazy_lexicon=True)
             for i in range(n_shards)

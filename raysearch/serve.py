@@ -334,6 +334,8 @@ class EngineServer:
             return {"result": False, "error": "index not built"}
         if not term:
             return {"result": False, "error": "empty term"}
+        if limit < 0:
+            return {"result": False, "error": "limit must not be negative"}
         return {"result": True, "data": s.suggest(term, limit=limit)}
 
 

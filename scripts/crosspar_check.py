@@ -9,8 +9,11 @@ Usage: python scripts/crosspar_check.py NCPUS [query ...]
 import os
 import sys
 
-sys.path.insert(0, "/root/repo")
-os.chdir("/root/repo")
+# the checkout this script lives in: Ray workers import raysearch
+# from the working directory
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+os.chdir(ROOT)
 
 DEFAULT_QUERIES = [
     "minhash_pairs",

@@ -11,8 +11,11 @@ import json
 import os
 import sys
 
-sys.path.insert(0, "/root/repo")
-os.chdir("/root/repo")
+# the checkout this script lives in: Ray workers import raysearch
+# from the working directory
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+os.chdir(ROOT)
 
 import duckdb
 import pandas as pd

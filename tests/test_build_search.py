@@ -426,6 +426,33 @@ def test_sharded_searcher_rank_identity(ray_session, built, searcher, oracle):
     assert np.allclose(sc_s, sc_1, rtol=1e-12)
 
 
+def test_sharded_searcher_more_shards_than_cpus(ray_session, built, searcher, oracle):
+    """More shard actors than cluster CPUs still all start and answer
+    (a whole-CPU reservation per actor once left the extra shards
+    pending forever), and the merged ranking equals the single node's."""
+    import ray
+
+    from raysearch.search import ShardedSearcher
+
+    n_shards = int(ray.cluster_resources()["CPU"]) + 2
+    sharded = ShardedSearcher(built[1], n_shards=n_shards)
+    try:
+        q = next(q for q in _query_set(oracle) if q)
+        # a bounded wait: a shard that never schedules fails here
+        parts = ray.get(
+            [s.search.remote(q, 10, None, "bm25") for s in sharded.shards],
+            timeout=120,
+        )
+        assert len(parts) == n_shards
+        ids_s, sc_s, tot_s = sharded.search(q, k=10)
+        ids_1, sc_1, tot_1 = searcher.search(q, k=10)
+        assert ids_s.tolist() == ids_1.tolist()
+        assert sc_s.tolist() == sc_1.tolist() and tot_s == tot_1
+    finally:
+        for s in sharded.shards:
+            ray.kill(s)
+
+
 def test_stats(built):
     from raysearch.stats_api import index_stats
 

@@ -642,7 +642,8 @@ def test_hot_bucket_star_fallback(ray_session):
 
     from raysearch.pipelines.dedup import (
         MAX_BUCKET_IDS,
-        minhash_candidates,
+        _shingle_set_task,
+        minhash_candidates_from_shingles,
         minhash_lsh_pairs,
     )
 
@@ -657,13 +658,51 @@ def test_hot_bucket_star_fallback(ray_session):
             }
         )
     )
-    cands = minhash_candidates(ds).to_pandas()
+    sh = ds.map_batches(
+        _shingle_set_task, fn_kwargs={"shingle": 3}, batch_format="pyarrow"
+    )
+    cands = minhash_candidates_from_shingles(sh).to_pandas()
     # star: n-1 edges, all anchored at doc 0 (bucket min)
     assert len(cands) == n - 1
     assert (cands.doc_a == 0).all()
     out = minhash_lsh_pairs(ds, threshold=0.9).to_pandas()
     assert len(out) == n - 1 and (out.jaccard == 1.0).all()
     assert set(out.doc_b) == set(range(1, n))
+
+
+def test_minhash_candidates_one_exchange(docs_ds, monkeypatch):
+    """The MinHash candidate stage is one exchange over the band rows:
+    the key-block sort by (band, band_hash), then the pair count.  No
+    per-bucket count aggregate, no materialize and no pull to the
+    driver while the plan is built."""
+    from ray.data import Dataset
+
+    from raysearch.pipelines.dedup import (
+        _shingle_set_task,
+        minhash_candidates_from_shingles,
+    )
+
+    sh = docs_ds.map_batches(
+        _shingle_set_task, fn_kwargs={"shingle": 3}, batch_format="pyarrow"
+    ).materialize()
+    calls = []
+    for name in ("sort", "groupby", "materialize", "iter_batches", "count",
+                 "take_all", "to_pandas"):
+        orig = getattr(Dataset, name)
+
+        def recorded(self, *args, _orig=orig, _name=name, **kwargs):
+            calls.append((_name, args[0] if args else None))
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(Dataset, name, recorded)
+    cands = minhash_candidates_from_shingles(sh)
+    monkeypatch.undo()
+    assert calls == [
+        ("sort", ["band", "band_hash"]),
+        ("groupby", ["doc_a", "doc_b"]),
+    ], calls
+    got = {(int(a), int(b)) for a, b in cands.to_pandas()[["doc_a", "doc_b"]].values}
+    assert {(0, 1), (0, 3)} <= got
 
 
 def test_simhash_hot_bucket_bounded(ray_session):

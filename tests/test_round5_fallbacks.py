@@ -1,11 +1,8 @@
-"""Round-5 at-scale fallback-path equivalence.
+"""At-scale fallback-path equivalence of the MinHash verify stage.
 
-The round-5 LSH prefilter + broadcast-verify rework (dedup.py) added
-three bounded fast paths, each with a documented fallback that is the
-REAL path at 100 TB:
+The broadcast-verify plan (dedup.py) has two bounded fast paths, each
+with a documented fallback that is the REAL path at 100 TB:
 
-* ``DUP_KEY_LIMIT``  — dup-bucket key universe too big to broadcast →
-  fall back to the full ``groupby(bucket).map_groups`` plan;
 * ``VERIFY_BROADCAST_BYTES`` — candidate shingle sets too big for one
   ``ray.put`` CSR → fall back to two ``copartition_attach`` exchanges;
 * ``BROADCAST_ID_LIMIT`` — candidate id set too big to broadcast →
@@ -13,7 +10,7 @@ REAL path at 100 TB:
 
 These tests pin that every fallback produces BYTE-IDENTICAL output to
 the fast path it replaces (same rows, same pinned order, same dtypes),
-by shrinking each cap to 0 via monkeypatch — all three caps are read
+by shrinking each cap to 0 via monkeypatch — both caps are read
 driver-side, so a module-attribute patch is honored.
 """
 
@@ -70,16 +67,6 @@ def test_fast_path_finds_the_planted_dups(fast_pairs):
     assert len(fast_pairs) >= 3
 
 
-def test_dup_key_limit_fallback_equivalence(
-    ray_session, monkeypatch, fast_pairs
-):
-    import raysearch.pipelines.dedup as dd
-
-    monkeypatch.setattr(dd, "DUP_KEY_LIMIT", 0)
-    slow = _pairs(_near_dup_docs())
-    pd.testing.assert_frame_equal(fast_pairs, slow)
-
-
 def test_verify_broadcast_fallback_equivalence(
     ray_session, monkeypatch, fast_pairs
 ):
@@ -107,7 +94,6 @@ def test_all_fallbacks_stacked_equivalence(
     configuration a 100 TB corpus would actually run — still matches."""
     import raysearch.pipelines.dedup as dd
 
-    monkeypatch.setattr(dd, "DUP_KEY_LIMIT", 0)
     monkeypatch.setattr(dd, "VERIFY_BROADCAST_BYTES", 0)
     monkeypatch.setattr(dd, "BROADCAST_ID_LIMIT", 0)
     slow = _pairs(_near_dup_docs())
@@ -117,8 +103,8 @@ def test_all_fallbacks_stacked_equivalence(
 def test_dup_clusters_prefilter_fallback_equivalence(
     ray_session, monkeypatch
 ):
-    """dup_clusters consumes the same prefiltered candidate stage —
-    cluster assignments must not depend on which plan ran."""
+    """dup_clusters consumes the same candidate and verify stages —
+    cluster assignments must not depend on which verify plan ran."""
     from raysearch.pipelines.dedup import dup_clusters
     import raysearch.pipelines.dedup as dd
 
@@ -127,7 +113,6 @@ def test_dup_clusters_prefilter_fallback_equivalence(
         .to_pandas()
         .reset_index(drop=True)
     )
-    monkeypatch.setattr(dd, "DUP_KEY_LIMIT", 0)
     monkeypatch.setattr(dd, "VERIFY_BROADCAST_BYTES", 0)
     slow = (
         dup_clusters(_near_dup_docs(), threshold=0.5)

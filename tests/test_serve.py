@@ -238,6 +238,21 @@ def test_search_rejects_negative_limit_and_offset(server):
         assert ok["result"] is True and len(ok["data"]) == 3
 
 
+def test_suggest_rejects_negative_limit(server):
+    """A negative ``limit`` on ``/api/suggest`` is a structured error,
+    never a slice of the ranking (``-1`` once dropped the last
+    candidate)."""
+    _, port, _ = server
+    missp = urllib.parse.quote(LEMMAS[10][:-1] + "zz")
+    for limit in (-1, -5):
+        got = _get(port, f"/api/suggest?term={missp}&limit={limit}")
+        assert got["result"] is False and "negative" in got["error"], limit
+        assert "data" not in got
+    ok = _get(port, f"/api/suggest?term={missp}&limit=0")
+    assert ok["result"] is True and ok["data"] == []
+    assert _get(port, f"/api/suggest?term={missp}&limit=5")["result"] is True
+
+
 def test_or_mode_and_suggest_routes(server):
     """mode=or returns the disjunctive ranking (superset-or-equal
     of the AND results for a multi-term query, equal for one term);
